@@ -64,11 +64,13 @@ class PlaneWaveBasis:
         return shifted[:, 0] * (2 * self.cutoff + 1) + shifted[:, 1]
 
     def coeff_cube(self, vec: np.ndarray) -> np.ndarray:
-        """Rearrange a coefficient vector into a dense (2N+1)^d cube."""
+        """Rearrange coefficients (M, *extra) into a dense (2N+1)^d cube
+        with the trailing `extra` axes kept: shape (2N+1,)*d + extra."""
+        vec = np.asarray(vec)
         n = 2 * self.cutoff + 1
-        cube = np.zeros((n,) * self.dimension, dtype=complex)
-        cube.ravel()[self.cube_scatter()] = vec
-        return cube
+        cube = np.zeros((n ** self.dimension,) + vec.shape[1:], dtype=complex)
+        cube[self.cube_scatter()] = vec
+        return cube.reshape((n,) * self.dimension + vec.shape[1:])
 
 
 def _difference_matrix(table: CoefficientTable, basis: PlaneWaveBasis, which: str):

@@ -52,8 +52,8 @@ _QUAD_KEYS = {"rule", "points_per_axis", "k_max"}
 _REF_KEYS = {"half_width", "points_per_cell", "decay_threshold"}
 _DISP_KEYS = {"count", "samples_per_segment"}
 _EFF_KEYS = {"extrapolate", "coarse_cutoff"}
-_FIELD_KEYS = {"eps", "half_width", "points_per_cell", "mode_count",
-               "outputs", "validate_gap"}
+_FIELD_KEYS = {"eps", "half_width", "points_per_cell", "outputs",
+               "validate_gap"}
 _CONV_KEYS = {"eps", "eval_half_width", "orders", "slope_bands",
               "require_ordering", "validate_gap"}
 _ENV_KEYS = {"name", "amplitude"}
@@ -314,6 +314,9 @@ def cmd_effective(cfg, out, args):
 
 def cmd_fields(cfg, out, args):
     fcfg = cfg.get("fields", {})
+    if args.line is not None and spec_from_dict(cfg["medium"]).dimension != 2:
+        raise ValueError("--line extracts transects of 2D fields; "
+                         "the medium is 1D")
     gamma, eff = _effective(cfg, _cache_dir(out))
     d = gamma.spec.dimension
     quad = _quad_from(cfg, d)
@@ -331,16 +334,13 @@ def cmd_fields(cfg, out, args):
     ax = _field_axes(fcfg)
     axes = (ax,) * d
     outputs = fcfg.get("outputs", ["exact", "order0", "order1", "order2"])
-    mode_count = int(fcfg.get("mode_count", 30))
 
     written = []
     for name in outputs:
         if name == "exact":
-            fld = exact_bloch_solution(gamma, freq, source, quad, axes,
-                                       mode_count=mode_count)
+            fld = exact_bloch_solution(gamma, freq, source, quad, axes)
         elif name == "branch":
-            fld = branch_solution(gamma, freq, source, quad, axes,
-                                  mode_count=mode_count)
+            fld = branch_solution(gamma, freq, source, quad, axes)
         elif name in ("order0", "order1", "order2"):
             fld = homogenized_field(eff, freq, source, quad,
                                     int(name[-1]), axes)
@@ -350,7 +350,7 @@ def cmd_fields(cfg, out, args):
         export_field_csv(fld, base + ".csv", header_lines=_provenance(cfg))
         export_field_npz(fld, base + ".npz", eps=eps)
         written += [base + ".csv", base + ".npz"]
-        if args.line is not None and d == 2:
+        if args.line is not None:
             xs, vals = fld.line(args.line)
             lpath = base + f"_line.csv"
             with open(lpath, "w") as fh:

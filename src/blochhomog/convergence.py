@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.integrate import trapezoid
 
 from .bloch import GammaPair
 from .fields import FieldOnGrid
@@ -177,8 +178,8 @@ def relative_error(reference: FieldOnGrid, approx: FieldOnGrid,
     num = diff2
     den = ref2
     for axis in reversed(range(num.ndim)):
-        num = np.trapezoid(num, axes[axis], axis=axis)
-        den = np.trapezoid(den, axes[axis], axis=axis)
+        num = trapezoid(num, axes[axis], axis=axis)
+        den = trapezoid(den, axes[axis], axis=axis)
     return float(np.sqrt(num / den))
 
 

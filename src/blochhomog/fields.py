@@ -4,9 +4,19 @@ macroscopic envelopes, and the homogenized approximations of order 0, 1, 2.
 
 All wavenumber integrals share one quadrature over khat in [-K, K]^d; the
 exact solution uses the same nodes scaled by eps (k = eps khat), dropping
-nodes that leave the Brillouin zone.  Envelope derivatives are taken
-spectrally (multiplication by i khat under the integral), never by grid
-differencing.
+nodes that leave the Brillouin zone and reporting how many and how much
+source mass they carried.  Envelope derivatives are taken spectrally
+(multiplication by i khat under the integral), never by grid differencing.
+
+The exact solution sums every Galerkin mode at each node through the
+resolvent: (S(k) - omega^2 B)^{-1} B c0 is one Hermitian-indefinite solve,
+with no eigendecomposition and no mode truncation.  The gap condition (no
+eigenvalue within DENOM_TOL of omega^2) is checked exactly by Sylvester
+inertia: the LDL^H factors of S - (omega^2 -+ DENOM_TOL) B must have equally
+many negative pivots.  Synthesis is factored, exp(i (2 pi n + k) x) =
+exp(i k x) exp(i 2 pi n x): one periodic phase matrix per axis serves every
+node (and every cell function of the homogenized fields), evaluated in slabs
+of SYNTH_BLOCK grid points to bound the temporaries.
 """
 
 from __future__ import annotations
@@ -14,14 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
-from .bloch import GammaPair, PlaneWaveBasis, solve_bands
+from .bloch import GammaPair, PlaneWaveBasis, assemble_operator, solve_bands
 from .cell import EffectiveCoefficients
 from .source import FrequencySpec, SourceSpec
 
 DENOM_TOL = 1e-8
 ENVELOPE_DENOM_TOL = 1e-10
-DEFAULT_MODE_COUNT = 30
+SYNTH_BLOCK = 512      # grid points per synthesis slab
 
 
 class GapViolation(Exception):
@@ -121,21 +132,26 @@ class FieldOnGrid:
 
 
 def synthesize_periodic(basis: PlaneWaveBasis, coeffs: np.ndarray, x):
-    """Evaluate sum_j c_j exp(i 2 pi j.x) at points x (shape (..., d) or (...,))."""
+    """Evaluate sum_j c_j exp(i 2 pi j.x) at points x (shape (..., d) or (...,)).
+
+    Points are taken SYNTH_BLOCK at a time, which bounds the phase matrices.
+    """
     x = np.asarray(x, dtype=float)
     d = basis.dimension
-    if d == 1:
-        pts = x.reshape(-1) if (x.ndim <= 1 or x.shape[-1] != 1) else x[..., 0].reshape(-1)
-        cube = basis.coeff_cube(coeffs)
-        n = np.arange(-basis.cutoff, basis.cutoff + 1)
-        vals = np.exp(2j * np.pi * np.outer(pts, n)) @ cube
-        return vals.reshape(x.shape if x.ndim <= 1 else x.shape[:-1])
+    if d == 1 and (x.ndim <= 1 or x.shape[-1] != 1):
+        x = x[..., None]
     pts = x.reshape(-1, d)
-    cube = basis.coeff_cube(coeffs)
-    n = np.arange(-basis.cutoff, basis.cutoff + 1)
-    e1 = np.exp(2j * np.pi * np.outer(pts[:, 0], n))
-    e2 = np.exp(2j * np.pi * np.outer(pts[:, 1], n))
-    vals = np.einsum("pa,ab,pb->p", e1, cube, e2)
+    n = 2 * basis.cutoff + 1
+    freqs = 2.0 * np.pi * np.arange(-basis.cutoff, basis.cutoff + 1)
+    cube = basis.coeff_cube(coeffs).reshape(n, -1)
+    vals = np.empty(len(pts), dtype=complex)
+    for start in range(0, len(pts), SYNTH_BLOCK):
+        blk = pts[start:start + SYNTH_BLOCK]
+        part = _phase_matrix(blk[:, 0], freqs) @ cube      # (P, n^(d-1))
+        for a in range(1, d):
+            part = np.einsum("pj,pjr->pr", _phase_matrix(blk[:, a], freqs),
+                             part.reshape(len(blk), n, -1))
+        vals[start:start + len(blk)] = part[:, 0]
     return vals.reshape(x.shape[:-1])
 
 
@@ -147,85 +163,167 @@ def _grid_points(axes):
     return np.stack([X1, X2], axis=-1)
 
 
-def _synth_on_axes(basis: PlaneWaveBasis, coeffs, axes, k=None):
-    """Evaluate a (possibly Bloch-shifted) coefficient vector on a separable grid.
+def _phase_matrix(x, freqs) -> np.ndarray:
+    """exp(i x f): one row per point, one column per frequency."""
+    return np.exp(1j * np.outer(x, freqs))
 
-    Returns sum_j c_j exp(i (2 pi j + k).x) with k optional.
+
+def _separable_synth(cube: np.ndarray, phases) -> np.ndarray:
+    """Contract the leading d axes of `cube` with per-axis phase matrices.
+
+    cube has shape (n_1, ..., n_d, *extra) and phases[a] shape (X_a, n_a);
+    the result has shape (X_1, ..., X_d, *extra).  In 1D this is one GEMM.
     """
-    n = np.arange(-basis.cutoff, basis.cutoff + 1)
-    cube = basis.coeff_cube(coeffs)
-    if basis.dimension == 1:
-        freq = 2.0 * np.pi * n + (k[0] if k is not None else 0.0)
-        return np.exp(1j * np.outer(axes[0], freq)) @ cube
-    f1 = 2.0 * np.pi * n + (k[0] if k is not None else 0.0)
-    f2 = 2.0 * np.pi * n + (k[1] if k is not None else 0.0)
-    e1 = np.exp(1j * np.outer(axes[0], f1))
-    e2 = np.exp(1j * np.outer(axes[1], f2))
-    return e1 @ cube @ e2.T
+    out = cube
+    for a, E in enumerate(phases):
+        out = np.moveaxis(np.tensordot(E, out, axes=(1, a)), 0, a)
+    return out
+
+
+def _periodic_blocks(basis: PlaneWaveBasis, cube: np.ndarray, axes):
+    """Evaluate sum_j cube[j, ...] exp(i 2 pi j.x) on the grid, in slabs of
+    the first axis holding about SYNTH_BLOCK points each.
+
+    Yields (slice of axis 0, values of shape (rows, X_2, ..., *extra)).  The
+    periodic phase matrices are built once per axis (per slab for axis 0),
+    so no (points x (2N+1)) temporary exceeds SYNTH_BLOCK rows.
+    """
+    freqs = 2.0 * np.pi * np.arange(-basis.cutoff, basis.cutoff + 1)
+    rest = [_phase_matrix(ax, freqs) for ax in axes[1:]]
+    rows = max(1, SYNTH_BLOCK // int(np.prod([len(ax) for ax in axes[1:]])))
+    for start in range(0, len(axes[0]), rows):
+        sl = slice(start, start + rows)
+        first = _phase_matrix(axes[0][sl], freqs)
+        yield sl, _separable_synth(cube, [first] + rest)
+
+
+def _bloch_phase(axes, sl, ks: np.ndarray) -> np.ndarray:
+    """exp(i k_q.x) on a slab of the grid, shape (rows, X_2, ..., Q)."""
+    d = len(axes)
+    phase = 1.0
+    for a, ax in enumerate(axes):
+        x = ax[sl] if a == 0 else ax
+        phase = phase * _phase_matrix(x, ks[:, a]).reshape(
+            (len(x),) + (1,) * (d - 1 - a) + (len(ks),))
+    return phase
 
 
 # ---------------------------------------------------------------------------
 # Exact Bloch solution and branch restriction
 # ---------------------------------------------------------------------------
 
+def _lapack(name: str, A: np.ndarray):
+    """LAPACK routine ?<name> for A's dtype and its optimal work size."""
+    fn, query = get_lapack_funcs((name, name + "_lwork"), (A,))
+    return fn, int(np.real(query(len(A), lower=1)[0]))
+
+
+def _eigenvalues_below(S: np.ndarray, B: np.ndarray, sigma: float) -> int:
+    """Number of pencil eigenvalues below sigma.
+
+    With B positive definite this is the negative inertia of S - sigma B
+    (Sylvester), read from its Bunch-Kaufman factors L D L^H: one per
+    negative 1x1 pivot (ipiv > 0) and one per 2x2 block (a pair of rows with
+    ipiv < 0), since the pivot rule only picks 2x2 blocks with a negative
+    determinant.
+    """
+    hetrf, lwork = _lapack("hetrf", S)
+    ldu, ipiv, _ = hetrf(S - sigma * B, lower=1, lwork=lwork,
+                         overwrite_a=True)
+    negative_pivots = np.count_nonzero(ldu.diagonal().real[ipiv > 0] < 0.0)
+    return int(negative_pivots + np.count_nonzero(ipiv < 0) // 2)
+
+
+def _resolvent_term(gamma: GammaPair, omega2: float, k: np.ndarray,
+                    rhs: np.ndarray) -> np.ndarray:
+    """The sum over all M Galerkin modes,
+        sum_m phi_m(k) phi_m(k)^H rhs / (omega_m^2(k) - omega^2)
+            = (S(k) - omega^2 B)^{-1} rhs,
+    since the B-orthonormal eigenvectors diagonalize the pencil.  Raises
+    GapViolation when an eigenvalue lies within DENOM_TOL of omega^2,
+    detected as unequal eigenvalue counts below omega^2 -+ DENOM_TOL.
+    """
+    S, B = assemble_operator(gamma.table, gamma.basis, k)
+    lo, hi = (_eigenvalues_below(S, B, omega2 + t)
+              for t in (-DENOM_TOL, DENOM_TOL))
+    if lo != hi:
+        raise GapViolation(
+            f"{hi - lo} eigenvalue(s) within {DENOM_TOL:.0e} of "
+            f"omega^2 = {omega2:.12g} at k = {k}")
+    hesv, lwork = _lapack("hesv", S)
+    _, _, x, info = hesv(S - omega2 * B, rhs, lower=1, lwork=lwork,
+                         overwrite_a=True)
+    if info > 0:
+        raise GapViolation(f"singular resolvent at k = {k}")
+    return x
+
+
+def _branch_term(gamma: GammaPair, omega2: float, k: np.ndarray,
+                 rhs: np.ndarray) -> np.ndarray:
+    """The m = p term phi_p(k) phi_p(k)^H rhs / (omega_p^2(k) - omega^2)."""
+    sol = solve_bands(gamma.table, gamma.basis, k, gamma.branch + 1)
+    denom = sol.omega2 - omega2
+    if np.min(np.abs(denom)) < DENOM_TOL:
+        raise GapViolation(
+            f"denominator {np.min(np.abs(denom)):.3e} at k = {k}")
+    v = sol.vectors[:, gamma.branch]
+    return v * (np.vdot(v, rhs) / denom[gamma.branch])
+
+
 def exact_bloch_solution(gamma: GammaPair, freq: FrequencySpec,
                          source: SourceSpec, quad: WavenumberQuadrature,
-                         axes, mode_count: int = DEFAULT_MODE_COUNT,
-                         branch_only: bool = False) -> FieldOnGrid:
-    """Mode superposition of the driven response on a fast-coordinate grid.
+                         axes, branch_only: bool = False) -> FieldOnGrid:
+    """Driven response on a fast-coordinate grid, summed over all modes.
 
     u(x) = (2 pi)^{-d/2} int_Y sum_m  eps^2 <rho phi_p(0) conj(phi_m(eps khat))>
            F(khat) / (omega_m^2 - omega^2) e^{i eps khat.x} phi_m(x) dkhat
 
-    With branch_only=True the sum keeps only m = p.
+    The mode sum at each node is one resolvent solve (_resolvent_term), so
+    there is no mode truncation; GapViolation is raised when any Galerkin
+    eigenvalue at a node lies within DENOM_TOL of omega^2.  With
+    branch_only=True the sum keeps only m = p (one eigenpair per node, and
+    the check covers branches 0..p).
+
+    Nodes with eps |khat|_inf > pi lie outside the Brillouin zone and are
+    skipped; meta reports their number (dropped_nodes) and their share of
+    sum w |F| (dropped_mass).
     """
-    basis, table = gamma.basis, gamma.table
+    basis = gamma.basis
     d = basis.dimension
     eps = freq.eps
-    mode_count = min(mode_count, basis.size)
-    if branch_only and gamma.branch >= mode_count:
-        mode_count = gamma.branch + 1
-    from .bloch import assemble_operator
-    _, Bmat = assemble_operator(table, basis, np.zeros(d))
+    _, Bmat = assemble_operator(gamma.table, basis, np.zeros(d))
     bc0 = Bmat @ gamma.coeffs
 
-    pref = (2.0 * np.pi) ** (-d / 2.0) * eps ** (2 + d) / eps ** d
     # (eps^d from dk = eps^d dkhat cancels the eps^{-d} in the projection)
+    pref = (2.0 * np.pi) ** (-d / 2.0) * eps ** 2
+    wF = quad.weights * source.envelope.spectrum(quad.nodes)
+    ks = eps * quad.nodes
+    inside = np.max(np.abs(ks), axis=1) <= np.pi
+    ks = ks[inside]
 
-    out = np.zeros(tuple(len(a) for a in axes), dtype=complex)
-    F_all = source.envelope.spectrum(quad.nodes)
-    tail = 0.0
-    for q in range(len(quad.nodes)):
-        khat = quad.nodes[q]
-        k = eps * khat
-        if np.max(np.abs(k)) > np.pi:
-            continue                  # outside the Brillouin zone
-        sol = solve_bands(table, basis, k, mode_count)
-        denom = sol.omega2 - freq.omega2
-        if np.min(np.abs(denom)) < DENOM_TOL:
-            raise GapViolation(
-                f"denominator {np.min(np.abs(denom)):.3e} at k = {k}")
-        proj = sol.vectors.conj().T @ bc0          # <rho phi_p(0) conj(phi_m)>
-        amps = proj / denom
-        if branch_only:
-            keep = np.zeros_like(amps)
-            keep[gamma.branch] = amps[gamma.branch]
-            amps = keep
-        tail = max(tail, abs(amps[-1]) * F_all[q])
-        combo = sol.vectors @ amps
-        node_field = _synth_on_axes(basis, combo, axes, k=k)
-        out += (quad.weights[q] * F_all[q]) * node_field
-    out *= pref
+    term = _branch_term if branch_only else _resolvent_term
+    coeffs = np.empty((basis.size, len(ks)), dtype=complex)
+    for q, k in enumerate(ks):
+        coeffs[:, q] = term(gamma, freq.omega2, k, bc0)
+
+    weights = pref * wF[inside]
+    cube = basis.coeff_cube(coeffs)
+    out = np.empty(tuple(len(a) for a in axes), dtype=complex)
+    for sl, part in _periodic_blocks(basis, cube, axes):
+        out[sl] = (part * _bloch_phase(axes, sl, ks)) @ weights
+    total = np.sum(np.abs(wF))
     label = f"branch {gamma.branch} solution" if branch_only else "exact solution"
     return FieldOnGrid(axes=tuple(axes), values=out, label=label,
-                       meta={"tail_indicator": tail, "eps": eps})
+                       meta={"eps": eps,
+                             "dropped_nodes": int(np.count_nonzero(~inside)),
+                             "dropped_mass": float(
+                                 np.sum(np.abs(wF[~inside])) / total)})
 
 
-def branch_solution(gamma, freq, source, quad, axes,
-                    mode_count: int = DEFAULT_MODE_COUNT) -> FieldOnGrid:
+def branch_solution(gamma, freq, source, quad, axes) -> FieldOnGrid:
     """Single-branch (m = p) restriction of the exact solution."""
     return exact_bloch_solution(gamma, freq, source, quad, axes,
-                                mode_count=mode_count, branch_only=True)
+                                branch_only=True)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +346,33 @@ def envelope_denominator(eff: EffectiveCoefficients, freq: FrequencySpec,
     return D
 
 
+def _envelopes(eff: EffectiveCoefficients, freq: FrequencySpec,
+               source: SourceSpec, quad: WavenumberQuadrature, order: int,
+               axes, derivatives) -> np.ndarray:
+    """W(r) and the requested spectral derivatives, stacked on the last axis.
+
+    derivatives is a list of tuples of axis indices; each entry of a tuple
+    multiplies the integrand by i khat_axis.  One envelope phase matrix per
+    axis serves every column.  Returns shape (X_1, ..., X_d, len(derivatives)).
+    """
+    d = quad.dimension
+    D = envelope_denominator(eff, freq, quad, order)
+    if np.min(np.abs(D)) < ENVELOPE_DENOM_TOL:
+        raise EnvelopeSingularity(
+            f"effective symbol vanished: min |D| = {np.min(np.abs(D)):.3e}")
+    F = source.envelope.spectrum(quad.nodes)
+    s = (2.0 * np.pi) ** (-d / 2.0) * quad.weights * F / D
+    cols = np.empty((len(s), len(derivatives)), dtype=complex)
+    for j, deriv in enumerate(derivatives):
+        cols[:, j] = s
+        for ax in deriv:
+            cols[:, j] *= 1j * quad.nodes[:, ax]
+    nq = len(quad.axis_nodes)
+    cube = cols.reshape((nq,) * d + (len(derivatives),))
+    return _separable_synth(cube, [_phase_matrix(ax, quad.axis_nodes)
+                                   for ax in axes])
+
+
 def effective_envelope(eff: EffectiveCoefficients, freq: FrequencySpec,
                        source: SourceSpec, quad: WavenumberQuadrature,
                        order: int, axes, derivative: tuple = ()) -> np.ndarray:
@@ -256,24 +381,8 @@ def effective_envelope(eff: EffectiveCoefficients, freq: FrequencySpec,
     derivative is a tuple of axis indices; each entry multiplies the
     integrand by i khat_axis.
     """
-    d = quad.dimension
-    D = envelope_denominator(eff, freq, quad, order)
-    if np.min(np.abs(D)) < ENVELOPE_DENOM_TOL:
-        raise EnvelopeSingularity(
-            f"effective symbol vanished: min |D| = {np.min(np.abs(D)):.3e}")
-    F = source.envelope.spectrum(quad.nodes)
-    s = (quad.weights * F / D).astype(complex)
-    for ax in derivative:
-        s = s * (1j * quad.nodes[:, ax])
-    pref = (2.0 * np.pi) ** (-d / 2.0)
-    if d == 1:
-        e1 = np.exp(1j * np.outer(axes[0], quad.nodes[:, 0]))
-        return pref * (e1 @ s)
-    nq = len(quad.axis_nodes)
-    S = s.reshape(nq, nq)
-    e1 = np.exp(1j * np.outer(axes[0], quad.axis_nodes))
-    e2 = np.exp(1j * np.outer(axes[1], quad.axis_nodes))
-    return pref * (e1 @ S @ e2.T)
+    return _envelopes(eff, freq, source, quad, order, axes,
+                      [derivative])[..., 0]
 
 
 def envelope_pde_residual(eff: EffectiveCoefficients, freq: FrequencySpec,
@@ -282,15 +391,12 @@ def envelope_pde_residual(eff: EffectiveCoefficients, freq: FrequencySpec,
     """Max residual of  mu0 : grad^2 W0 + rho0 sigma Omega_hat^2 W0 = -rho0 g
     with g the inverse transform of F, all evaluated spectrally."""
     d = quad.dimension
-    res = np.zeros(tuple(len(a) for a in axes), dtype=complex)
-    for a in range(d):
-        for b in range(d):
-            res += eff.mu0[a, b] * effective_envelope(
-                eff, freq, source, quad, 0, axes, derivative=(a, b))
-    W0 = effective_envelope(eff, freq, source, quad, 0, axes)
-    res += eff.rho0 * freq.sigma * freq.omega_hat ** 2 * W0
+    second = [(a, b) for a in range(d) for b in range(d)]
+    W = _envelopes(eff, freq, source, quad, 0, axes, second + [()])
+    W0 = W[..., -1]
     g = source.envelope.modulation(_grid_points(axes))
-    res += eff.rho0 * g
+    res = (W[..., :-1] @ eff.mu0.ravel()
+           + eff.rho0 * (freq.sigma * freq.omega_hat ** 2 * W0 + g))
     return float(np.max(np.abs(res)) / max(np.max(np.abs(W0)), 1e-300))
 
 
@@ -307,6 +413,10 @@ def homogenized_field(eff: EffectiveCoefficients, freq: FrequencySpec,
     U1 = U0 + eps chi1 . grad W0
     U2 = phi_p W2 + eps chi1 . grad W2
          + eps^2 (corrector_cov phi_p + chi2) : grad^2 W2
+
+    Each term pairs a cell function with an envelope derivative; the cell
+    functions are synthesized together as stacked columns, and so are the
+    envelope derivatives.
     """
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1, or 2")
@@ -314,26 +424,26 @@ def homogenized_field(eff: EffectiveCoefficients, freq: FrequencySpec,
     basis = gamma.basis
     d = basis.dimension
     eps = freq.eps
-    r_axes = tuple(eps * a for a in axes)
 
-    env_order = 2 if order == 2 else 0
-    W = effective_envelope(eff, freq, source, quad, env_order, r_axes)
-    phi = _synth_on_axes(basis, gamma.coeffs, axes)
-    out = phi * W
+    derivs = [()]
+    cells = [gamma.coeffs]
     if order >= 1:
         for a in range(d):
-            dW = effective_envelope(eff, freq, source, quad, env_order,
-                                    r_axes, derivative=(a,))
-            chi1a = _synth_on_axes(basis, eff.cell.chi1[:, a], axes)
-            out += eps * chi1a * dW
+            derivs.append((a,))
+            cells.append(eps * eff.cell.chi1[:, a])
     if order == 2:
         for a in range(d):
             for b in range(d):
-                d2W = effective_envelope(eff, freq, source, quad, env_order,
-                                         r_axes, derivative=(a, b))
-                chi2ab = _synth_on_axes(basis, eff.cell.chi2[:, a, b], axes)
-                cell_part = eff.corrector_cov[a, b] * phi + chi2ab
-                out += eps ** 2 * cell_part * d2W
+                derivs.append((a, b))
+                cells.append(eps ** 2 * (eff.corrector_cov[a, b] * gamma.coeffs
+                                         + eff.cell.chi2[:, a, b]))
+    env_order = 2 if order == 2 else 0
+    W = _envelopes(eff, freq, source, quad, env_order,
+                   tuple(eps * a for a in axes), derivs)
+    cube = basis.coeff_cube(np.stack(cells, axis=-1))
+    out = np.empty(tuple(len(a) for a in axes), dtype=complex)
+    for sl, part in _periodic_blocks(basis, cube, axes):
+        out[sl] = np.sum(part * W[sl], axis=-1)
     return FieldOnGrid(axes=tuple(axes), values=out,
                        label=f"order-{order} approximation",
                        meta={"eps": eps, "order": order})

@@ -170,6 +170,23 @@ def test_fields_2d_line_transect(tmp_path):
     assert len(lines) == 3 + 2 * 2 * 8 + 1
 
 
+def test_fields_line_rejected_in_1d(tmp_path):
+    body = base_cfg()
+    body["fields"] = {"eps": 0.5, "half_width": 2, "points_per_cell": 8,
+                      "outputs": ["order0"], "validate_gap": False}
+    out = str(tmp_path / "out")
+    assert main(["fields", "--config", write_cfg(tmp_path, body),
+                 "--out", out, "--line", "y0=0.0"]) == 2
+    assert not os.path.exists(os.path.join(out, "field_order0.csv"))
+
+
+def test_fields_mode_count_key_rejected(tmp_path):
+    # the exact field sums every Galerkin mode; there is no truncation to set
+    body = base_cfg()
+    body["fields"] = {"eps": 0.5, "mode_count": 30}
+    assert main(["fields", "--config", write_cfg(tmp_path, body)]) == 2
+
+
 def test_fields_not_in_gap_exits_3(tmp_path):
     body = base_cfg()
     body["sigma"] = +1      # just above the acoustic branch: not a gap

@@ -2,16 +2,21 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.integrate import quad
 
 from blochhomog import (EnvelopeSingularity, FieldOnGrid, GapViolation,
                         GaussianEnvelope, MediumSpec, SourceSpec,
-                        branch_solution, effective_coefficients,
-                        effective_envelope, eigenpair_at_gamma,
-                        envelope_pde_residual, exact_bloch_solution,
-                        export_field_csv, export_field_npz, homogenized_field,
-                        quadrature_self_test, solve_cell_functions,
-                        synthesize_periodic, wavenumber_quadrature)
+                        assemble_operator, branch_solution, disk_2d,
+                        effective_coefficients, effective_envelope,
+                        eigenpair_at_gamma, envelope_pde_residual,
+                        exact_bloch_solution, export_field_csv,
+                        export_field_npz, homogenized_field,
+                        quadrature_self_test, solve_bands,
+                        solve_cell_functions, synthesize_periodic,
+                        two_phase_1d, wavenumber_quadrature)
+from blochhomog.fields import _eigenvalues_below
 from blochhomog.source import FrequencySpec
 
 
@@ -113,22 +118,159 @@ def test_gap_violation_on_resonant_node(homog_setup):
         exact_bloch_solution(gamma, freq, source, qt, (ax,))
 
 
-def test_tail_indicator_reported(gamma1d_32, source1d, quad1d):
-    freq = FrequencySpec(branch=0, sigma=-1, omega_hat=1.0, eps=0.5,
-                         omega2=-0.25)
-    ax = np.linspace(-2.0, 2.0, 33)
-    u = exact_bloch_solution(gamma1d_32, freq, source1d, quad1d, (ax,),
-                             mode_count=12)
-    assert "tail_indicator" in u.meta
-    assert u.meta["tail_indicator"] < 1e-3
-
-
 def test_conjugate_symmetry_real_field(gamma1d_32, source1d, quad1d):
     freq = FrequencySpec(branch=0, sigma=-1, omega_hat=1.0, eps=0.5,
                          omega2=-0.25)
     ax = np.linspace(-6.0, 6.0, 97)
     u = exact_bloch_solution(gamma1d_32, freq, source1d, quad1d, (ax,))
     assert np.max(np.abs(u.values.imag)) < 1e-10 * np.max(np.abs(u.values))
+
+
+# ---------------------------------------------------------------------------
+# Resolvent vs explicit mode superposition
+# ---------------------------------------------------------------------------
+
+def _node_spectra(gamma, source, quad_, eps):
+    """Full generalized eigendecomposition (all M modes) at every quadrature
+    node inside the Brillouin zone: list of (k, w F, values, vectors)."""
+    basis = gamma.basis
+    spectra = []
+    wF = quad_.weights * source.envelope.spectrum(quad_.nodes)
+    for khat, w in zip(quad_.nodes, wF):
+        k = eps * khat
+        if np.max(np.abs(k)) > np.pi:
+            continue
+        S, B = assemble_operator(gamma.table, basis, k)
+        vals, vecs = scipy.linalg.eigh(S, B)
+        spectra.append((k, w, vals, vecs))
+    return spectra
+
+
+def _mode_sum(gamma, spectra, freq, axes, keep=None):
+    """Reference field: the mode superposition summed node by node and
+    evaluated pointwise, over all modes or only branch `keep`."""
+    basis = gamma.basis
+    d = basis.dimension
+    _, B = assemble_operator(gamma.table, basis, np.zeros(d))
+    bc0 = B @ gamma.coeffs
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    out = np.zeros(pts.shape[:-1], dtype=complex)
+    for k, wF, vals, vecs in spectra:
+        amps = (vecs.conj().T @ bc0) / (vals - freq.omega2)
+        if keep is not None:
+            amps = np.where(np.arange(len(amps)) == keep, amps, 0.0)
+        out += wF * np.exp(1j * pts @ k) * synthesize_periodic(
+            basis, vecs @ amps, pts)
+    return (2.0 * np.pi) ** (-d / 2.0) * freq.eps ** 2 * out
+
+
+def _first_node_gap(spectra):
+    """Midpoint and half width of the interval between branch 0 and branch 1
+    over the sampled nodes (negative width: they overlap)."""
+    lo = max(vals[0] for _, _, vals, _ in spectra)
+    hi = min(vals[1] for _, _, vals, _ in spectra)
+    return 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def test_resolvent_equals_full_mode_sum(gamma1d_32, source1d, quad1d):
+    eps = 0.5
+    ax = np.linspace(-2.0, 2.0, 33)
+    spectra = _node_spectra(gamma1d_32, source1d, quad1d, eps)
+    mid, half = _first_node_gap(spectra)
+    assert half > 1.0
+    # below the spectrum (S - omega^2 B definite) and inside the first gap
+    # (one negative eigenvalue at every node)
+    for omega2 in (-eps ** 2, mid):
+        freq = FrequencySpec(branch=0, sigma=-1, omega_hat=1.0, eps=eps,
+                             omega2=omega2)
+        u = exact_bloch_solution(gamma1d_32, freq, source1d, quad1d, (ax,))
+        ref = _mode_sum(gamma1d_32, spectra, freq, (ax,))
+        assert _rel(u.values, ref) < 1e-10
+        up = branch_solution(gamma1d_32, freq, source1d, quad1d, (ax,))
+        ref_p = _mode_sum(gamma1d_32, spectra, freq, (ax,), keep=0)
+        assert _rel(up.values, ref_p) < 1e-10
+
+
+def test_resolvent_equals_full_mode_sum_2d(source2d):
+    gamma = eigenpair_at_gamma(disk_2d(), 0, 3)
+    eps = 0.5
+    quad_ = wavenumber_quadrature(2, 8.0, 8)
+    # off-center axes: the field is even, so symmetric axes would hide an
+    # axis reversal
+    axes = (np.linspace(-1.0, 0.6, 9), np.linspace(-0.4, 1.5, 7))
+    spectra = _node_spectra(gamma, source2d, quad_, eps)
+    freq = FrequencySpec(branch=0, sigma=-1, omega_hat=1.0, eps=eps,
+                         omega2=-eps ** 2)
+    u = exact_bloch_solution(gamma, freq, source2d, quad_, axes)
+    assert u.values.shape == (9, 7)
+    assert _rel(u.values, _mode_sum(gamma, spectra, freq,
+                                    axes)) < 1e-10
+
+
+def test_eigenvalue_count_matches_eigvalsh():
+    """The inertia count behind the gap check, on random Hermitian pencils;
+    zero diagonals force Bunch-Kaufman 2x2 pivots."""
+    rng = np.random.default_rng(7)
+    for trial in range(60):
+        M = int(rng.integers(2, 40))
+        X = rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M))
+        S = X + X.conj().T
+        if trial % 2 == 0:
+            S -= np.diag(np.diag(S))
+        Y = rng.standard_normal((M, M))
+        B = Y @ Y.T + M * np.eye(M)
+        sigma = rng.uniform(-2.0, 2.0)
+        expected = np.count_nonzero(scipy.linalg.eigvalsh(S, B) < sigma)
+        assert _eigenvalues_below(S, B, sigma) == expected
+
+
+def test_dropped_nodes_reported(gamma1d_32, source1d, quad1d):
+    eps = 0.5
+    freq = FrequencySpec(branch=0, sigma=-1, omega_hat=1.0, eps=eps,
+                         omega2=-eps ** 2)
+    u = exact_bloch_solution(gamma1d_32, freq, source1d, quad1d,
+                             (np.linspace(-1.0, 1.0, 9),))
+    outside = np.abs(eps * quad1d.nodes[:, 0]) > np.pi
+    wF = np.abs(quad1d.weights * source1d.envelope.spectrum(quad1d.nodes))
+    assert u.meta["dropped_nodes"] == np.count_nonzero(outside) > 0
+    assert u.meta["dropped_mass"] == pytest.approx(
+        wF[outside].sum() / wF.sum(), rel=1e-12)
+    assert 0.0 < u.meta["dropped_mass"] < 1e-3
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(G2=st.floats(1.5, 20.0), rho2=st.floats(1.5, 30.0),
+       radius=st.floats(0.05, 0.45), cutoff=st.integers(4, 16),
+       node=st.integers(0, 7), branch=st.integers(0, 2))
+def test_resolvent_property_1d(source1d, G2, rho2, radius, cutoff, node,
+                               branch):
+    gamma = eigenpair_at_gamma(
+        two_phase_1d(G=(1.0, G2), rho=(1.0, rho2), fill=2.0 * radius),
+        0, cutoff)
+    eps = 0.25
+    quad_ = wavenumber_quadrature(1, 8.0, 8)
+    ax = np.linspace(-1.0, 1.0, 17)
+    spectra = _node_spectra(gamma, source1d, quad_, eps)
+    mid, half = _first_node_gap(spectra)
+    for omega2 in (-eps ** 2, mid) if half > 1e-2 else (-eps ** 2,):
+        freq = FrequencySpec(branch=0, sigma=-1, omega_hat=1.0, eps=eps,
+                             omega2=omega2)
+        u = exact_bloch_solution(gamma, freq, source1d, quad_, (ax,))
+        ref = _mode_sum(gamma, spectra, freq, (ax,))
+        assert _rel(u.values, ref) < 1e-10
+
+    # omega^2 on an eigenvalue computed at one quadrature node
+    k = eps * quad_.nodes[node]
+    lam = solve_bands(gamma.table, gamma.basis, k, branch + 1).omega2[branch]
+    freq = FrequencySpec(branch=0, sigma=-1, omega_hat=1.0, eps=eps,
+                         omega2=lam)
+    with pytest.raises(GapViolation):
+        exact_bloch_solution(gamma, freq, source1d, quad_, (ax,))
 
 
 # ---------------------------------------------------------------------------
