@@ -5,10 +5,10 @@ __version__ = "0.1.0"
 from .medium import (MediumSpec, Inclusion, CoefficientTable, fourier_table,
                      evaluate_coefficient, spec_from_dict, spec_to_dict,
                      load_spec, two_phase_1d, disk_2d)
-from .bloch import (PlaneWaveBasis, assemble_operator, solve_bands,
-                    brillouin_path, dispersion_diagram, DispersionDiagram,
-                    BandGap, find_band_gaps, export_diagram_csv,
-                    eigenpair_at_gamma, GammaPair, fix_phase)
+from .bloch import (PlaneWaveBasis, BlochPencil, bloch_pencil, solve_bands,
+                    assemble_operator, brillouin_path, dispersion_diagram,
+                    DispersionDiagram, BandGap, find_band_gaps, fix_phase,
+                    export_diagram_csv, eigenpair_at_gamma, GammaPair)
 from .cell import (symmetrize_full, symmetrize_partial, pencil_blocks,
                    ConstrainedSolver, CellFunctions, solve_cell_functions,
                    EffectiveCoefficients, effective_coefficients,

@@ -10,6 +10,13 @@ giving the generalized Hermitian pencil
     B[a, b]    = rho_hat(j_a - j_b)
 
 whose eigenvalues are the squared Bloch frequencies omega_m^2(k).
+
+A BlochPencil holds the k-independent parts, G and B (Hermitian-symmetrized)
+and 2 pi j, and is built once per call that solves at many k.  It is float64
+when both coefficient tables are exactly real (centred inclusions: phase
+exp(-0j)) and complex otherwise.  G and rho are real-valued, so
+S(-k) = P conj(S(k)) P and B = P conj(B) P with P: j -> -j, and the spectra
+at +-k coincide; dispersion_diagram solves each +-k pair once.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from .medium import CoefficientTable, MediumSpec, fourier_table
 
 PHASE_FALLBACK_TOL = 1e-8
 SIMPLE_REL_TOL = 1e-6
+GAP_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -43,11 +51,8 @@ class PlaneWaveBasis:
         if self.cutoff < 1:
             raise ValueError("cutoff must be >= 1")
         ax = np.arange(-self.cutoff, self.cutoff + 1)
-        if self.dimension == 1:
-            idx = ax[:, None]
-        else:
-            g1, g2 = np.meshgrid(ax, ax, indexing="ij")
-            idx = np.stack([g1.ravel(), g2.ravel()], axis=-1)
+        grids = np.meshgrid(*(ax,) * self.dimension, indexing="ij")
+        idx = np.stack([g.ravel() for g in grids], axis=-1)
         zero = np.flatnonzero(np.all(idx == 0, axis=1))[0]
         order = np.concatenate([[zero], np.delete(np.arange(len(idx)), zero)])
         object.__setattr__(self, "indices", idx[order])
@@ -58,10 +63,8 @@ class PlaneWaveBasis:
 
     def cube_scatter(self):
         """Per-basis-function flat position in the (2N+1)^d coefficient cube."""
-        shifted = self.indices + self.cutoff
-        if self.dimension == 1:
-            return shifted[:, 0]
-        return shifted[:, 0] * (2 * self.cutoff + 1) + shifted[:, 1]
+        return np.ravel_multi_index(tuple((self.indices + self.cutoff).T),
+                                    (2 * self.cutoff + 1,) * self.dimension)
 
     def coeff_cube(self, vec: np.ndarray) -> np.ndarray:
         """Rearrange coefficients (M, *extra) into a dense (2N+1)^d cube
@@ -73,35 +76,57 @@ class PlaneWaveBasis:
         return cube.reshape((n,) * self.dimension + vec.shape[1:])
 
 
-def _difference_matrix(table: CoefficientTable, basis: PlaneWaveBasis, which: str):
-    """Matrix Q[a, b] = q_hat(j_a - j_b) from a coefficient table."""
-    arr = table.G_hat if which == "G" else table.rho_hat
-    dm = basis.indices[:, None, :] - basis.indices[None, :, :]
-    off = dm + table.cutoff
-    if basis.dimension == 1:
-        return arr[off[..., 0]]
-    return arr[off[..., 0], off[..., 1]]
+@dataclass(frozen=True)
+class BlochPencil:
+    """G[a, b] = G_hat(j_a - j_b), B[a, b] = rho_hat(j_a - j_b) and tp = 2 pi j
+    of one coefficient table; built per call (bloch_pencil), never cached."""
+
+    basis: PlaneWaveBasis
+    G: np.ndarray
+    B: np.ndarray
+    tp: np.ndarray
+
+    def stiffness(self, k) -> np.ndarray:
+        """S(k) = G o (2 pi j + k)(2 pi j + k)^T."""
+        kpg = self.tp + k
+        return self.G * (kpg @ kpg.T)
+
+    def blocks(self):
+        """(S0, S1_list, Gm, B) with S(k) = S0 + sum k_a S1[a] + |k|^2 Gm."""
+        S1 = [self.G * (t[:, None] + t[None, :]) for t in self.tp.T]
+        return self.stiffness(0.0), S1, self.G, self.B
 
 
-def assemble_operator(table: CoefficientTable, basis: PlaneWaveBasis, k):
-    """Stiffness and mass matrices of the shifted operator at wavevector k."""
+def bloch_pencil(table: CoefficientTable, basis: PlaneWaveBasis) -> BlochPencil:
+    """Difference matrices of `table` on `basis`; float64 when both tables
+    are exactly real, complex otherwise."""
     if table.dimension != basis.dimension:
         raise ValueError("table/basis dimension mismatch")
     if table.cutoff < 2 * basis.cutoff:
         raise ValueError("coefficient table cutoff must be >= 2 * basis cutoff")
+    real = not (np.any(table.G_hat.imag) or np.any(table.rho_hat.imag))
+    off = tuple(j[:, None] - j[None, :] + table.cutoff for j in basis.indices.T)
+
+    def difference_matrix(arr):
+        Q = (arr.real if real else arr)[off]
+        return 0.5 * (Q + Q.conj().T)
+
+    return BlochPencil(basis=basis, G=difference_matrix(table.G_hat),
+                       B=difference_matrix(table.rho_hat),
+                       tp=2.0 * np.pi * basis.indices)
+
+
+def _wavevector(k, basis: PlaneWaveBasis) -> np.ndarray:
     k = np.atleast_1d(np.asarray(k, dtype=float))
     if k.shape != (basis.dimension,):
         raise ValueError("wavevector has wrong dimension")
+    return k
 
-    G_mat = _difference_matrix(table, basis, "G")
-    rho_mat = _difference_matrix(table, basis, "rho")
-    kpg = 2.0 * np.pi * basis.indices + k  # (M, d)
-    dots = kpg @ kpg.T
-    S = G_mat * dots
-    # enforce exact Hermitian symmetry against roundoff
-    S = 0.5 * (S + S.conj().T)
-    B = 0.5 * (rho_mat + rho_mat.conj().T)
-    return S, B
+
+def assemble_operator(table: CoefficientTable, basis: PlaneWaveBasis, k):
+    """Stiffness and mass matrices of the shifted operator at wavevector k."""
+    pencil = bloch_pencil(table, basis)
+    return pencil.stiffness(_wavevector(k, basis)), pencil.B
 
 
 @dataclass
@@ -114,18 +139,23 @@ class BandSolution:
     basis: PlaneWaveBasis
 
 
-def solve_bands(table, basis, k, count) -> BandSolution:
-    """Solve the generalized pencil at wavevector k for the lowest `count` bands."""
+def solve_bands(table, basis, k, count, pencil: BlochPencil | None = None
+                ) -> BandSolution:
+    """Solve the pencil at wavevector k for the lowest `count` bands; callers
+    solving many k on one table pass its `pencil` to build it once."""
     M = basis.size
     if not (1 <= count <= M):
         raise ValueError(f"count must be in [1, {M}]")
-    S, B = assemble_operator(table, basis, k)
+    k = _wavevector(k, basis)
+    if pencil is None:
+        pencil = bloch_pencil(table, basis)
     try:
-        vals, vecs = scipy.linalg.eigh(S, B, subset_by_index=(0, count - 1))
+        vals, vecs = scipy.linalg.eigh(pencil.stiffness(k), pencil.B,
+                                       subset_by_index=(0, count - 1),
+                                       overwrite_a=True)
     except scipy.linalg.LinAlgError as exc:  # mass not positive definite
         raise ValueError(f"mass matrix not positive definite: {exc}") from exc
-    return BandSolution(k=np.atleast_1d(np.asarray(k, dtype=float)),
-                        omega2=vals, vectors=vecs, basis=basis)
+    return BandSolution(k=k, omega2=vals, vectors=vecs, basis=basis)
 
 
 # ---------------------------------------------------------------------------
@@ -135,12 +165,13 @@ def solve_bands(table, basis, k, count) -> BandSolution:
 def brillouin_path(dimension: int, samples_per_segment: int = 30):
     """Sampled path through the Brillouin zone.
 
-    1D: uniform samples on [-pi, pi].
+    1D: uniform samples pi i / n, i = -n..n, exactly symmetric under k -> -k.
     2D: Gamma -> X -> M -> Gamma on the square lattice.
     Returns (k_points, arclength, tick_positions, tick_labels).
     """
     if dimension == 1:
-        ks = np.linspace(-np.pi, np.pi, 2 * samples_per_segment + 1)
+        n = samples_per_segment
+        ks = np.pi * (np.arange(-n, n + 1) / n)
         return ks[:, None], ks.copy(), [-np.pi, 0.0, np.pi], ["-pi", "0", "pi"]
 
     gamma = np.array([0.0, 0.0])
@@ -173,9 +204,12 @@ class DispersionDiagram:
 def dispersion_diagram(spec: MediumSpec, cutoff: int, count: int,
                        samples_per_segment: int = 30,
                        k_points=None, arclength=None) -> DispersionDiagram:
-    """Band diagram along the standard path (or explicit k samples)."""
+    """Band diagram along the standard path (or explicit k samples).  A k
+    whose negative (or itself) was already solved copies that row (exact
+    match): omega(-k) = omega(k)."""
     basis = PlaneWaveBasis(spec.dimension, cutoff)
     table = fourier_table(spec, 2 * cutoff)
+    pencil = bloch_pencil(table, basis)
     if k_points is None:
         k_points, arclength, ticks, labels = brillouin_path(
             spec.dimension, samples_per_segment)
@@ -185,8 +219,12 @@ def dispersion_diagram(spec: MediumSpec, cutoff: int, count: int,
             arclength = np.arange(len(k_points), dtype=float)
         ticks, labels = [], []
     omega2 = np.empty((len(k_points), count))
+    solved = {}               # +-k -> omega^2(k)
     for i, k in enumerate(k_points):
-        omega2[i] = solve_bands(table, basis, k, count).omega2
+        if tuple(k) not in solved:
+            solved[tuple(k)] = solved[tuple(-k)] = solve_bands(
+                table, basis, k, count, pencil).omega2
+        omega2[i] = solved[tuple(k)]
     return DispersionDiagram(k_points=k_points, arclength=np.asarray(arclength),
                              omega2=omega2, tick_positions=ticks,
                              tick_labels=labels)
@@ -209,12 +247,14 @@ class BandGap:
 
 
 def find_band_gaps(diagram: DispersionDiagram) -> list[BandGap]:
-    """Complete gaps between consecutive sampled branches."""
+    """Complete gaps between consecutive sampled branches, wider than
+    GAP_REL_TOL * max |omega^2|: branches touching up to roundoff are no gap."""
     highs = diagram.omega2.max(axis=0)
     lows = diagram.omega2.min(axis=0)
+    floor = GAP_REL_TOL * np.max(np.abs(diagram.omega2))
     gaps = []
     for m in range(diagram.omega2.shape[1] - 1):
-        if lows[m + 1] > highs[m]:
+        if lows[m + 1] - highs[m] > floor:
             gaps.append(BandGap(below_branch=m, omega2_low=highs[m],
                                 omega2_high=lows[m + 1]))
     return gaps
@@ -284,13 +324,9 @@ def eigenpair_at_gamma(spec: MediumSpec, branch: int, cutoff: int) -> GammaPair:
     if branch >= len(sol.omega2):
         raise ValueError(f"branch {branch} not available with cutoff {cutoff}")
     lam = sol.omega2[branch]
-    scale = max(abs(lam), 1.0)
-    seps = []
-    if branch > 0:
-        seps.append(abs(lam - sol.omega2[branch - 1]))
-    if branch + 1 < len(sol.omega2):
-        seps.append(abs(lam - sol.omega2[branch + 1]))
-    separation = min(seps) / scale if seps else np.inf
+    # omega2 holds branches 0..branch+1: the nearest others are the neighbours
+    near = np.abs(np.delete(sol.omega2, branch) - lam)
+    separation = near.min() / max(abs(lam), 1.0) if near.size else np.inf
     coeffs = fix_phase(sol.vectors[:, branch])
     return GammaPair(spec=spec, basis=basis, table=table, branch=branch,
                      omega2=lam, coeffs=coeffs,

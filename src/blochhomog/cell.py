@@ -30,9 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .bloch import GammaPair, PlaneWaveBasis, solve_bands
+from .bloch import GammaPair, PlaneWaveBasis, bloch_pencil, solve_bands
 from .medium import CoefficientTable, MediumSpec
-from . import bloch as _bloch
 
 COMPAT_TOL = 1e-9
 CONSTRAINT_TOL = 1e-10
@@ -72,15 +71,7 @@ def symmetrize_partial(T: np.ndarray) -> np.ndarray:
 
 def pencil_blocks(table: CoefficientTable, basis: PlaneWaveBasis):
     """Return (S0, S1_list, Gm, B) with S(k) = S0 + sum k_a S1[a] + |k|^2 Gm."""
-    G_mat = _bloch._difference_matrix(table, basis, "G")
-    rho_mat = _bloch._difference_matrix(table, basis, "rho")
-    tp = 2.0 * np.pi * basis.indices          # (M, d)
-    S0 = G_mat * (tp @ tp.T)
-    S0 = 0.5 * (S0 + S0.conj().T)
-    S1 = [G_mat * (tp[:, a][:, None] + tp[:, a][None, :])
-          for a in range(basis.dimension)]
-    B = 0.5 * (rho_mat + rho_mat.conj().T)
-    return S0, S1, G_mat, B
+    return bloch_pencil(table, basis).blocks()
 
 
 class ConstrainedSolver:
@@ -198,24 +189,18 @@ def solve_cell_functions(gamma: GammaPair) -> CellFunctions:
     # (S0 - w0 B) chi3_abc =
     #     sym_abc[ i S1_a chi2_bc + delta_ab Gm chi1_c - A2_ab B chi1_c ]
     chi3 = np.zeros((M, d, d, d), dtype=complex)
-    done = {}
-    for a in range(d):
-        for b in range(d):
-            for c in range(d):
-                key = tuple(sorted((a, b, c)))
-                if key in done:
-                    chi3[:, a, b, c] = chi3[:, key[0], key[1], key[2]]
-                    continue
-                terms = []
-                for (i, j, l) in set(itertools.permutations((a, b, c))):
-                    t = 1j * (S1[i] @ chi2[:, j, l])
-                    if i == j:
-                        t = t + Gm @ chi1[:, l]
-                    t = t - A2[i, j] * (B @ chi1[:, l])
-                    terms.append(t)
-                rhs = sum(terms) / len(terms)
-                chi3[:, a, b, c] = solver.solve(rhs)
-                done[key] = True
+    for key in itertools.combinations_with_replacement(range(d), 3):
+        perms = set(itertools.permutations(key))
+        terms = []
+        for (i, j, l) in perms:
+            t = 1j * (S1[i] @ chi2[:, j, l])
+            if i == j:
+                t = t + Gm @ chi1[:, l]
+            t = t - A2[i, j] * (B @ chi1[:, l])
+            terms.append(t)
+        x = solver.solve(sum(terms) / len(terms))
+        for (i, j, l) in perms:
+            chi3[:, i, j, l] = x
     return CellFunctions(gamma=gamma, chi1=chi1, chi2=chi2, chi3=chi3)
 
 
@@ -300,16 +285,7 @@ def effective_coefficients(cell: CellFunctions) -> EffectiveCoefficients:
                 out[(a,) + rest] = val
         return alpha_p * symmetrize_full(out)
 
-    # mu0: chi_higher = chi1, chi_lower = phi_p itself
-    mu0 = np.zeros((d, d), dtype=complex)
-    gc0 = Gm @ c0
-    for a in range(d):
-        for b in range(d):
-            mu0[a, b] = 1j * np.vdot(c0, S1[a] @ cell.chi1[:, b])
-            if a == b:
-                mu0[a, b] += np.vdot(c0, gc0)
-    mu0 = alpha_p * symmetrize_full(mu0)
-
+    mu0 = flux_average(c0, cell.chi1)                 # chi_lower = phi_p itself
     mu1 = flux_average(cell.chi1, cell.chi2)          # (d,d,d), should vanish
     mu2 = flux_average(cell.chi2, cell.chi3)          # (d,d,d,d)
 
@@ -349,14 +325,13 @@ def extrapolated_coefficients(fine: EffectiveCoefficients,
     # weights solving a + b = 1, a/nf + b/nc = 0
     a = nf / (nf - nc)
     b = 1.0 - a
-    out = EffectiveCoefficients(
+    return EffectiveCoefficients(
         gamma=fine.gamma, cell=fine.cell, alpha_p=fine.alpha_p,
         rho0=a * fine.rho0 + b * coarse.rho0,
         mu0=a * fine.mu0 + b * coarse.mu0,
         mu2=a * fine.mu2 + b * coarse.mu2,
         rho1=fine.rho1, mu1=fine.mu1, rho2=fine.rho2,
         corrector_cov=fine.corrector_cov, diagnostics_ok=fine.diagnostics_ok)
-    return out
 
 
 # ---------------------------------------------------------------------------

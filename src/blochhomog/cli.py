@@ -22,16 +22,18 @@ import numpy as np
 import scipy.linalg
 
 from . import __version__
-from .bloch import (dispersion_diagram, eigenpair_at_gamma, export_diagram_csv,
-                    find_band_gaps, GammaPair, PlaneWaveBasis)
+from .bloch import (bloch_pencil, dispersion_diagram, eigenpair_at_gamma,
+                    export_diagram_csv, find_band_gaps, GammaPair,
+                    PlaneWaveBasis)
 from .cell import (CompatibilityViolation, SingularSystem, CellFunctions,
                    effective_coefficients, extrapolated_coefficients,
                    solve_cell_functions)
 from .convergence import (DecayCheckFailed, ReferenceConfig,
                           convergence_study)
-from .fields import (EnvelopeSingularity, GapViolation, branch_solution,
-                     exact_bloch_solution, export_field_csv, export_field_npz,
-                     homogenized_field, wavenumber_quadrature)
+from .fields import (EnvelopeSingularity, FieldOnGrid, GapViolation,
+                     branch_solution, exact_bloch_solution, export_field_csv,
+                     export_field_npz, homogenized_field,
+                     wavenumber_quadrature)
 from .medium import fourier_table, spec_from_dict
 from .source import (GaussianEnvelope, FrequencySpec, NotInGap, SourceSpec,
                      make_frequency)
@@ -57,6 +59,7 @@ _FIELD_KEYS = {"eps", "half_width", "points_per_cell", "outputs",
 _CONV_KEYS = {"eps", "eval_half_width", "orders", "slope_bands",
               "require_ordering", "validate_gap"}
 _ENV_KEYS = {"name", "amplitude"}
+CACHE_NORM_TOL = 1e-10      # |c0^H B c0 - 1| allowed in a loaded gamma file
 
 
 def _check_keys(block: dict, allowed: set, where: str):
@@ -136,9 +139,17 @@ def _ref_config(block: dict) -> ReferenceConfig:
 
 
 def _gamma_subtree(cfg: dict) -> dict:
-    return {"medium": cfg["medium"],
+    """Cache key contents: the tool version and the inputs of the eigenpair."""
+    return {"version": __version__, "medium": cfg["medium"],
             "cutoff": int(cfg.get("cutoff", 32)),
             "branch": int(cfg.get("branch", 0))}
+
+
+def _require(ok: bool, path: str, why: str):
+    """A cache file that fails a load check is a validation error."""
+    if not ok:
+        raise ValueError(f"cache file {path} does not match its key ({why}); "
+                         "delete it to recompute")
 
 
 def cached_gamma(cfg: dict, cache_dir: str | None) -> GammaPair:
@@ -151,13 +162,18 @@ def cached_gamma(cfg: dict, cache_dir: str | None) -> GammaPair:
     key = config_hash(_gamma_subtree(cfg))
     path = os.path.join(cache_dir, f"gamma-{key}.npz")
     if os.path.exists(path):
-        data = np.load(path)
+        with np.load(path) as data:
+            c0, omega2 = data["coeffs"], float(data["omega2"])
+            simple, separation = bool(data["simple"]), float(data["separation"])
         basis = PlaneWaveBasis(spec.dimension, cutoff)
         table = fourier_table(spec, 2 * cutoff)
+        _require(c0.shape == (basis.size,), path, f"coeffs shape {c0.shape}")
+        norm = np.vdot(c0, bloch_pencil(table, basis).B @ c0)
+        _require(abs(norm - 1.0) <= CACHE_NORM_TOL, path,
+                 f"c0^H B c0 = {norm.real:.12g}")
         return GammaPair(spec=spec, basis=basis, table=table, branch=branch,
-                         omega2=float(data["omega2"]), coeffs=data["coeffs"],
-                         simple=bool(data["simple"]),
-                         separation=float(data["separation"]))
+                         omega2=omega2, coeffs=c0, simple=simple,
+                         separation=separation)
     gamma = eigenpair_at_gamma(spec, branch, cutoff)
     os.makedirs(cache_dir, exist_ok=True)
     np.savez(path, omega2=gamma.omega2, coeffs=gamma.coeffs,
@@ -171,9 +187,13 @@ def cached_cell(cfg: dict, gamma: GammaPair, cache_dir: str | None) -> CellFunct
     key = config_hash(_gamma_subtree(cfg))
     path = os.path.join(cache_dir, f"cell-{key}.npz")
     if os.path.exists(path):
-        data = np.load(path)
-        return CellFunctions(gamma=gamma, chi1=data["chi1"],
-                             chi2=data["chi2"], chi3=data["chi3"])
+        with np.load(path) as data:
+            chis = [data[f"chi{n}"] for n in (1, 2, 3)]
+        M, d = gamma.basis.size, gamma.basis.dimension
+        for n, chi in enumerate(chis, start=1):
+            _require(chi.shape == (M,) + (d,) * n, path,
+                     f"chi{n} shape {chi.shape}")
+        return CellFunctions(gamma, *chis)
     cell = solve_cell_functions(gamma)
     os.makedirs(cache_dir, exist_ok=True)
     np.savez(path, chi1=cell.chi1, chi2=cell.chi2, chi3=cell.chi3)
@@ -261,10 +281,7 @@ def cmd_gaps(cfg, out, args):
 def cmd_cell(cfg, out, args):
     gamma = cached_gamma(cfg, _cache_dir(out))
     cell = cached_cell(cfg, gamma, _cache_dir(out))
-    from .bloch import assemble_operator
-    _, B = assemble_operator(gamma.table, gamma.basis,
-                             np.zeros(gamma.spec.dimension))
-    bc0 = B @ gamma.coeffs
+    bc0 = bloch_pencil(gamma.table, gamma.basis).B @ gamma.coeffs
 
     def zero_mean(chi):
         flat = chi.reshape(chi.shape[0], -1)
@@ -352,14 +369,9 @@ def cmd_fields(cfg, out, args):
         written += [base + ".csv", base + ".npz"]
         if args.line is not None:
             xs, vals = fld.line(args.line)
-            lpath = base + f"_line.csv"
-            with open(lpath, "w") as fh:
-                for line in _provenance(cfg):
-                    fh.write(f"# {line}\n")
-                fh.write("x1,re,im\n")
-                for x, v in zip(xs, vals):
-                    fh.write(f"{x:.12g},{v.real:.12g},{v.imag:.12g}\n")
-            written.append(lpath)
+            export_field_csv(FieldOnGrid(axes=(xs,), values=vals),
+                             base + "_line.csv", header_lines=_provenance(cfg))
+            written.append(base + "_line.csv")
         if args.verbose:
             print(f"wrote field '{name}' "
                   f"(peak {np.max(np.abs(fld.values)):.4g})")
@@ -458,6 +470,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.line is not None and args.command != "fields":
+        print(f"validation error: --line applies to the fields subcommand "
+              f"only, not {args.command}", file=sys.stderr)
+        return 2
     try:
         cfg = load_config(args.config)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:

@@ -44,8 +44,7 @@ def _grid_1d(cfg: ReferenceConfig):
 def reference_solution(gamma: GammaPair, freq: FrequencySpec,
                        source: SourceSpec, cfg: ReferenceConfig) -> FieldOnGrid:
     """Sparse direct solve of the truncated-domain problem."""
-    spec = gamma.spec
-    if spec.dimension == 1:
+    if gamma.spec.dimension == 1:
         return _reference_1d(gamma, freq, source, cfg)
     return _reference_2d(gamma, freq, source, cfg)
 
@@ -63,7 +62,6 @@ def _reference_1d(gamma, freq, source, cfg):
     rho = evaluate_coefficient(spec, "rho", x)
 
     xi = x[1:-1]                        # interior unknowns
-    ni = n - 2
     wl = Gf[:-1] / h ** 2               # face left of node i+1
     wr = Gf[1:] / h ** 2
     main = wl + wr - freq.omega2 * rho[1:-1]
@@ -167,16 +165,10 @@ def relative_error(reference: FieldOnGrid, approx: FieldOnGrid,
         raise ValueError("fields must share a grid")
     R = eval_half_width - 0.5
     masks = [np.abs(a) <= R + 1e-12 for a in reference.axes]
-    diff2 = np.abs(approx.values - reference.values) ** 2
-    ref2 = np.abs(reference.values) ** 2
-    for axis, m in enumerate(masks):
-        sl = [slice(None)] * diff2.ndim
-        sl[axis] = m
-        diff2 = diff2[tuple(sl)]
-        ref2 = ref2[tuple(sl)]
     axes = [a[m] for a, m in zip(reference.axes, masks)]
-    num = diff2
-    den = ref2
+    window = np.ix_(*masks)
+    num = np.abs(approx.values - reference.values)[window] ** 2
+    den = np.abs(reference.values)[window] ** 2
     for axis in reversed(range(num.ndim)):
         num = trapezoid(num, axes[axis], axis=axis)
         den = trapezoid(den, axes[axis], axis=axis)

@@ -9,11 +9,14 @@ source mass they carried.  Envelope derivatives are taken spectrally
 (multiplication by i khat under the integral), never by grid differencing.
 
 The exact solution sums every Galerkin mode at each node through the
-resolvent: (S(k) - omega^2 B)^{-1} B c0 is one Hermitian-indefinite solve,
-with no eigendecomposition and no mode truncation.  The gap condition (no
+resolvent: (S(k) - omega^2 B)^{-1} B c0 is one Hermitian-indefinite solve
+per node on one BlochPencil, with no mode truncation.  The gap condition (no
 eigenvalue within DENOM_TOL of omega^2) is checked exactly by Sylvester
 inertia: the LDL^H factors of S - (omega^2 -+ DENOM_TOL) B must have equally
-many negative pivots.  Synthesis is factored, exp(i (2 pi n + k) x) =
+many negative pivots.  By time reversal the inertia at -k equals that at k,
+so the check runs once per +-k pair of nodes.  A real pencil (centred media)
+uses the real symmetric LAPACK routines ?sytrf/?sysv, a complex one
+?hetrf/?hesv.  Synthesis is factored, exp(i (2 pi n + k) x) =
 exp(i k x) exp(i 2 pi n x): one periodic phase matrix per axis serves every
 node (and every cell function of the homogenized fields), evaluated in slabs
 of SYNTH_BLOCK grid points to bound the temporaries.
@@ -26,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .bloch import GammaPair, PlaneWaveBasis, assemble_operator, solve_bands
+from .bloch import (BlochPencil, GammaPair, PlaneWaveBasis, bloch_pencil,
+                    solve_bands)
 from .cell import EffectiveCoefficients
 from .source import FrequencySpec, SourceSpec
 
@@ -72,19 +76,15 @@ def wavenumber_quadrature(dimension: int, k_max: float = 8.0,
         x = x * k_max
         w = w * k_max
     elif rule == "trapezoid":
-        x = np.linspace(-k_max, k_max, points_per_axis)
+        n = points_per_axis     # exactly symmetric nodes, so +-k pair up
+        x = k_max * (np.arange(1 - n, n, 2) / (n - 1))
         w = np.full(points_per_axis, 2.0 * k_max / (points_per_axis - 1))
         w[0] *= 0.5
         w[-1] *= 0.5
     else:
         raise ValueError(f"unknown quadrature rule {rule!r}")
-    if dimension == 1:
-        nodes = x[:, None]
-        weights = w.copy()
-    else:
-        X1, X2 = np.meshgrid(x, x, indexing="ij")
-        nodes = np.stack([X1.ravel(), X2.ravel()], axis=-1)
-        weights = np.outer(w, w).ravel()
+    nodes = _grid_points((x,) * dimension).reshape(-1, dimension)
+    weights = np.prod(_grid_points((w,) * dimension), axis=-1).ravel()
     return WavenumberQuadrature(dimension=dimension, k_max=k_max, rule=rule,
                                 axis_nodes=x, axis_weights=w,
                                 nodes=nodes, weights=weights)
@@ -157,10 +157,7 @@ def synthesize_periodic(basis: PlaneWaveBasis, coeffs: np.ndarray, x):
 
 def _grid_points(axes):
     """Stack separable axes into points of shape (n1[, n2], d)."""
-    if len(axes) == 1:
-        return axes[0][:, None]
-    X1, X2 = np.meshgrid(axes[0], axes[1], indexing="ij")
-    return np.stack([X1, X2], axis=-1)
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
 def _phase_matrix(x, freqs) -> np.ndarray:
@@ -213,7 +210,10 @@ def _bloch_phase(axes, sl, ks: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _lapack(name: str, A: np.ndarray):
-    """LAPACK routine ?<name> for A's dtype and its optimal work size."""
+    """LAPACK routine ?<name> for A's dtype and its optimal work size; the
+    Hermitian ?he* routines are ?sy* for real A."""
+    if not np.iscomplexobj(A):
+        name = name.replace("he", "sy", 1)
     fn, query = get_lapack_funcs((name, name + "_lwork"), (A,))
     return fn, int(np.real(query(len(A), lower=1)[0]))
 
@@ -225,7 +225,7 @@ def _eigenvalues_below(S: np.ndarray, B: np.ndarray, sigma: float) -> int:
     (Sylvester), read from its Bunch-Kaufman factors L D L^H: one per
     negative 1x1 pivot (ipiv > 0) and one per 2x2 block (a pair of rows with
     ipiv < 0), since the pivot rule only picks 2x2 blocks with a negative
-    determinant.
+    determinant (for ?hetrf and ?sytrf alike).
     """
     hetrf, lwork = _lapack("hetrf", S)
     ldu, ipiv, _ = hetrf(S - sigma * B, lower=1, lwork=lwork,
@@ -234,34 +234,39 @@ def _eigenvalues_below(S: np.ndarray, B: np.ndarray, sigma: float) -> int:
     return int(negative_pivots + np.count_nonzero(ipiv < 0) // 2)
 
 
-def _resolvent_term(gamma: GammaPair, omega2: float, k: np.ndarray,
-                    rhs: np.ndarray) -> np.ndarray:
+def _resolvent_term(pencil: BlochPencil, omega2: float, k: np.ndarray,
+                    rhs: np.ndarray, gap_checked: set) -> np.ndarray:
     """The sum over all M Galerkin modes,
         sum_m phi_m(k) phi_m(k)^H rhs / (omega_m^2(k) - omega^2)
             = (S(k) - omega^2 B)^{-1} rhs,
     since the B-orthonormal eigenvectors diagonalize the pencil.  Raises
-    GapViolation when an eigenvalue lies within DENOM_TOL of omega^2,
-    detected as unequal eigenvalue counts below omega^2 -+ DENOM_TOL.
+    GapViolation when an eigenvalue lies within DENOM_TOL of omega^2 (unequal
+    counts below omega^2 -+ DENOM_TOL), unless -k is in gap_checked; adds k
+    there.  A complex rhs on a real pencil is solved as two real columns.
     """
-    S, B = assemble_operator(gamma.table, gamma.basis, k)
-    lo, hi = (_eigenvalues_below(S, B, omega2 + t)
-              for t in (-DENOM_TOL, DENOM_TOL))
-    if lo != hi:
-        raise GapViolation(
-            f"{hi - lo} eigenvalue(s) within {DENOM_TOL:.0e} of "
-            f"omega^2 = {omega2:.12g} at k = {k}")
+    S = pencil.stiffness(k)
+    if tuple(-k) not in gap_checked:
+        lo, hi = (_eigenvalues_below(S, pencil.B, omega2 + t)
+                  for t in (-DENOM_TOL, DENOM_TOL))
+        if lo != hi:
+            raise GapViolation(
+                f"{hi - lo} eigenvalue(s) within {DENOM_TOL:.0e} of "
+                f"omega^2 = {omega2:.12g} at k = {k}")
+        gap_checked.add(tuple(k))
+    split = np.iscomplexobj(rhs) and not np.iscomplexobj(S)
+    cols = np.stack([rhs.real, rhs.imag], axis=1) if split else rhs
     hesv, lwork = _lapack("hesv", S)
-    _, _, x, info = hesv(S - omega2 * B, rhs, lower=1, lwork=lwork,
+    _, _, x, info = hesv(S - omega2 * pencil.B, cols, lower=1, lwork=lwork,
                          overwrite_a=True)
     if info > 0:
         raise GapViolation(f"singular resolvent at k = {k}")
-    return x
+    return x[:, 0] + 1j * x[:, 1] if split else x
 
 
-def _branch_term(gamma: GammaPair, omega2: float, k: np.ndarray,
-                 rhs: np.ndarray) -> np.ndarray:
+def _branch_term(gamma: GammaPair, pencil: BlochPencil, omega2: float,
+                 k: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """The m = p term phi_p(k) phi_p(k)^H rhs / (omega_p^2(k) - omega^2)."""
-    sol = solve_bands(gamma.table, gamma.basis, k, gamma.branch + 1)
+    sol = solve_bands(gamma.table, gamma.basis, k, gamma.branch + 1, pencil)
     denom = sol.omega2 - omega2
     if np.min(np.abs(denom)) < DENOM_TOL:
         raise GapViolation(
@@ -280,9 +285,9 @@ def exact_bloch_solution(gamma: GammaPair, freq: FrequencySpec,
 
     The mode sum at each node is one resolvent solve (_resolvent_term), so
     there is no mode truncation; GapViolation is raised when any Galerkin
-    eigenvalue at a node lies within DENOM_TOL of omega^2.  With
-    branch_only=True the sum keeps only m = p (one eigenpair per node, and
-    the check covers branches 0..p).
+    eigenvalue at a node lies within DENOM_TOL of omega^2 (checked once per
+    +-k pair of nodes, matched exactly).  With branch_only=True the sum keeps
+    only m = p (one eigenpair per node, and the check covers branches 0..p).
 
     Nodes with eps |khat|_inf > pi lie outside the Brillouin zone and are
     skipped; meta reports their number (dropped_nodes) and their share of
@@ -291,8 +296,8 @@ def exact_bloch_solution(gamma: GammaPair, freq: FrequencySpec,
     basis = gamma.basis
     d = basis.dimension
     eps = freq.eps
-    _, Bmat = assemble_operator(gamma.table, basis, np.zeros(d))
-    bc0 = Bmat @ gamma.coeffs
+    pencil = bloch_pencil(gamma.table, basis)
+    bc0 = pencil.B @ gamma.coeffs
 
     # (eps^d from dk = eps^d dkhat cancels the eps^{-d} in the projection)
     pref = (2.0 * np.pi) ** (-d / 2.0) * eps ** 2
@@ -301,10 +306,12 @@ def exact_bloch_solution(gamma: GammaPair, freq: FrequencySpec,
     inside = np.max(np.abs(ks), axis=1) <= np.pi
     ks = ks[inside]
 
-    term = _branch_term if branch_only else _resolvent_term
     coeffs = np.empty((basis.size, len(ks)), dtype=complex)
+    gap_checked = set()       # nodes whose gap check also covers their -k
     for q, k in enumerate(ks):
-        coeffs[:, q] = term(gamma, freq.omega2, k, bc0)
+        coeffs[:, q] = (_branch_term(gamma, pencil, freq.omega2, k, bc0)
+                        if branch_only else _resolvent_term(
+                            pencil, freq.omega2, k, bc0, gap_checked))
 
     weights = pref * wF[inside]
     cube = basis.coeff_cube(coeffs)
@@ -458,16 +465,12 @@ def export_field_csv(field: FieldOnGrid, path: str, header_lines=()):
     with open(path, "w") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
-        if field.dimension == 1:
-            fh.write("x1,re,im\n")
-            for x, v in zip(field.axes[0], field.values):
-                fh.write(f"{x:.12g},{v.real:.12g},{v.imag:.12g}\n")
-        else:
-            fh.write("x1,x2,re,im\n")
-            for i, x1 in enumerate(field.axes[0]):
-                for j, x2 in enumerate(field.axes[1]):
-                    v = field.values[i, j]
-                    fh.write(f"{x1:.12g},{x2:.12g},{v.real:.12g},{v.imag:.12g}\n")
+        d = field.dimension
+        fh.write("".join(f"x{a + 1}," for a in range(d)) + "re,im\n")
+        pts = _grid_points(field.axes).reshape(-1, d)
+        for x, v in zip(pts, field.values.ravel()):
+            fh.write("".join(f"{c:.12g}," for c in x)
+                     + f"{v.real:.12g},{v.imag:.12g}\n")
 
 
 def export_field_npz(field: FieldOnGrid, path: str, **extra):

@@ -114,12 +114,8 @@ def fourier_table(spec: MediumSpec, cutoff: int) -> CoefficientTable:
         raise ValueError("cutoff must be >= 1")
     d = spec.dimension
     ax = np.arange(-cutoff, cutoff + 1)
-    if d == 1:
-        n_grid = (ax,)
-        shape = (2 * cutoff + 1,)
-    else:
-        n_grid = np.meshgrid(ax, ax, indexing="ij")
-        shape = (2 * cutoff + 1, 2 * cutoff + 1)
+    n_grid = np.meshgrid(*(ax,) * d, indexing="ij")
+    shape = (2 * cutoff + 1,) * d
 
     G_hat = np.zeros(shape, dtype=complex)
     rho_hat = np.zeros(shape, dtype=complex)
@@ -132,10 +128,7 @@ def fourier_table(spec: MediumSpec, cutoff: int) -> CoefficientTable:
         rho_hat += (inc.rho - spec.background_rho) * ind
 
     if spec.smoothing > 0:
-        if d == 1:
-            k2 = (2.0 * np.pi * ax) ** 2
-        else:
-            k2 = (2.0 * np.pi * n_grid[0]) ** 2 + (2.0 * np.pi * n_grid[1]) ** 2
+        k2 = sum((2.0 * np.pi * n) ** 2 for n in n_grid)
         damp = np.exp(-0.5 * spec.smoothing ** 2 * k2)
         G_hat *= damp
         rho_hat *= damp

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BandGap, DispersionDiagram, GammaPair
+from .bloch import BandGap, DispersionDiagram, GammaPair, bloch_pencil
 from .medium import evaluate_coefficient
 
 
@@ -156,17 +156,11 @@ def sample_source(gamma: GammaPair, source: SourceSpec, eps: float,
     if quad is None:
         mod = source.envelope.modulation(eps * x)
     else:
+        d = spec.dimension
         F = source.envelope.spectrum(quad.nodes)
-        if spec.dimension == 1:
-            phase = np.exp(1j * eps * np.outer(
-                x.reshape(-1), quad.nodes[:, 0]))
-            mod = (2.0 * np.pi) ** -0.5 * (phase @ (quad.weights * F))
-            mod = mod.reshape(x.shape[:1] if x.ndim > 1 else x.shape)
-        else:
-            r = x.reshape(-1, spec.dimension)
-            phase = np.exp(1j * eps * (r @ quad.nodes.T))
-            mod = (2.0 * np.pi) ** -1.0 * (phase @ (quad.weights * F))
-            mod = mod.reshape(x.shape[:-1])
+        phase = np.exp(1j * eps * (x.reshape(-1, d) @ quad.nodes.T))
+        mod = ((2.0 * np.pi) ** (-d / 2.0)
+               * (phase @ (quad.weights * F))).reshape(rho.shape)
     return mod * rho * phi
 
 
@@ -179,12 +173,10 @@ def projection_check(gamma: GammaPair, source: SourceSpec, eps: float,
     Closed form: int f_eps(eps x) conj(e^{ik.x} phi(x)) dx
                = eps^{-d} (2 pi)^{d/2} conj(<rho conj(phi_p) phi>) F(k/eps).
     """
-    from .fields import synthesize_periodic
-
-    from .bloch import assemble_operator
+    from .fields import _grid_points, synthesize_periodic
 
     d = gamma.spec.dimension
-    _, Bmat = assemble_operator(gamma.table, gamma.basis, np.zeros(d))
+    Bmat = bloch_pencil(gamma.table, gamma.basis).B
     # <rho conj(phi_p) phi> with phi = the other mode
     inner = np.vdot(gamma.coeffs, Bmat @ np.asarray(coeffs_other))
     k = np.atleast_1d(np.asarray(k, dtype=float))
@@ -194,17 +186,9 @@ def projection_check(gamma: GammaPair, source: SourceSpec, eps: float,
     h = 1.0 / points_per_cell
     n = int(round(2 * half_width / h))
     ax = -half_width + (np.arange(n) + 0.5) * h
-    if d == 1:
-        pts = ax[:, None]
-        fvals = sample_source(gamma, source, eps, pts)
-        mode = np.exp(1j * k[0] * ax) * synthesize_periodic(
-            gamma.basis, np.asarray(coeffs_other), pts)
-        brute = np.sum(fvals * np.conj(mode)) * h
-    else:
-        X1, X2 = np.meshgrid(ax, ax, indexing="ij")
-        pts = np.stack([X1, X2], axis=-1)
-        fvals = sample_source(gamma, source, eps, pts)
-        mode = np.exp(1j * (k[0] * X1 + k[1] * X2)) * synthesize_periodic(
-            gamma.basis, np.asarray(coeffs_other), pts)
-        brute = np.sum(fvals * np.conj(mode)) * h ** 2
+    pts = _grid_points((ax,) * d)
+    fvals = sample_source(gamma, source, eps, pts)
+    mode = np.exp(1j * (pts @ k)) * synthesize_periodic(
+        gamma.basis, np.asarray(coeffs_other), pts)
+    brute = np.sum(fvals * np.conj(mode)) * h ** d
     return abs(brute - closed)

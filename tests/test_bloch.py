@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
-from blochhomog import (MediumSpec, PlaneWaveBasis, assemble_operator,
+from blochhomog import (DispersionDiagram, Inclusion, MediumSpec,
+                        PlaneWaveBasis, assemble_operator, bloch_pencil,
                         dispersion_diagram, eigenpair_at_gamma,
                         export_diagram_csv, find_band_gaps, fix_phase,
                         fourier_table, solve_bands, two_phase_1d)
+from blochhomog import bloch as bloch_module
 from blochhomog.bloch import brillouin_path
 
 
@@ -228,3 +231,126 @@ def test_solve_bands_validation(med1d):
     small = fourier_table(med1d, 4)
     with pytest.raises(ValueError):
         assemble_operator(small, basis, [0.0])
+
+
+# ---------------------------------------------------------------------------
+# One pencil: real arithmetic for centred media, +-k pairing
+# ---------------------------------------------------------------------------
+
+def test_find_band_gaps_ignores_touching_branches():
+    """Branches touching to within roundoff are no gap; a real gap is."""
+    ks = np.linspace(0.0, np.pi, 5)[:, None]
+    omega2 = np.array([[0.0, 10.0, 20.0], [1.0, 9.0, 25.0], [2.0, 8.0, 24.0],
+                       [3.0, 8.5, 22.0], [4.0, 7.0, 21.0]])
+    omega2[2, 1] = 10.0 + 1e-12       # branch 1 max touches branch 2 min ...
+    omega2[0, 2] = 10.0 + 2e-12       # ... to within 1e-12
+    diagram = DispersionDiagram(k_points=ks, arclength=ks[:, 0],
+                                omega2=omega2, tick_positions=[],
+                                tick_labels=[])
+    gaps = find_band_gaps(diagram)
+    assert [g.below_branch for g in gaps] == [0]
+    assert gaps[0].omega2_low == 4.0 and gaps[0].omega2_high == 7.0
+
+
+def test_pencil_dtype_follows_tables(med1d, med2d):
+    basis = PlaneWaveBasis(1, 6)
+    assert bloch_pencil(fourier_table(med1d, 12), basis).G.dtype == np.float64
+    shifted = _offcentre_1d(6.0, 20.0, 0.2, 0.1)
+    pencil = bloch_pencil(fourier_table(shifted, 12), basis)
+    assert pencil.G.dtype == pencil.B.dtype == np.complex128
+    # density contrast only: G_hat is real, rho_hat is not
+    rho_only = fourier_table(_offcentre_1d(1.0, 20.0, 0.2, 0.1), 12)
+    assert not np.any(rho_only.G_hat.imag)
+    assert bloch_pencil(rho_only, basis).B.dtype == np.complex128
+    basis2 = PlaneWaveBasis(2, 3)
+    assert bloch_pencil(fourier_table(med2d, 6), basis2).B.dtype == np.float64
+
+
+def test_brillouin_path_1d_exactly_symmetric():
+    pts, arc, _, _ = brillouin_path(1, samples_per_segment=30)
+    assert np.array_equal(pts[::-1, 0], -pts[:, 0])
+    assert pts[0, 0] == -np.pi and pts[-1, 0] == np.pi and pts[30, 0] == 0.0
+
+
+def test_diagram_solves_each_pm_k_pair_once(med1d, monkeypatch):
+    calls = []
+    real_solve = bloch_module.solve_bands
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(bloch_module, "solve_bands", counting)
+    diagram = dispersion_diagram(med1d, cutoff=8, count=3,
+                                 samples_per_segment=10)
+    assert diagram.omega2.shape == (21, 3) and len(calls) == 11
+    calls.clear()
+    dispersion_diagram(med1d, cutoff=4, count=2,
+                       k_points=[[0.5], [0.7], [-0.5], [0.5]])
+    assert len(calls) == 2
+
+
+def _offcentre_1d(G2, rho2, radius, centre):
+    return MediumSpec(dimension=1, background_G=1.0, background_rho=1.0,
+                      inclusions=(Inclusion(center=(centre,), radius=radius,
+                                            G=G2, rho=rho2),))
+
+
+_media = dict(G2=st.floats(0.2, 20.0), rho2=st.floats(0.2, 30.0),
+              radius=st.floats(0.05, 0.2), centre=st.floats(-0.25, 0.25),
+              k=st.floats(-np.pi, np.pi), cutoff=st.integers(3, 12))
+
+
+@settings(max_examples=30, deadline=None)
+@given(**_media)
+def test_translation_invariance_real_vs_complex(G2, rho2, radius, centre, k,
+                                                cutoff):
+    """Moving the inclusion multiplies the pencil by a diagonal phase, so the
+    off-centre medium (complex tables) and the centred one (real tables)
+    share their spectrum: the two dtype paths checked against each other."""
+    basis = PlaneWaveBasis(1, cutoff)
+    centred = fourier_table(_offcentre_1d(G2, rho2, radius, 0.0), 2 * cutoff)
+    moved = fourier_table(_offcentre_1d(G2, rho2, radius, centre), 2 * cutoff)
+    a = solve_bands(centred, basis, [k], 5)
+    b = solve_bands(moved, basis, [k], 5)
+    assert a.vectors.dtype == np.float64
+    assert np.max(np.abs(a.omega2 - b.omega2)) <= \
+        1e-10 * np.max(np.abs(a.omega2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(**_media)
+def test_time_reversal_offcentre(G2, rho2, radius, centre, k, cutoff):
+    basis = PlaneWaveBasis(1, cutoff)
+    table = fourier_table(_offcentre_1d(G2, rho2, radius, centre), 2 * cutoff)
+    a = solve_bands(table, basis, [k], 5).omega2
+    b = solve_bands(table, basis, [-k], 5).omega2
+    assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(a))
+
+
+@settings(max_examples=15, deadline=None)
+@given(G2=_media["G2"], rho2=_media["rho2"], radius=_media["radius"],
+       centre=_media["centre"], cutoff=st.integers(3, 8),
+       samples=st.integers(1, 6))
+def test_paired_diagram_equals_per_k_solve(G2, rho2, radius, centre, cutoff,
+                                           samples):
+    spec = _offcentre_1d(G2, rho2, radius, centre)
+    diagram = dispersion_diagram(spec, cutoff=cutoff, count=4,
+                                 samples_per_segment=samples)
+    basis = PlaneWaveBasis(1, cutoff)
+    table = fourier_table(spec, 2 * cutoff)
+    per_k = np.array([solve_bands(table, basis, k, 4).omega2
+                      for k in diagram.k_points])
+    assert np.max(np.abs(diagram.omega2 - per_k)) <= \
+        1e-10 * np.max(np.abs(per_k))
+
+
+def test_paired_diagram_equals_per_k_solve_2d(med2d):
+    """Explicit +-k samples on the 2D medium (real pencil)."""
+    ks = np.array([[0.4, -1.1], [-0.4, 1.1], [2.0, 0.3], [-2.0, -0.3]])
+    diagram = dispersion_diagram(med2d, cutoff=3, count=5, k_points=ks)
+    basis = PlaneWaveBasis(2, 3)
+    table = fourier_table(med2d, 6)
+    per_k = np.array([solve_bands(table, basis, k, 5).omega2 for k in ks])
+    assert np.max(np.abs(diagram.omega2 - per_k)) <= \
+        1e-10 * np.max(np.abs(per_k))

@@ -225,3 +225,39 @@ def test_converge_decay_failure_exits_3(tmp_path):
     body["converge"] = {"eps": [0.5], "eval_half_width": 3.0,
                         "validate_gap": False}
     assert main(["converge", "--config", write_cfg(tmp_path, body)]) == 3
+
+
+def test_line_rejected_outside_fields(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert main(["gaps", "--config", write_cfg(tmp_path, base_cfg()),
+                 "--out", out, "--line", "y0=0.0"]) == 2
+    assert "--line" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "gaps.json"))
+
+
+@pytest.mark.parametrize("tamper", ["scale", "size"])
+def test_tampered_gamma_cache_rejected(tmp_path, capsys, tamper):
+    """A gamma cache file whose coefficients no longer fit the key (wrong
+    basis size, or c0^H B c0 != 1) is a validation error naming the file."""
+    cfg = write_cfg(tmp_path, base_cfg())
+    out = str(tmp_path / "out")
+    assert main(["cell", "--config", cfg, "--out", out]) == 0
+    cache = os.path.join(out, ".cache")
+    (name,) = [f for f in os.listdir(cache) if f.startswith("gamma-")]
+    path = os.path.join(cache, name)
+    data = dict(np.load(path))
+    data["coeffs"] = (1.001 * data["coeffs"] if tamper == "scale"
+                      else data["coeffs"][:-1])
+    np.savez(path, **data)
+    capsys.readouterr()
+    assert main(["cell", "--config", cfg, "--out", out]) == 2
+    assert path in capsys.readouterr().err
+
+
+def test_gamma_cache_reused_when_valid(tmp_path):
+    cfg = write_cfg(tmp_path, base_cfg())
+    out = str(tmp_path / "out")
+    assert main(["cell", "--config", cfg, "--out", out]) == 0
+    first = open(os.path.join(out, "cell.json"), "rb").read()
+    assert main(["cell", "--config", cfg, "--out", out]) == 0
+    assert open(os.path.join(out, "cell.json"), "rb").read() == first

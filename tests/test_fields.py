@@ -7,8 +7,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.integrate import quad
 
 from blochhomog import (EnvelopeSingularity, FieldOnGrid, GapViolation,
-                        GaussianEnvelope, MediumSpec, SourceSpec,
-                        assemble_operator, branch_solution, disk_2d,
+                        GaussianEnvelope, Inclusion, MediumSpec, SourceSpec,
+                        assemble_operator, bloch_pencil, branch_solution,
+                        disk_2d,
                         effective_coefficients, effective_envelope,
                         eigenpair_at_gamma, envelope_pde_residual,
                         exact_bloch_solution, export_field_csv,
@@ -16,7 +17,7 @@ from blochhomog import (EnvelopeSingularity, FieldOnGrid, GapViolation,
                         quadrature_self_test, solve_bands,
                         solve_cell_functions, synthesize_periodic,
                         two_phase_1d, wavenumber_quadrature)
-from blochhomog.fields import _eigenvalues_below
+from blochhomog.fields import _eigenvalues_below, _resolvent_term
 from blochhomog.source import FrequencySpec
 
 
@@ -38,6 +39,14 @@ def test_quadrature_self_test_gauss():
     q = wavenumber_quadrature(1, 8.0, 64)
     assert quadrature_self_test(q) < 1e-12
     assert np.all(q.weights > 0)
+
+
+@pytest.mark.parametrize("rule", ["gauss", "trapezoid"])
+def test_quadrature_nodes_exactly_symmetric(rule):
+    """The exact solver pairs each node with its negative by exact match."""
+    q = wavenumber_quadrature(1, 8.0, 64, rule=rule)
+    assert np.array_equal(q.axis_nodes, -q.axis_nodes[::-1])
+    assert abs(q.axis_nodes[-1]) <= 8.0
 
 
 def test_quadrature_self_test_trapezoid():
@@ -226,6 +235,67 @@ def test_eigenvalue_count_matches_eigvalsh():
         sigma = rng.uniform(-2.0, 2.0)
         expected = np.count_nonzero(scipy.linalg.eigvalsh(S, B) < sigma)
         assert _eigenvalues_below(S, B, sigma) == expected
+
+
+def test_eigenvalue_count_matches_eigvalsh_real():
+    """The same inertia count through ?sytrf on real symmetric pencils."""
+    rng = np.random.default_rng(11)
+    for trial in range(60):
+        M = int(rng.integers(2, 40))
+        X = rng.standard_normal((M, M))
+        S = X + X.T
+        if trial % 2 == 0:
+            S -= np.diag(np.diag(S))
+        Y = rng.standard_normal((M, M))
+        B = Y @ Y.T + M * np.eye(M)
+        sigma = rng.uniform(-2.0, 2.0)
+        expected = np.count_nonzero(scipy.linalg.eigvalsh(S, B) < sigma)
+        assert _eigenvalues_below(S, B, sigma) == expected
+
+
+def test_complex_rhs_on_real_pencil(gamma1d_32):
+    """A complex right-hand side on a real pencil (two real columns of one
+    ?sysv factorization) matches the complex ?hesv solve."""
+    real = bloch_pencil(gamma1d_32.table, gamma1d_32.basis)
+    assert real.G.dtype == np.float64
+    cplx = dataclasses.replace(real, G=real.G.astype(complex),
+                               B=real.B.astype(complex))
+    rng = np.random.default_rng(5)
+    rhs = rng.standard_normal(real.B.shape[0]) \
+        + 1j * rng.standard_normal(real.B.shape[0])
+    k = np.array([0.3])
+    x = _resolvent_term(real, -0.5, k, rhs, set())
+    y = _resolvent_term(cplx, -0.5, k, rhs, set())
+    assert np.iscomplexobj(x)
+    assert _rel(x, y) < 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(G2=st.floats(1.5, 20.0), rho2=st.floats(1.5, 30.0),
+       radius=st.floats(0.05, 0.2), centre=st.floats(-0.25, 0.25),
+       cutoff=st.integers(4, 12), node=st.integers(0, 3),
+       branch=st.integers(0, 2))
+def test_gap_violation_on_paired_node(source1d, G2, rho2, radius, centre,
+                                      cutoff, node, branch):
+    """omega^2 on an eigenvalue at the second node of a +-k pair, whose gap
+    check is inherited from its partner, still raises GapViolation, on the
+    complex (off-centre) and the real (centred) pencil."""
+    quad_ = wavenumber_quadrature(1, 8.0, 8)
+    eps = 0.25
+    k = eps * quad_.nodes[4 + node]          # positive node, checked second
+    assert np.array_equal(quad_.nodes[3 - node], -quad_.nodes[4 + node])
+    ax = np.linspace(-1.0, 1.0, 5)
+    for c in (centre, 0.0):
+        spec = MediumSpec(dimension=1, background_G=1.0, background_rho=1.0,
+                          inclusions=(Inclusion(center=(c,), radius=radius,
+                                                G=G2, rho=rho2),))
+        gamma = eigenpair_at_gamma(spec, 0, cutoff)
+        lam = solve_bands(gamma.table, gamma.basis, k,
+                          branch + 1).omega2[branch]
+        freq = FrequencySpec(branch=0, sigma=-1, omega_hat=1.0, eps=eps,
+                             omega2=lam)
+        with pytest.raises(GapViolation):
+            exact_bloch_solution(gamma, freq, source1d, quad_, (ax,))
 
 
 def test_dropped_nodes_reported(gamma1d_32, source1d, quad1d):
