@@ -35,7 +35,7 @@ from .medium import CoefficientTable, MediumSpec
 
 COMPAT_TOL = 1e-9
 CONSTRAINT_TOL = 1e-10
-RESIDUAL_TOL = 1e-10
+RESIDUAL_BOUND = 1e-8      # bordered-solve residual allowed per max(|rhs|, 1)
 DIAGNOSTIC_TOL = 1e-7
 
 
@@ -86,12 +86,12 @@ class ConstrainedSolver:
         n = S0.shape[0]
         A = S0 - omega2 * B
         b = B @ c0
-        K = np.zeros((n + 1, n + 1), dtype=complex)
+        K = np.zeros((n + 1, n + 1), dtype=complex, order="F")
         K[:n, :n] = A
         K[:n, n] = b
         K[n, :n] = b.conj()
         try:
-            self._lu = scipy.linalg.lu_factor(K)
+            self._lu = scipy.linalg.lu_factor(K, overwrite_a=True)  # in place
         except (scipy.linalg.LinAlgError, ValueError) as exc:
             raise SingularSystem(str(exc)) from exc
         self._A = A
@@ -116,7 +116,7 @@ class ConstrainedSolver:
         sol = scipy.linalg.lu_solve(self._lu, full)
         x, mult = sol[:self._n], sol[self._n]
         res = np.linalg.norm(self._A @ x + mult * self._b - rhs)
-        if scale > 0 and res > max(RESIDUAL_TOL, 1e-12) * max(scale, 1.0) * 100:
+        if scale > 0 and res > RESIDUAL_BOUND * max(scale, 1.0):
             raise SingularSystem(f"bordered solve residual {res:.3e}")
         constraint = abs(np.vdot(self._b, x))
         if constraint > CONSTRAINT_TOL * max(np.linalg.norm(x), 1.0):
@@ -133,13 +133,20 @@ class CellFunctions:
     """First, second, and third corrector fields in coefficient form.
 
     chi1: (M, d); chi2: (M, d, d); chi3: (M, d, d, d).  All have zero
-    rho-weighted mean against the zone-center eigenfunction.
+    rho-weighted mean against the zone-center eigenfunction.  For the
+    effective averages: A2 = mu0/rho0 and, with c0 unit rho-normalized,
+    s1c0[:, a] = S1_a c0, gc0 = Gm c0, bc0 = B c0 and bchi1 = B chi1.
     """
 
     gamma: GammaPair
     chi1: np.ndarray
     chi2: np.ndarray
     chi3: np.ndarray
+    A2: np.ndarray
+    s1c0: np.ndarray
+    gc0: np.ndarray
+    bc0: np.ndarray
+    bchi1: np.ndarray
 
 
 def solve_cell_functions(gamma: GammaPair) -> CellFunctions:
@@ -160,48 +167,37 @@ def solve_cell_functions(gamma: GammaPair) -> CellFunctions:
 
     gc0 = Gm @ c0
     bc0 = B @ c0
+    s1c0 = np.stack([S @ c0 for S in S1], axis=1)
 
     # first corrector: (S0 - w0 B) chi1_a = i S1_a c0
-    chi1 = np.zeros((M, d), dtype=complex)
-    for a in range(d):
-        chi1[:, a] = solver.solve(1j * (S1[a] @ c0))
+    chi1 = np.stack([solver.solve(1j * v) for v in s1c0.T], axis=1)
 
-    # quadratic dispersion tensor (mu0 / rho0)
-    A2 = np.zeros((d, d), dtype=complex)
-    for a in range(d):
-        for b in range(d):
-            A2[a, b] = 1j * np.vdot(c0, S1[a] @ chi1[:, b])
+    # quadratic dispersion tensor (mu0 / rho0); S1_a is Hermitian
+    A2 = 1j * (s1c0.conj().T @ chi1)
     A2 = 0.5 * (A2 + A2.T) + np.eye(d) * np.vdot(c0, gc0)
 
     # second corrector:
     # (S0 - w0 B) chi2_ab = sym_ab[ i S1_a chi1_b + delta_ab Gm c0 - A2_ab B c0 ]
     chi2 = np.zeros((M, d, d), dtype=complex)
-    for a in range(d):
-        for b in range(a, d):
-            rhs = 0.5 * (1j * (S1[a] @ chi1[:, b]) + 1j * (S1[b] @ chi1[:, a]))
-            if a == b:
-                rhs = rhs + gc0
-            rhs = rhs - A2[a, b] * bc0
-            chi2[:, a, b] = solver.solve(rhs)
-            chi2[:, b, a] = chi2[:, a, b]
+    for a, b in itertools.combinations_with_replacement(range(d), 2):
+        rhs = 0.5j * (S1[a] @ chi1[:, b] + S1[b] @ chi1[:, a])
+        chi2[:, a, b] = chi2[:, b, a] = solver.solve(
+            rhs + (a == b) * gc0 - A2[a, b] * bc0)
 
+    gchi1, bchi1 = Gm @ chi1, B @ chi1
     # third corrector:
     # (S0 - w0 B) chi3_abc =
     #     sym_abc[ i S1_a chi2_bc + delta_ab Gm chi1_c - A2_ab B chi1_c ]
     chi3 = np.zeros((M, d, d, d), dtype=complex)
     for key in itertools.combinations_with_replacement(range(d), 3):
         perms = set(itertools.permutations(key))
-        terms = []
-        for (i, j, l) in perms:
-            t = 1j * (S1[i] @ chi2[:, j, l])
-            if i == j:
-                t = t + Gm @ chi1[:, l]
-            t = t - A2[i, j] * (B @ chi1[:, l])
-            terms.append(t)
-        x = solver.solve(sum(terms) / len(terms))
+        rhs = sum(1j * (S1[i] @ chi2[:, j, l]) + (i == j) * gchi1[:, l]
+                  - A2[i, j] * bchi1[:, l] for i, j, l in perms)
+        x = solver.solve(rhs / len(perms))
         for (i, j, l) in perms:
             chi3[:, i, j, l] = x
-    return CellFunctions(gamma=gamma, chi1=chi1, chi2=chi2, chi3=chi3)
+    return CellFunctions(gamma=gamma, chi1=chi1, chi2=chi2, chi3=chi3, A2=A2,
+                         s1c0=s1c0, gc0=gc0, bc0=bc0, bchi1=bchi1)
 
 
 # ---------------------------------------------------------------------------
@@ -256,17 +252,16 @@ def effective_coefficients(cell: CellFunctions) -> EffectiveCoefficients:
     All cell averages are evaluated exactly in Fourier space; the
     coefficient tables extend to twice the basis cutoff, so products of a
     material field with two basis functions carry no truncation error.
+    Each is an inner product with a vector of the cell solve (the pencil
+    blocks are Hermitian); diagnostics_ok bounds max|Im| of mu0 and mu2.
     """
     gamma = cell.gamma
-    basis, table = gamma.basis, gamma.table
-    d = basis.dimension
-    _, S1, Gm, B = pencil_blocks(table, basis)
-    # same unit rho-normalization as the cell solves
-    c0 = gamma.coeffs
-    c0 = c0 / np.sqrt(np.real(np.vdot(c0, B @ c0)))
+    d = gamma.basis.dimension
+    # the unit rho-normalized c0 of the cell solve: bc0 = B c0 / |c0|_B
+    c0 = gamma.coeffs / np.real(np.vdot(gamma.coeffs, cell.bc0))
 
     alpha_p = 1.0 / float(np.real(np.vdot(c0, c0)))   # <|phi_p|^2>^-1
-    rho0 = alpha_p * float(np.real(np.vdot(c0, B @ c0)))
+    rho0 = alpha_p * float(np.real(np.vdot(c0, cell.bc0)))
 
     def flux_average(chi_lower, chi_higher):
         """alpha_p < {G(grad chi^(n) + I (x) chi^(n-1)) conj(phi_p)}
@@ -275,33 +270,26 @@ def effective_coefficients(cell: CellFunctions) -> EffectiveCoefficients:
         In matrix form the pair of terms contracts to
         i c0^H S1_a chi^(n)_... + delta_ab c0^H Gm chi^(n-1)_...
         """
-        shape = chi_higher.shape[1:]
-        out = np.zeros((d,) + shape, dtype=complex)
-        for a in range(d):
-            for rest in itertools.product(range(d), repeat=len(shape)):
-                val = 1j * np.vdot(c0, S1[a] @ chi_higher[(slice(None),) + rest])
-                if a == rest[0]:
-                    val += np.vdot(c0, Gm @ chi_lower[(slice(None),) + rest[1:]])
-                out[(a,) + rest] = val
-        return alpha_p * symmetrize_full(out)
+        flux = 1j * np.tensordot(cell.s1c0.conj(), chi_higher, axes=(0, 0))
+        lower = np.tensordot(cell.gc0.conj(), chi_lower, axes=(0, 0))
+        return alpha_p * symmetrize_full(flux + np.multiply.outer(np.eye(d),
+                                                                  lower))
 
-    mu0 = flux_average(c0, cell.chi1)                 # chi_lower = phi_p itself
+    mu0 = alpha_p * cell.A2                           # = flux_average(c0, chi1)
     mu1 = flux_average(cell.chi1, cell.chi2)          # (d,d,d), should vanish
     mu2 = flux_average(cell.chi2, cell.chi3)          # (d,d,d,d)
 
-    rho1 = alpha_p * np.array([np.vdot(c0, B @ cell.chi1[:, a]) for a in range(d)])
-    rho2 = alpha_p * np.array([[np.vdot(c0, B @ cell.chi2[:, a, b])
-                                for b in range(d)] for a in range(d)])
-
-    cov = np.zeros((d, d), dtype=complex)
-    for a in range(d):
-        for b in range(d):
-            cov[a, b] = np.vdot(cell.chi1[:, b], B @ cell.chi1[:, a])
+    rho1 = alpha_p * np.tensordot(cell.bc0.conj(), cell.chi1, axes=(0, 0))
+    rho2 = alpha_p * np.tensordot(cell.bc0.conj(), cell.chi2, axes=(0, 0))
+    cov = (cell.chi1.conj().T @ cell.bchi1).T         # <rho chi1_a conj(chi1_b)>
 
     scale = max(np.abs(mu0).max(), 1e-300)
-    diag_ok = (np.abs(rho1).max() < DIAGNOSTIC_TOL * max(rho0, 1.0)
+    imag = max(np.abs(t.imag).max() / max(np.abs(t).max(), 1e-300)
+               for t in (mu0, mu2))
+    diag_ok = bool(np.abs(rho1).max() < DIAGNOSTIC_TOL * max(rho0, 1.0)
                and np.abs(rho2).max() < DIAGNOSTIC_TOL * max(rho0, 1.0)
-               and np.abs(mu1).max() < DIAGNOSTIC_TOL * scale)
+               and np.abs(mu1).max() < DIAGNOSTIC_TOL * scale
+               and imag < DIAGNOSTIC_TOL)
 
     return EffectiveCoefficients(
         gamma=gamma, cell=cell, alpha_p=alpha_p, rho0=rho0,
@@ -331,7 +319,8 @@ def extrapolated_coefficients(fine: EffectiveCoefficients,
         mu0=a * fine.mu0 + b * coarse.mu0,
         mu2=a * fine.mu2 + b * coarse.mu2,
         rho1=fine.rho1, mu1=fine.mu1, rho2=fine.rho2,
-        corrector_cov=fine.corrector_cov, diagnostics_ok=fine.diagnostics_ok)
+        corrector_cov=fine.corrector_cov,
+        diagnostics_ok=fine.diagnostics_ok and coarse.diagnostics_ok)
 
 
 # ---------------------------------------------------------------------------

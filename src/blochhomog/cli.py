@@ -186,17 +186,20 @@ def cached_cell(cfg: dict, gamma: GammaPair, cache_dir: str | None) -> CellFunct
         return solve_cell_functions(gamma)
     key = config_hash(_gamma_subtree(cfg))
     path = os.path.join(cache_dir, f"cell-{key}.npz")
+    M, d = gamma.basis.size, gamma.basis.dimension
+    shapes = {"chi1": (M, d), "chi2": (M, d, d), "chi3": (M, d, d, d),
+              "A2": (d, d), "s1c0": (M, d), "gc0": (M,), "bc0": (M,),
+              "bchi1": (M, d)}
     if os.path.exists(path):
         with np.load(path) as data:
-            chis = [data[f"chi{n}"] for n in (1, 2, 3)]
-        M, d = gamma.basis.size, gamma.basis.dimension
-        for n, chi in enumerate(chis, start=1):
-            _require(chi.shape == (M,) + (d,) * n, path,
-                     f"chi{n} shape {chi.shape}")
-        return CellFunctions(gamma, *chis)
+            arrays = {name: data[name] for name in shapes if name in data}
+        for name, shape in shapes.items():
+            got = arrays[name].shape if name in arrays else "missing"
+            _require(got == shape, path, f"{name}: {got}")
+        return CellFunctions(gamma, **arrays)
     cell = solve_cell_functions(gamma)
     os.makedirs(cache_dir, exist_ok=True)
-    np.savez(path, chi1=cell.chi1, chi2=cell.chi2, chi3=cell.chi3)
+    np.savez(path, **{name: getattr(cell, name) for name in shapes})
     return cell
 
 

@@ -19,7 +19,8 @@ uses the real symmetric LAPACK routines ?sytrf/?sysv, a complex one
 ?hetrf/?hesv.  Synthesis is factored, exp(i (2 pi n + k) x) =
 exp(i k x) exp(i 2 pi n x): one periodic phase matrix per axis serves every
 node (and every cell function of the homogenized fields), evaluated in slabs
-of SYNTH_BLOCK grid points to bound the temporaries.
+of SYNTH_BLOCK grid points to bound the temporaries.  That matrix is a product
+of two tables of ~sqrt(2N+1) exponentials at x - round(x), ~1e-14 accurate.
 """
 
 from __future__ import annotations
@@ -141,16 +142,15 @@ def synthesize_periodic(basis: PlaneWaveBasis, coeffs: np.ndarray, x):
     if d == 1 and (x.ndim <= 1 or x.shape[-1] != 1):
         x = x[..., None]
     pts = x.reshape(-1, d)
-    n = 2 * basis.cutoff + 1
-    freqs = 2.0 * np.pi * np.arange(-basis.cutoff, basis.cutoff + 1)
-    cube = basis.coeff_cube(coeffs).reshape(n, -1)
+    N = basis.cutoff
+    cube = basis.coeff_cube(coeffs).reshape(2 * N + 1, -1)
     vals = np.empty(len(pts), dtype=complex)
     for start in range(0, len(pts), SYNTH_BLOCK):
         blk = pts[start:start + SYNTH_BLOCK]
-        part = _phase_matrix(blk[:, 0], freqs) @ cube      # (P, n^(d-1))
+        part = _periodic_phase(blk[:, 0], N) @ cube         # (P, n^(d-1))
         for a in range(1, d):
-            part = np.einsum("pj,pjr->pr", _phase_matrix(blk[:, a], freqs),
-                             part.reshape(len(blk), n, -1))
+            part = np.einsum("pj,pjr->pr", _periodic_phase(blk[:, a], N),
+                             part.reshape(len(blk), 2 * N + 1, -1))
         vals[start:start + len(blk)] = part[:, 0]
     return vals.reshape(x.shape[:-1])
 
@@ -161,8 +161,32 @@ def _grid_points(axes):
 
 
 def _phase_matrix(x, freqs) -> np.ndarray:
-    """exp(i x f): one row per point, one column per frequency."""
-    return np.exp(1j * np.outer(x, freqs))
+    """exp(i x f), f not integer multiples of 2 pi: one row per point."""
+    E = np.outer(x, 1j * freqs)
+    return np.exp(E, out=E)              # in place: one (points x f) array
+
+
+def _periodic_phase(x, cutoff: int) -> np.ndarray:
+    """exp(i 2 pi n x), n = -N..N (N = cutoff), at 1D x: one row per point.
+
+    With x reduced to x - round(x) and r = ceil(sqrt(2N+1)), column a r + b
+    is exp(i 2 pi m x) exp(i 2 pi b x), m = a r - N.  The turns m x are taken
+    mod 1 to a rounding: x = hi + lo, hi a multiple of 2^-40, m hi exact.
+    """
+    x = x - np.round(x)                                   # exact
+    n = 2 * cutoff + 1
+    r = int(np.ceil(np.sqrt(n)))
+    m = np.arange(-cutoff, cutoff + 1, r)
+    hi = np.round(x * 2.0 ** 40) / 2.0 ** 40
+    turns = np.outer(hi, m) % 1.0 + np.outer(x - hi, m)
+    fine = np.exp(2j * np.pi * np.outer(x, np.arange(r)))
+    coarse = np.exp(2j * np.pi * turns)
+    out = np.empty((len(x), n), dtype=complex)
+    a = len(m) - 1                        # complete r-blocks before the last
+    np.multiply(coarse[:, :a, None], fine[:, None, :],
+                out=out[:, :a * r].reshape(len(x), a, r))
+    np.multiply(coarse[:, a:], fine[:, :n - a * r], out=out[:, a * r:])
+    return out
 
 
 def _separable_synth(cube: np.ndarray, phases) -> np.ndarray:
@@ -185,12 +209,11 @@ def _periodic_blocks(basis: PlaneWaveBasis, cube: np.ndarray, axes):
     periodic phase matrices are built once per axis (per slab for axis 0),
     so no (points x (2N+1)) temporary exceeds SYNTH_BLOCK rows.
     """
-    freqs = 2.0 * np.pi * np.arange(-basis.cutoff, basis.cutoff + 1)
-    rest = [_phase_matrix(ax, freqs) for ax in axes[1:]]
+    rest = [_periodic_phase(ax, basis.cutoff) for ax in axes[1:]]
     rows = max(1, SYNTH_BLOCK // int(np.prod([len(ax) for ax in axes[1:]])))
     for start in range(0, len(axes[0]), rows):
         sl = slice(start, start + rows)
-        first = _phase_matrix(axes[0][sl], freqs)
+        first = _periodic_phase(axes[0][sl], basis.cutoff)
         yield sl, _separable_synth(cube, [first] + rest)
 
 

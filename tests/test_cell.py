@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from blochhomog import (CompatibilityViolation, ConstrainedSolver, MediumSpec,
-                        assemble_operator, dispersion_expansion_check,
+                        SingularSystem, assemble_operator,
+                        dispersion_expansion_check,
                         effective_coefficients, eigenpair_at_gamma,
                         extrapolated_coefficients, solve_bands,
                         solve_cell_functions, symmetrize_full,
@@ -192,3 +193,78 @@ def test_extrapolated_coefficients_weights(med1d):
     assert ex.cell is e32.cell
     with pytest.raises(ValueError):
         extrapolated_coefficients(e16, e32)
+
+
+# ---------------------------------------------------------------------------
+# Diagnostics: dropped imaginary parts, extrapolation, residual bound
+# ---------------------------------------------------------------------------
+
+def _rotated_chi1_cell(gamma, monkeypatch, phase=np.exp(0.3j)):
+    """Cell hierarchy whose chi1 solutions are turned by a non-real phase;
+    A2, chi2 and chi3 are then solved from the turned chi1."""
+    solve = ConstrainedSolver.solve
+    calls = []
+
+    def rotated(self, rhs):
+        calls.append(rhs)
+        x = solve(self, rhs)
+        return phase * x if len(calls) <= gamma.basis.dimension else x
+
+    with monkeypatch.context() as mp:
+        mp.setattr(ConstrainedSolver, "solve", rotated)
+        return solve_cell_functions(gamma)
+
+
+def test_imaginary_mu0_fails_diagnostics(gamma1d_32, eff1d_32, monkeypatch):
+    eff = effective_coefficients(_rotated_chi1_cell(gamma1d_32, monkeypatch))
+    # the vanishing-by-symmetry tensors still vanish: only the imaginary
+    # part of mu0, which .real drops, can fail the diagnostics
+    assert np.abs(eff.rho1).max() < 1e-7 * eff.rho0
+    assert np.abs(eff.rho2).max() < 1e-7 * eff.rho0
+    assert np.abs(eff.mu1).max() < 1e-7 * np.abs(eff.mu0).max()
+    assert eff1d_32.diagnostics_ok is True
+    assert eff.diagnostics_ok is False
+
+
+def test_extrapolated_diagnostics_need_both_levels(med1d, eff1d_32,
+                                                   monkeypatch):
+    g16 = eigenpair_at_gamma(med1d, 0, 16)
+    good = effective_coefficients(solve_cell_functions(g16))
+    bad = effective_coefficients(_rotated_chi1_cell(g16, monkeypatch))
+    assert bad.diagnostics_ok is False
+    assert extrapolated_coefficients(eff1d_32, good).diagnostics_ok is True
+    assert extrapolated_coefficients(eff1d_32, bad).diagnostics_ok is False
+
+
+@pytest.mark.parametrize("factor, raises", [(0.99, False), (1.01, True)])
+def test_residual_bound(factor, raises):
+    """The bordered solve accepts a residual up to 1e-8 * |rhs| (|rhs| >= 1),
+    the bound cell.RESIDUAL_BOUND names, and raises SingularSystem just
+    above it."""
+    S0 = np.diag([0.0, 1.0, 2.0]).astype(complex)
+    B = np.eye(3, dtype=complex)
+    c0 = np.array([1.0, 0.0, 0.0], dtype=complex)
+    solver = ConstrainedSolver(S0, B, 0.0, c0)
+    rhs = np.array([0.0, 3.0, 4.0], dtype=complex)      # |rhs| = 5, x = (0, 3, 2)
+    # the residual is measured with the stored operator: shifting its (1, 1)
+    # entry by delta leaves the LU solution as it is and makes the residual
+    # delta * x_1
+    delta = factor * 1e-8 * 5.0 / 3.0
+    solver._A = solver._A + np.diag([0.0, delta, 0.0])
+    if raises:
+        with pytest.raises(SingularSystem, match="residual"):
+            solver.solve(rhs)
+    else:
+        assert np.allclose(solver.solve(rhs), [0.0, 3.0, 2.0])
+
+
+def test_pencil_built_once_per_eigenpair(gamma1d_32, monkeypatch):
+    """The cell solve builds the pencil blocks; effective_coefficients only
+    takes inner products with the vectors the solve hands over."""
+    import blochhomog.cell as cell_module
+    blocks = cell_module.pencil_blocks
+    calls = []
+    monkeypatch.setattr(cell_module, "pencil_blocks",
+                        lambda *args: calls.append(args) or blocks(*args))
+    effective_coefficients(solve_cell_functions(gamma1d_32))
+    assert len(calls) == 1

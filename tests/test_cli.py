@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -261,3 +262,41 @@ def test_gamma_cache_reused_when_valid(tmp_path):
     first = open(os.path.join(out, "cell.json"), "rb").read()
     assert main(["cell", "--config", cfg, "--out", out]) == 0
     assert open(os.path.join(out, "cell.json"), "rb").read() == first
+
+
+def test_cell_cache_reused_when_valid(tmp_path):
+    cfg = write_cfg(tmp_path, base_cfg())
+    out = str(tmp_path / "out")
+    assert main(["effective", "--config", cfg, "--out", out]) == 0
+    first = open(os.path.join(out, "effective.json"), "rb").read()
+    assert main(["effective", "--config", cfg, "--out", out]) == 0
+    assert open(os.path.join(out, "effective.json"), "rb").read() == first
+
+
+def test_cell_cache_without_pencil_vectors_rejected(tmp_path, capsys):
+    """A cell cache file with the correctors only (no A2 or pencil vectors
+    for the effective averages) is a validation error naming the file."""
+    cfg = write_cfg(tmp_path, base_cfg())
+    out = str(tmp_path / "out")
+    assert main(["effective", "--config", cfg, "--out", out]) == 0
+    cache = os.path.join(out, ".cache")
+    (name,) = [f for f in os.listdir(cache) if f.startswith("cell-")]
+    path = os.path.join(cache, name)
+    data = dict(np.load(path))
+    np.savez(path, **{k: data[k] for k in ("chi1", "chi2", "chi3")})
+    capsys.readouterr()
+    assert main(["effective", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert path in err and "A2" in err
+
+
+def test_readme_example_config_converges(tmp_path):
+    """The example config in README.md runs `converge` to exit 0, i.e. its
+    slopes sit inside its slope_bands and e2 < e1 < e0 at every eps."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    (block,) = re.findall(r"```json\n(.*?)```", open(readme).read(), re.S)
+    cfg = write_cfg(tmp_path, json.loads(block))
+    out = str(tmp_path / "out")
+    assert main(["converge", "--config", cfg, "--out", out]) == 0
+    rep = json.load(open(os.path.join(out, "converge.json")))
+    assert set(rep["slopes"]) == {"0", "1", "2"}

@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from scipy.integrate import quad
 
 from blochhomog import (EnvelopeSingularity, FieldOnGrid, GapViolation,
                         GaussianEnvelope, Inclusion, MediumSpec, SourceSpec,
-                        assemble_operator, bloch_pencil, branch_solution,
+                        PlaneWaveBasis, assemble_operator, bloch_pencil,
+                        branch_solution,
                         disk_2d,
                         effective_coefficients, effective_envelope,
                         eigenpair_at_gamma, envelope_pde_residual,
@@ -17,7 +19,8 @@ from blochhomog import (EnvelopeSingularity, FieldOnGrid, GapViolation,
                         quadrature_self_test, solve_bands,
                         solve_cell_functions, synthesize_periodic,
                         two_phase_1d, wavenumber_quadrature)
-from blochhomog.fields import _eigenvalues_below, _resolvent_term
+from blochhomog.fields import (SYNTH_BLOCK, _eigenvalues_below,
+                               _periodic_phase, _resolvent_term)
 from blochhomog.source import FrequencySpec
 
 
@@ -487,3 +490,105 @@ def test_export_roundtrip(tmp_path):
     data = np.load(npz_path)
     assert np.allclose(data["values"], vals)
     assert float(data["eps"]) == 0.5
+
+
+# ---------------------------------------------------------------------------
+# Periodic phase exp(i 2 pi n x): reduced argument, two factored tables
+# ---------------------------------------------------------------------------
+
+def _exact_phase(x, cutoff):
+    """exp(i 2 pi n x), n = -cutoff..cutoff, with n x mod 1 evaluated in
+    rational arithmetic, so the only roundings are those of 2 pi t and exp."""
+    turns = [[float(Fraction(v) * n % 1) for n in range(-cutoff, cutoff + 1)]
+             for v in x]
+    return np.exp(2j * np.pi * np.array(turns).reshape(len(x), -1))
+
+
+def _direct_phase(x, freqs):
+    """exp(i x f) built directly, without argument reduction or factoring."""
+    return np.exp(1j * np.outer(x, freqs))
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 7, 12, 256, 300])
+@settings(max_examples=25, deadline=None)
+@given(x=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8))
+def test_periodic_phase_matches_exp(cutoff, x):
+    """2N+1 = 3, 5, 15, 513 and 601 leave the last table block partial;
+    25 (N = 12) fills it."""
+    x = np.array(x)
+    got = _periodic_phase(x, cutoff)
+    assert got.shape == (len(x), 2 * cutoff + 1) and got.flags.c_contiguous
+    assert np.max(np.abs(got - _exact_phase(x, cutoff))) <= 1e-13
+
+
+def test_periodic_phase_accuracy_on_criterion7_grid():
+    """N = 256 on the criterion-7 grid (|x| <= 28.5, 7297 points, every
+    37th taken): the factored, reduced phase stays within 3e-14 of the exact
+    one; a direct exp(i 2 pi n x) is off by up to 8e-12 here."""
+    x = np.linspace(-28.5, 28.5, 7297)[::37]
+    err = np.max(np.abs(_periodic_phase(x, 256) - _exact_phase(x, 256)))
+    assert err <= 3e-14
+
+
+def test_synthesize_periodic_2d_direct_sum():
+    """Point-blocked separable synthesis against the per-point sum
+    sum_j c_j exp(i 2 pi j.x); the point count leaves a partial slab."""
+    basis = PlaneWaveBasis(2, 6)
+    rng = np.random.default_rng(5)
+    coeffs = (rng.standard_normal(basis.size)
+              + 1j * rng.standard_normal(basis.size))
+    pts = rng.uniform(-20.0, 20.0, (2 * SYNTH_BLOCK + 77, 2))
+    got = synthesize_periodic(basis, coeffs, pts)
+    direct = np.array([np.sum(coeffs * np.exp(2j * np.pi * (basis.indices @ p)))
+                       for p in pts])
+    assert got.shape == (len(pts),)
+    assert np.max(np.abs(got - direct)) < 1e-12 * np.sum(np.abs(coeffs))
+
+
+@pytest.fixture(scope="module")
+def ragged_axis():
+    """Off-grid, non-uniform axis longer than one synthesis slab."""
+    rng = np.random.default_rng(11)
+    return np.sort(rng.uniform(-9.7, 13.3, SYNTH_BLOCK + 141))
+
+
+def test_homogenized_field_matches_direct_phase_sum(eff1d_32, source1d,
+                                                    quad1d, ragged_axis):
+    """U2 = phi_p W2 + eps chi1 W2' + eps^2 (cov phi_p + chi2) W2'', each
+    cell function summed with a directly built exp(i 2 pi n x) matrix."""
+    gamma, cell = eff1d_32.gamma, eff1d_32.cell
+    eps = 0.375
+    freq = FrequencySpec(branch=0, sigma=-1, omega_hat=1.0, eps=eps,
+                         omega2=gamma.omega2 - eps ** 2)
+    ax = ragged_axis
+    P = _direct_phase(ax, 2.0 * np.pi * gamma.basis.indices[:, 0])
+    cells = [gamma.coeffs, eps * cell.chi1[:, 0],
+             eps ** 2 * (eff1d_32.corrector_cov[0, 0] * gamma.coeffs
+                         + cell.chi2[:, 0, 0])]
+    ref = sum((P @ c) * effective_envelope(eff1d_32, freq, source1d, quad1d,
+                                           2, (eps * ax,), deriv)
+              for c, deriv in zip(cells, [(), (0,), (0, 0)]))
+    u = homogenized_field(eff1d_32, freq, source1d, quad1d, 2, (ax,))
+    assert _rel(u.values, ref) < 1e-12
+
+
+def test_exact_solution_matches_direct_phase_sum(gamma1d_32, source1d,
+                                                 quad1d, ragged_axis):
+    """u = (2 pi)^{-1/2} eps^2 sum_q w_q F_q exp(i x (2 pi n + k_q)) c_q,
+    with c_q the resolvent solution at each node and the phase matrix built
+    directly per node."""
+    eps = 0.375                      # eps k_max = 3 < pi: every node inside
+    freq = FrequencySpec(branch=0, sigma=-1, omega_hat=1.0, eps=eps,
+                         omega2=gamma1d_32.omega2 - eps ** 2)
+    ax = ragged_axis
+    pencil = bloch_pencil(gamma1d_32.table, gamma1d_32.basis)
+    bc0 = pencil.B @ gamma1d_32.coeffs
+    wF = quad1d.weights * source1d.envelope.spectrum(quad1d.nodes)
+    ref = np.zeros(len(ax), dtype=complex)
+    for khat, w in zip(quad1d.nodes, wF):
+        k = eps * khat
+        c = _resolvent_term(pencil, freq.omega2, k, bc0, set())
+        ref += w * (_direct_phase(ax, pencil.tp[:, 0] + k[0]) @ c)
+    ref *= (2.0 * np.pi) ** -0.5 * eps ** 2
+    u = exact_bloch_solution(gamma1d_32, freq, source1d, quad1d, (ax,))
+    assert _rel(u.values, ref) < 1e-12
