@@ -15,11 +15,13 @@ from .cell import (symmetrize_full, symmetrize_partial, pencil_blocks,
                    extrapolated_coefficients, dispersion_expansion_check,
                    CompatibilityViolation, SingularSystem)
 from .source import (GaussianEnvelope, SourceSpec, FrequencySpec,
-                     make_frequency, sample_source, projection_check, NotInGap)
+                     drive_frequency, make_frequency, sample_source,
+                     projection_check, NotInGap)
 from .fields import (WavenumberQuadrature, wavenumber_quadrature,
                      quadrature_self_test, FieldOnGrid, synthesize_periodic,
                      exact_bloch_solution, branch_solution, effective_envelope,
                      envelope_pde_residual, homogenized_field,
+                     homogenized_fields,
                      export_field_csv, export_field_npz,
                      GapViolation, EnvelopeSingularity)
 from .convergence import (ReferenceConfig, reference_solution, relative_error,

@@ -74,6 +74,18 @@ def pencil_blocks(table: CoefficientTable, basis: PlaneWaveBasis):
     return bloch_pencil(table, basis).blocks()
 
 
+def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ x for x of shape (M, ...).  A real block times a complex x goes
+    through as stacked real and imaginary columns, since numpy would
+    otherwise multiply by a complex copy of A."""
+    if np.iscomplexobj(A) or not np.iscomplexobj(x):
+        return A @ x
+    cols = x.reshape(len(x), -1)
+    n = cols.shape[1]
+    y = A @ np.concatenate([cols.real, cols.imag], axis=1)
+    return (y[:, :n] + 1j * y[:, n:]).reshape(x.shape)
+
+
 class ConstrainedSolver:
     """Solve (S0 - w0 B) x = rhs subject to c0^H B x = 0 via a bordered system.
 
@@ -85,7 +97,7 @@ class ConstrainedSolver:
     def __init__(self, S0, B, omega2, c0):
         n = S0.shape[0]
         A = S0 - omega2 * B
-        b = B @ c0
+        b = _matvec(B, c0)
         K = np.zeros((n + 1, n + 1), dtype=complex, order="F")
         K[:n, :n] = A
         K[:n, n] = b
@@ -115,7 +127,7 @@ class ConstrainedSolver:
         full[:self._n] = rhs
         sol = scipy.linalg.lu_solve(self._lu, full)
         x, mult = sol[:self._n], sol[self._n]
-        res = np.linalg.norm(self._A @ x + mult * self._b - rhs)
+        res = np.linalg.norm(_matvec(self._A, x) + mult * self._b - rhs)
         if scale > 0 and res > RESIDUAL_BOUND * max(scale, 1.0):
             raise SingularSystem(f"bordered solve residual {res:.3e}")
         constraint = abs(np.vdot(self._b, x))
@@ -162,12 +174,12 @@ def solve_cell_functions(gamma: GammaPair) -> CellFunctions:
     # the hierarchy below assumes unit rho-normalization; enforce it so a
     # rescaled eigenvector yields identical correctors
     c0 = gamma.coeffs
-    c0 = c0 / np.sqrt(np.real(np.vdot(c0, B @ c0)))
+    c0 = c0 / np.sqrt(np.real(np.vdot(c0, _matvec(B, c0))))
     solver = ConstrainedSolver(S0, B, gamma.omega2, c0)
 
-    gc0 = Gm @ c0
-    bc0 = B @ c0
-    s1c0 = np.stack([S @ c0 for S in S1], axis=1)
+    gc0 = _matvec(Gm, c0)
+    bc0 = _matvec(B, c0)
+    s1c0 = np.stack([_matvec(S, c0) for S in S1], axis=1)
 
     # first corrector: (S0 - w0 B) chi1_a = i S1_a c0
     chi1 = np.stack([solver.solve(1j * v) for v in s1c0.T], axis=1)
@@ -180,18 +192,18 @@ def solve_cell_functions(gamma: GammaPair) -> CellFunctions:
     # (S0 - w0 B) chi2_ab = sym_ab[ i S1_a chi1_b + delta_ab Gm c0 - A2_ab B c0 ]
     chi2 = np.zeros((M, d, d), dtype=complex)
     for a, b in itertools.combinations_with_replacement(range(d), 2):
-        rhs = 0.5j * (S1[a] @ chi1[:, b] + S1[b] @ chi1[:, a])
+        rhs = 0.5j * (_matvec(S1[a], chi1[:, b]) + _matvec(S1[b], chi1[:, a]))
         chi2[:, a, b] = chi2[:, b, a] = solver.solve(
             rhs + (a == b) * gc0 - A2[a, b] * bc0)
 
-    gchi1, bchi1 = Gm @ chi1, B @ chi1
+    gchi1, bchi1 = _matvec(Gm, chi1), _matvec(B, chi1)
     # third corrector:
     # (S0 - w0 B) chi3_abc =
     #     sym_abc[ i S1_a chi2_bc + delta_ab Gm chi1_c - A2_ab B chi1_c ]
     chi3 = np.zeros((M, d, d, d), dtype=complex)
     for key in itertools.combinations_with_replacement(range(d), 3):
         perms = set(itertools.permutations(key))
-        rhs = sum(1j * (S1[i] @ chi2[:, j, l]) + (i == j) * gchi1[:, l]
+        rhs = sum(1j * _matvec(S1[i], chi2[:, j, l]) + (i == j) * gchi1[:, l]
                   - A2[i, j] * bchi1[:, l] for i, j, l in perms)
         x = solver.solve(rhs / len(perms))
         for (i, j, l) in perms:

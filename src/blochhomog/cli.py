@@ -32,10 +32,10 @@ from .convergence import (DecayCheckFailed, ReferenceConfig,
                           convergence_study)
 from .fields import (EnvelopeSingularity, FieldOnGrid, GapViolation,
                      branch_solution, exact_bloch_solution, export_field_csv,
-                     export_field_npz, homogenized_field,
+                     export_field_npz, homogenized_fields,
                      wavenumber_quadrature)
 from .medium import fourier_table, spec_from_dict
-from .source import (GaussianEnvelope, FrequencySpec, NotInGap, SourceSpec,
+from .source import (GaussianEnvelope, NotInGap, SourceSpec, drive_frequency,
                      make_frequency)
 
 
@@ -228,6 +228,20 @@ def _diagram(cfg: dict):
                                   disp.get("samples_per_segment", 30)))
 
 
+def _gap_data(cfg: dict, gamma: GammaPair, sigma: int, omega_hat: float,
+              eps_list):
+    """What make_frequency validates the drives at eps_list against.
+
+    Every Bloch eigenvalue is >= 0, so a drive with omega^2 < 0 needs no
+    spectrum: when all drives are below it, an empty gap list (which admits
+    exactly those) replaces the dispersion diagram and its eigensolves.
+    """
+    if all(drive_frequency(gamma, sigma, omega_hat, eps).omega2 < 0
+           for eps in eps_list):
+        return []
+    return _diagram(cfg)
+
+
 def _write_json(path: str, payload: dict, cfg: dict):
     body = {"provenance": {"tool": f"blochhomog {__version__}",
                            "config": config_hash(cfg)}}
@@ -332,6 +346,9 @@ def cmd_effective(cfg, out, args):
     return [path]
 
 
+_ORDER_OUTPUTS = ("order0", "order1", "order2")
+
+
 def cmd_fields(cfg, out, args):
     fcfg = cfg.get("fields", {})
     if args.line is not None and spec_from_dict(cfg["medium"]).dimension != 2:
@@ -345,15 +362,18 @@ def cmd_fields(cfg, out, args):
     sigma = int(cfg.get("sigma", -1))
     omega_hat = float(cfg.get("omega_hat", 1.0))
     if fcfg.get("validate_gap", True):
-        freq = make_frequency(gamma, _diagram(cfg), sigma, omega_hat, eps,
+        freq = make_frequency(gamma,
+                              _gap_data(cfg, gamma, sigma, omega_hat, [eps]),
+                              sigma, omega_hat, eps,
                               k_window=eps * source.k_max)
     else:
-        freq = FrequencySpec(branch=gamma.branch, sigma=sigma,
-                             omega_hat=omega_hat, eps=eps,
-                             omega2=gamma.omega2 + eps ** 2 * sigma * omega_hat ** 2)
+        freq = drive_frequency(gamma, sigma, omega_hat, eps)
     ax = _field_axes(fcfg)
     axes = (ax,) * d
     outputs = fcfg.get("outputs", ["exact", "order0", "order1", "order2"])
+    orders = [int(name[-1]) for name in outputs if name in _ORDER_OUTPUTS]
+    homogenized = (homogenized_fields(eff, freq, source, quad, orders, axes)
+                   if orders else {})
 
     written = []
     for name in outputs:
@@ -361,9 +381,8 @@ def cmd_fields(cfg, out, args):
             fld = exact_bloch_solution(gamma, freq, source, quad, axes)
         elif name == "branch":
             fld = branch_solution(gamma, freq, source, quad, axes)
-        elif name in ("order0", "order1", "order2"):
-            fld = homogenized_field(eff, freq, source, quad,
-                                    int(name[-1]), axes)
+        elif name in _ORDER_OUTPUTS:
+            fld = homogenized[int(name[-1])]
         else:
             raise ValueError(f"unknown field output {name!r}")
         base = os.path.join(out, f"field_{name}")
@@ -399,7 +418,8 @@ def cmd_converge(cfg, out, args):
     else:
         ref_cfgs = _ref_config(ref_block)
 
-    diagram = _diagram(cfg) if ccfg.get("validate_gap", True) else None
+    diagram = (_gap_data(cfg, gamma, sigma, omega_hat, eps_list)
+               if ccfg.get("validate_gap", True) else None)
     report = convergence_study(gamma, eff, source, quad, sigma, omega_hat,
                                eps_list, ref_cfgs, eval_hw,
                                orders=orders, diagram=diagram)

@@ -6,6 +6,9 @@ on the truncated domain [-L, L]^d, L = half_width + 1/2, with homogeneous
 Dirichlet conditions — legitimate because in-gap frequencies make the
 solution decay exponentially.  A conservative second-order stencil is used,
 with face conductivities formed by harmonic averaging across each face.
+
+convergence_study compares every requested homogenized order with one
+reference per eps; the orders share one cell synthesis on that grid.
 """
 
 from __future__ import annotations
@@ -18,9 +21,10 @@ import scipy.sparse.linalg as spla
 from scipy.integrate import trapezoid
 
 from .bloch import GammaPair
-from .fields import FieldOnGrid
+from .fields import FieldOnGrid, homogenized_fields
 from .medium import evaluate_coefficient
-from .source import SourceSpec, FrequencySpec, sample_source
+from .source import (SourceSpec, FrequencySpec, drive_frequency,
+                     make_frequency, sample_source)
 
 
 class DecayCheckFailed(Exception):
@@ -220,24 +224,24 @@ def convergence_study(gamma: GammaPair, eff, source: SourceSpec,
     """Full harness: reference vs homogenized orders over a list of eps.
 
     ref_cfgs: one ReferenceConfig or a dict eps -> ReferenceConfig.
+    diagram: what make_frequency validates each drive against (a
+    DispersionDiagram or a gap list); None skips the validation.  All orders
+    at one eps come from one homogenized_fields call, so the cell functions
+    are synthesized once per eps on the reference grid.
     """
-    from .fields import homogenized_field
-    from .source import make_frequency
-
     errors = {m: [] for m in orders}
     boundary = {}
     for eps in eps_list:
         cfg = ref_cfgs[eps] if isinstance(ref_cfgs, dict) else ref_cfgs
         freq = make_frequency(gamma, diagram, sigma, omega_hat, eps,
                               k_window=eps * source.k_max) \
-            if diagram is not None else FrequencySpec(
-                branch=gamma.branch, sigma=sigma, omega_hat=omega_hat, eps=eps,
-                omega2=gamma.omega2 + eps ** 2 * sigma * omega_hat ** 2)
+            if diagram is not None else drive_frequency(gamma, sigma,
+                                                        omega_hat, eps)
         ref = reference_solution(gamma, freq, source, cfg)
         boundary[eps] = ref.meta["boundary_ratio"]
+        fields = homogenized_fields(eff, freq, source, quad, orders, ref.axes)
         for m in orders:
-            um = homogenized_field(eff, freq, source, quad, m, ref.axes)
-            errors[m].append(relative_error(ref, um, eval_half_width))
+            errors[m].append(relative_error(ref, fields[m], eval_half_width))
     slopes, residuals = {}, {}
     for m in orders:
         slopes[m], residuals[m] = slope_fit(eps_list, errors[m])

@@ -21,6 +21,13 @@ exp(i k x) exp(i 2 pi n x): one periodic phase matrix per axis serves every
 node (and every cell function of the homogenized fields), evaluated in slabs
 of SYNTH_BLOCK grid points to bound the temporaries.  That matrix is a product
 of two tables of ~sqrt(2N+1) exponentials at x - round(x), ~1e-14 accurate.
+
+The homogenized fields of every requested order come from one pass
+(homogenized_fields): the order-2 cell stack [phi_p, eps chi1, eps^2 (cov
+phi_p + chi2)] is synthesized once per slab, and each order contracts its
+leading columns with [W0, grad W0] or all of them with [W2, grad W2,
+grad^2 W2]; the W0 and W2 stacks share one envelope phase matrix per axis,
+built per slab like the periodic one.
 """
 
 from __future__ import annotations
@@ -376,31 +383,42 @@ def envelope_denominator(eff: EffectiveCoefficients, freq: FrequencySpec,
     return D
 
 
-def _envelopes(eff: EffectiveCoefficients, freq: FrequencySpec,
-               source: SourceSpec, quad: WavenumberQuadrature, order: int,
-               axes, derivatives) -> np.ndarray:
-    """W(r) and the requested spectral derivatives, stacked on the last axis.
+def _envelope_cube(eff: EffectiveCoefficients, freq: FrequencySpec,
+                   source: SourceSpec, quad: WavenumberQuadrature,
+                   stacks) -> np.ndarray:
+    """Spectral integrands of the envelopes W_m and their derivatives.
 
-    derivatives is a list of tuples of axis indices; each entry of a tuple
-    multiplies the integrand by i khat_axis.  One envelope phase matrix per
-    axis serves every column.  Returns shape (X_1, ..., X_d, len(derivatives)).
+    stacks is a list of (order, derivatives): order 0 or 2 picks the symbol
+    (envelope_denominator) and each derivative is a tuple of axis indices,
+    each entry multiplying the integrand by i khat_axis.  The columns follow
+    the stacks in order.  Returns shape (n_q,) * d + (columns,).
     """
     d = quad.dimension
-    D = envelope_denominator(eff, freq, quad, order)
-    if np.min(np.abs(D)) < ENVELOPE_DENOM_TOL:
-        raise EnvelopeSingularity(
-            f"effective symbol vanished: min |D| = {np.min(np.abs(D)):.3e}")
     F = source.envelope.spectrum(quad.nodes)
-    s = (2.0 * np.pi) ** (-d / 2.0) * quad.weights * F / D
-    cols = np.empty((len(s), len(derivatives)), dtype=complex)
-    for j, deriv in enumerate(derivatives):
-        cols[:, j] = s
-        for ax in deriv:
-            cols[:, j] *= 1j * quad.nodes[:, ax]
-    nq = len(quad.axis_nodes)
-    cube = cols.reshape((nq,) * d + (len(derivatives),))
-    return _separable_synth(cube, [_phase_matrix(ax, quad.axis_nodes)
-                                   for ax in axes])
+    blocks = []
+    for order, derivatives in stacks:
+        D = envelope_denominator(eff, freq, quad, order)
+        if np.min(np.abs(D)) < ENVELOPE_DENOM_TOL:
+            raise EnvelopeSingularity(
+                f"effective symbol vanished: min |D| = {np.min(np.abs(D)):.3e}")
+        s = (2.0 * np.pi) ** (-d / 2.0) * quad.weights * F / D
+        cols = np.empty((len(s), len(derivatives)), dtype=complex)
+        for j, deriv in enumerate(derivatives):
+            cols[:, j] = s
+            for ax in deriv:
+                cols[:, j] *= 1j * quad.nodes[:, ax]
+        blocks.append(cols)
+    cols = np.concatenate(blocks, axis=1)
+    return cols.reshape((len(quad.axis_nodes),) * d + (cols.shape[1],))
+
+
+def _envelopes(eff: EffectiveCoefficients, freq: FrequencySpec,
+               source: SourceSpec, quad: WavenumberQuadrature, axes,
+               stacks) -> np.ndarray:
+    """The _envelope_cube columns on a separable slow-coordinate grid, one
+    envelope phase matrix per axis: shape (X_1, ..., X_d, columns)."""
+    return _separable_synth(_envelope_cube(eff, freq, source, quad, stacks),
+                            [_phase_matrix(ax, quad.axis_nodes) for ax in axes])
 
 
 def effective_envelope(eff: EffectiveCoefficients, freq: FrequencySpec,
@@ -411,8 +429,8 @@ def effective_envelope(eff: EffectiveCoefficients, freq: FrequencySpec,
     derivative is a tuple of axis indices; each entry multiplies the
     integrand by i khat_axis.
     """
-    return _envelopes(eff, freq, source, quad, order, axes,
-                      [derivative])[..., 0]
+    return _envelopes(eff, freq, source, quad, axes,
+                      [(order, [derivative])])[..., 0]
 
 
 def envelope_pde_residual(eff: EffectiveCoefficients, freq: FrequencySpec,
@@ -422,7 +440,7 @@ def envelope_pde_residual(eff: EffectiveCoefficients, freq: FrequencySpec,
     with g the inverse transform of F, all evaluated spectrally."""
     d = quad.dimension
     second = [(a, b) for a in range(d) for b in range(d)]
-    W = _envelopes(eff, freq, source, quad, 0, axes, second + [()])
+    W = _envelopes(eff, freq, source, quad, axes, [(0, second + [()])])
     W0 = W[..., -1]
     g = source.envelope.modulation(_grid_points(axes))
     res = (W[..., :-1] @ eff.mu0.ravel()
@@ -434,49 +452,63 @@ def envelope_pde_residual(eff: EffectiveCoefficients, freq: FrequencySpec,
 # Homogenized fields
 # ---------------------------------------------------------------------------
 
-def homogenized_field(eff: EffectiveCoefficients, freq: FrequencySpec,
-                      source: SourceSpec, quad: WavenumberQuadrature,
-                      order: int, axes) -> FieldOnGrid:
-    """Order-m approximation U_m evaluated at x (fast grid), r = eps x.
+def homogenized_fields(eff: EffectiveCoefficients, freq: FrequencySpec,
+                       source: SourceSpec, quad: WavenumberQuadrature,
+                       orders, axes) -> dict[int, FieldOnGrid]:
+    """Order-m approximations U_m, m in `orders`, at x (fast grid), r = eps x.
 
     U0 = phi_p W0
     U1 = U0 + eps chi1 . grad W0
     U2 = phi_p W2 + eps chi1 . grad W2
          + eps^2 (corrector_cov phi_p + chi2) : grad^2 W2
 
-    Each term pairs a cell function with an envelope derivative; the cell
-    functions are synthesized together as stacked columns, and so are the
-    envelope derivatives.
+    Order m contracts the first 1, 1 + d or 1 + d + d^2 columns of the cell
+    stack [phi_p, eps chi1, eps^2 (corrector_cov phi_p + chi2)], synthesized
+    once for all orders, with [W0, grad W0] (m < 2) or [W2, grad W2,
+    grad^2 W2]; the W0 and W2 columns share one envelope phase matrix per
+    axis and slab.  Returns {m: FieldOnGrid}.
     """
-    if order not in (0, 1, 2):
-        raise ValueError("order must be 0, 1, or 2")
+    orders = sorted(set(orders))
+    if not orders or not set(orders) <= {0, 1, 2}:
+        raise ValueError("orders must be drawn from 0, 1, 2")
     gamma = eff.gamma
     basis = gamma.basis
     d = basis.dimension
     eps = freq.eps
 
-    derivs = [()]
-    cells = [gamma.coeffs]
-    if order >= 1:
-        for a in range(d):
-            derivs.append((a,))
-            cells.append(eps * eff.cell.chi1[:, a])
-    if order == 2:
-        for a in range(d):
-            for b in range(d):
-                derivs.append((a, b))
-                cells.append(eps ** 2 * (eff.corrector_cov[a, b] * gamma.coeffs
-                                         + eff.cell.chi2[:, a, b]))
-    env_order = 2 if order == 2 else 0
-    W = _envelopes(eff, freq, source, quad, env_order,
-                   tuple(eps * a for a in axes), derivs)
-    cube = basis.coeff_cube(np.stack(cells, axis=-1))
-    out = np.empty(tuple(len(a) for a in axes), dtype=complex)
+    second = [(a, b) for a in range(d) for b in range(d)]
+    derivs = [()] + [(a,) for a in range(d)] + second
+    width = {0: 1, 1: 1 + d, 2: len(derivs)}     # cell columns per order
+    cells = ([gamma.coeffs] + [eps * eff.cell.chi1[:, a] for a in range(d)]
+             + [eps ** 2 * (eff.corrector_cov[a, b] * gamma.coeffs
+                            + eff.cell.chi2[:, a, b]) for a, b in second])
+    n0 = max((width[m] for m in orders if m < 2), default=0)   # W0 columns
+    stacks = [(0, derivs[:n0])] if n0 else []
+    if 2 in orders:
+        stacks.append((2, derivs))
+    envelopes = _envelope_cube(eff, freq, source, quad, stacks)
+    # envelope phases in the same slabs as the periodic ones: no
+    # (points x nodes) matrix over the whole grid
+    rest = [_phase_matrix(eps * ax, quad.axis_nodes) for ax in axes[1:]]
+    cube = basis.coeff_cube(np.stack(cells[:width[orders[-1]]], axis=-1))
+    values = {m: np.empty(tuple(len(a) for a in axes), dtype=complex)
+              for m in orders}
     for sl, part in _periodic_blocks(basis, cube, axes):
-        out[sl] = np.sum(part * W[sl], axis=-1)
-    return FieldOnGrid(axes=tuple(axes), values=out,
-                       label=f"order-{order} approximation",
-                       meta={"eps": eps, "order": order})
+        first = _phase_matrix(eps * axes[0][sl], quad.axis_nodes)
+        W = _separable_synth(envelopes, [first] + rest)
+        for m in orders:
+            env = W[..., n0:] if m == 2 else W[..., :width[m]]
+            values[m][sl] = np.sum(part[..., :width[m]] * env, axis=-1)
+    return {m: FieldOnGrid(axes=tuple(axes), values=values[m],
+                           label=f"order-{m} approximation",
+                           meta={"eps": eps, "order": m}) for m in orders}
+
+
+def homogenized_field(eff: EffectiveCoefficients, freq: FrequencySpec,
+                      source: SourceSpec, quad: WavenumberQuadrature,
+                      order: int, axes) -> FieldOnGrid:
+    """Order-m approximation U_m alone: homogenized_fields for one order."""
+    return homogenized_fields(eff, freq, source, quad, (order,), axes)[order]
 
 
 # ---------------------------------------------------------------------------

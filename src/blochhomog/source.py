@@ -11,8 +11,10 @@ F(khat) = (2 sqrt(pi))^{-1} exp(-|khat|^2/4) the inner integral is itself a
 Gaussian, available in closed form.
 
 The driving frequency is omega^2 = omega_p^2(0) + eps^2 sigma Omega_hat^2
-and must sit strictly inside a band gap (or below the whole spectrum when
-p = 0, sigma = -1).
+and must sit strictly inside a band gap or below the whole spectrum.  The
+pencil S(k) - omega^2 B has S(k) positive semidefinite and B positive
+definite, so every Bloch eigenvalue omega_m^2(k) is >= 0 and any omega^2 < 0
+(p = 0, sigma = -1) lies below the spectrum: that needs no eigensolve.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ class SourceSpec:
 
 @dataclass(frozen=True)
 class FrequencySpec:
-    """Validated in-gap driving frequency."""
+    """Driving frequency; make_frequency validates it against the spectrum."""
 
     branch: int
     sigma: int
@@ -89,13 +91,24 @@ class FrequencySpec:
     omega2: float
 
 
+def drive_frequency(gamma: GammaPair, sigma: int, omega_hat: float,
+                    eps: float) -> FrequencySpec:
+    """omega^2 = omega_p^2(0) + eps^2 sigma Omega_hat^2, not validated."""
+    omega2 = gamma.omega2 + eps ** 2 * sigma * omega_hat ** 2
+    return FrequencySpec(branch=gamma.branch, sigma=sigma,
+                         omega_hat=omega_hat, eps=eps, omega2=omega2)
+
+
 def make_frequency(gamma: GammaPair, gaps: list[BandGap] | DispersionDiagram,
                    sigma: int, omega_hat: float, eps: float,
                    k_window: float | None = None) -> FrequencySpec:
     """Build omega^2 = omega_p^2(0) + eps^2 sigma Omega_hat^2 and validate it.
 
-    `gaps` may be a DispersionDiagram (preferred: branch ranges are checked
-    directly) or a precomputed gap list.
+    omega^2 < 0 lies below the whole spectrum (every omega_m^2(k) >= 0, see
+    the module docstring) and is accepted without looking at `gaps`; an
+    empty gap list therefore admits exactly those drives.  Otherwise
+    omega^2 must lie in a gap: `gaps` may be a DispersionDiagram (preferred:
+    branch ranges are checked directly) or a precomputed gap list.
 
     With `k_window` set (only meaningful for the diagram path), the branch
     ranges are taken over |k|_inf <= k_window.  This admits frequencies that
@@ -107,9 +120,12 @@ def make_frequency(gamma: GammaPair, gaps: list[BandGap] | DispersionDiagram,
         raise ValueError("sigma must be +1 or -1")
     if omega_hat <= 0 or eps <= 0:
         raise ValueError("omega_hat and eps must be positive")
-    omega2 = gamma.omega2 + eps ** 2 * sigma * omega_hat ** 2
+    freq = drive_frequency(gamma, sigma, omega_hat, eps)
+    omega2 = freq.omega2
 
-    if isinstance(gaps, DispersionDiagram):
+    if omega2 < 0:
+        pass                           # below the whole spectrum: sub-acoustic
+    elif isinstance(gaps, DispersionDiagram):
         omega2_table = gaps.omega2
         if k_window is not None:
             mask = np.max(np.abs(gaps.k_points), axis=1) <= k_window
@@ -118,23 +134,17 @@ def make_frequency(gamma: GammaPair, gaps: list[BandGap] | DispersionDiagram,
             omega2_table = omega2_table[mask]
         lows = omega2_table.min(axis=0)
         highs = omega2_table.max(axis=0)
-        if omega2 < lows[0]:
-            pass                       # below the whole spectrum: sub-acoustic
-        else:
-            for m in range(len(lows)):
-                if lows[m] <= omega2 <= highs[m]:
-                    raise NotInGap(
-                        f"omega^2 = {omega2:.6g} intersects branch {m} "
-                        f"range [{lows[m]:.6g}, {highs[m]:.6g}]")
-            if omega2 > highs[-1]:
+        for m in range(len(lows)):
+            if lows[m] <= omega2 <= highs[m]:
                 raise NotInGap(
-                    f"omega^2 = {omega2:.6g} above the last computed branch")
-    else:
-        if omega2 >= 0:
-            if not any(g.contains(omega2) for g in gaps):
-                raise NotInGap(f"omega^2 = {omega2:.6g} not inside any gap")
-    return FrequencySpec(branch=gamma.branch, sigma=sigma,
-                         omega_hat=omega_hat, eps=eps, omega2=omega2)
+                    f"omega^2 = {omega2:.6g} intersects branch {m} "
+                    f"range [{lows[m]:.6g}, {highs[m]:.6g}]")
+        if omega2 > highs[-1]:
+            raise NotInGap(
+                f"omega^2 = {omega2:.6g} above the last computed branch")
+    elif not any(g.contains(omega2) for g in gaps):
+        raise NotInGap(f"omega^2 = {omega2:.6g} not inside any gap")
+    return freq
 
 
 def sample_source(gamma: GammaPair, source: SourceSpec, eps: float,

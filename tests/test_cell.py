@@ -1,15 +1,19 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from blochhomog import (CompatibilityViolation, ConstrainedSolver, MediumSpec,
-                        SingularSystem, assemble_operator,
+import blochhomog.cell as cell_module
+from blochhomog import (CompatibilityViolation, ConstrainedSolver, Inclusion,
+                        MediumSpec, SingularSystem, assemble_operator,
                         dispersion_expansion_check,
                         effective_coefficients, eigenpair_at_gamma,
-                        extrapolated_coefficients, solve_bands,
+                        extrapolated_coefficients, pencil_blocks, solve_bands,
                         solve_cell_functions, symmetrize_full,
                         symmetrize_partial, two_phase_1d, disk_2d)
+from blochhomog.cell import DIAGNOSTIC_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +265,127 @@ def test_residual_bound(factor, raises):
 def test_pencil_built_once_per_eigenpair(gamma1d_32, monkeypatch):
     """The cell solve builds the pencil blocks; effective_coefficients only
     takes inner products with the vectors the solve hands over."""
-    import blochhomog.cell as cell_module
     blocks = cell_module.pencil_blocks
     calls = []
     monkeypatch.setattr(cell_module, "pencil_blocks",
                         lambda *args: calls.append(args) or blocks(*args))
     effective_coefficients(solve_cell_functions(gamma1d_32))
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# Real pencil blocks times complex vectors
+# ---------------------------------------------------------------------------
+
+_CELL_ARRAYS = ("chi1", "chi2", "chi3", "A2", "s1c0", "gc0", "bc0", "bchi1")
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("theta", [0.0, 0.7])
+def test_real_block_products_equal_complex_products(med1d, med2d, monkeypatch,
+                                                    dim, theta):
+    """On a real (centred) pencil the cell solve multiplies the blocks by
+    stacked real and imaginary columns; every array it returns equals the
+    one from plain complex products.  theta != 0 makes c0 complex too."""
+    gamma = eigenpair_at_gamma(med1d if dim == 1 else med2d, 0,
+                               32 if dim == 1 else 4)
+    gamma = dataclasses.replace(gamma, coeffs=np.exp(1j * theta) * gamma.coeffs)
+    assert pencil_blocks(gamma.table, gamma.basis)[0].dtype == np.float64
+    split = solve_cell_functions(gamma)
+    monkeypatch.setattr(cell_module, "_matvec", lambda A, x: A @ x)
+    plain = solve_cell_functions(gamma)
+    for name in _CELL_ARRAYS:
+        a, b = getattr(split, name), getattr(plain, name)
+        assert np.linalg.norm(a - b) <= 1e-13 * np.linalg.norm(b), name
+
+
+def test_bordered_solve_on_real_pencil_copies_no_block(med1d):
+    """One bordered solve at cutoff 256 (M = 513) allocates well under the
+    4 MiB that a complex copy of the real M x M operator would take."""
+    gamma = eigenpair_at_gamma(med1d, 0, 256)
+    S0, S1, _, B = pencil_blocks(gamma.table, gamma.basis)
+    assert S0.dtype == np.float64
+    solver = ConstrainedSolver(S0, B, gamma.omega2, gamma.coeffs)
+    rhs = 1j * (S1[0] @ gamma.coeffs)
+    tracemalloc.start()
+    try:
+        solver.solve(rhs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# Properties of branch 0 over random sharp two-phase media
+# ---------------------------------------------------------------------------
+
+_CUTOFF = {1: 16, 2: 4}
+
+
+@st.composite
+def _sharp_media(draw, dim):
+    """One inclusion of random contrast, size and (possibly zero) offset."""
+    radius = draw(st.floats(0.05, 0.2))
+    centred = draw(st.booleans())
+    centre = tuple(0.0 if centred else draw(st.floats(-0.25, 0.25))
+                   for _ in range(dim))
+    return MediumSpec(dimension=dim,
+                      background_G=draw(st.floats(0.2, 5.0)),
+                      background_rho=draw(st.floats(0.2, 5.0)),
+                      inclusions=(Inclusion(center=centre, radius=radius,
+                                            G=draw(st.floats(0.2, 20.0)),
+                                            rho=draw(st.floats(0.2, 30.0))),))
+
+
+def _branch0(spec, theta=0.0):
+    gamma = eigenpair_at_gamma(spec, 0, _CUTOFF[spec.dimension])
+    gamma = dataclasses.replace(gamma, coeffs=np.exp(1j * theta) * gamma.coeffs)
+    return effective_coefficients(solve_cell_functions(gamma))
+
+
+def _volume_fraction(spec):
+    r = spec.inclusions[0].radius
+    return 2.0 * r if spec.dimension == 1 else np.pi * r ** 2
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_mu0_between_reuss_and_voigt(dim, data):
+    """mu0 of branch 0 is the Galerkin homogenized stiffness: the zero
+    corrector bounds it by the arithmetic mean <G> (Voigt), and as a Ritz
+    value it lies above the exact tensor and so above <1/G>^-1 (Reuss)."""
+    spec = data.draw(_sharp_media(dim))
+    f = _volume_fraction(spec)
+    G1, G2 = spec.background_G, spec.inclusions[0].G
+    voigt = (1.0 - f) * G1 + f * G2
+    reuss = 1.0 / ((1.0 - f) / G1 + f / G2)
+    lam = np.linalg.eigvalsh(_branch0(spec).mu0)
+    assert lam.min() >= reuss * (1.0 - 1e-10)
+    assert lam.max() <= voigt * (1.0 + 1e-10)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), theta=st.floats(-np.pi, np.pi))
+def test_effective_tensors_phase_gauge_invariant(dim, data, theta):
+    """c0 -> exp(i theta) c0 rotates every corrector by the same phase, so
+    mu0 and mu2 do not move."""
+    spec = data.draw(_sharp_media(dim))
+    ref, rot = _branch0(spec), _branch0(spec, theta)
+    for name in ("mu0", "mu2"):
+        a, b = getattr(rot, name), getattr(ref, name)
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_odd_and_cross_tensors_vanish(dim, data):
+    eff = _branch0(data.draw(_sharp_media(dim)))
+    scale = max(eff.rho0, 1.0)
+    assert np.abs(eff.rho1).max() < DIAGNOSTIC_TOL * scale
+    assert np.abs(eff.rho2).max() < DIAGNOSTIC_TOL * scale
+    assert np.abs(eff.mu1).max() < DIAGNOSTIC_TOL * np.abs(eff.mu0).max()
+    assert eff.diagnostics_ok is True

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from blochhomog import cli, fields
 from blochhomog.cli import config_hash, load_config, main
 
 
@@ -192,7 +193,8 @@ def test_fields_not_in_gap_exits_3(tmp_path):
     body = base_cfg()
     body["sigma"] = +1      # just above the acoustic branch: not a gap
     body["fields"] = {"eps": 0.5, "half_width": 4, "points_per_cell": 8}
-    assert main(["fields", "--config", write_cfg(tmp_path, body)]) == 3
+    assert main(["fields", "--config", write_cfg(tmp_path, body),
+                 "--out", str(tmp_path / "out")]) == 3
 
 
 def test_converge_outputs_and_slope_gate(tmp_path):
@@ -225,7 +227,8 @@ def test_converge_decay_failure_exits_3(tmp_path):
                          "decay_threshold": 1e-8}
     body["converge"] = {"eps": [0.5], "eval_half_width": 3.0,
                         "validate_gap": False}
-    assert main(["converge", "--config", write_cfg(tmp_path, body)]) == 3
+    assert main(["converge", "--config", write_cfg(tmp_path, body),
+                 "--out", str(tmp_path / "out")]) == 3
 
 
 def test_line_rejected_outside_fields(tmp_path, capsys):
@@ -290,13 +293,66 @@ def test_cell_cache_without_pencil_vectors_rejected(tmp_path, capsys):
     assert path in err and "A2" in err
 
 
-def test_readme_example_config_converges(tmp_path):
-    """The example config in README.md runs `converge` to exit 0, i.e. its
-    slopes sit inside its slope_bands and e2 < e1 < e0 at every eps."""
+def _readme_config():
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     (block,) = re.findall(r"```json\n(.*?)```", open(readme).read(), re.S)
-    cfg = write_cfg(tmp_path, json.loads(block))
+    return json.loads(block)
+
+
+@pytest.fixture
+def work_counts(monkeypatch):
+    """Count dispersion diagrams built by the CLI and periodic syntheses of
+    cell stacks on a grid (fields._periodic_blocks passes)."""
+    counts = {"diagrams": 0, "syntheses": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "dispersion_diagram",
+                        counted("diagrams", cli.dispersion_diagram))
+    monkeypatch.setattr(fields, "_periodic_blocks",
+                        counted("syntheses", fields._periodic_blocks))
+    return counts
+
+
+def test_readme_example_config_converges(tmp_path, work_counts):
+    """The example config in README.md runs `converge` to exit 0, i.e. its
+    slopes sit inside its slope_bands and e2 < e1 < e0 at every eps.  It
+    drives branch 0 at omega^2 < 0, below every Bloch eigenvalue: no diagram
+    is built, and each eps synthesizes the cell functions once for all three
+    orders."""
+    cfg = write_cfg(tmp_path, _readme_config())
     out = str(tmp_path / "out")
     assert main(["converge", "--config", cfg, "--out", out]) == 0
     rep = json.load(open(os.path.join(out, "converge.json")))
     assert set(rep["slopes"]) == {"0", "1", "2"}
+    assert work_counts == {"diagrams": 0, "syntheses": 3}
+
+
+def test_converge_above_acoustic_branch_builds_one_diagram(tmp_path, capsys,
+                                                           work_counts):
+    """sigma = +1 puts omega^2 on the acoustic branch: the one diagram for
+    all eps is built and the drive is rejected (exit 3)."""
+    body = _readme_config()
+    body["sigma"] = +1
+    body["cutoff"] = 32          # the rejection does not depend on the size
+    cfg = write_cfg(tmp_path, body)
+    assert main(["converge", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 3
+    assert "intersects branch 0" in capsys.readouterr().err
+    assert work_counts == {"diagrams": 1, "syntheses": 0}
+
+
+def test_fields_orders_share_one_synthesis(tmp_path, work_counts):
+    body = base_cfg()
+    body["fields"] = {"eps": 0.5, "half_width": 4, "points_per_cell": 8,
+                      "outputs": ["order0", "order1", "order2"]}
+    out = str(tmp_path / "out")
+    assert main(["fields", "--config", write_cfg(tmp_path, body),
+                 "--out", out]) == 0
+    assert work_counts == {"diagrams": 0, "syntheses": 1}
+    for name in ("order0", "order1", "order2"):
+        assert os.path.exists(os.path.join(out, f"field_{name}.csv"))

@@ -16,6 +16,7 @@ from blochhomog import (EnvelopeSingularity, FieldOnGrid, GapViolation,
                         eigenpair_at_gamma, envelope_pde_residual,
                         exact_bloch_solution, export_field_csv,
                         export_field_npz, homogenized_field,
+                        homogenized_fields,
                         quadrature_self_test, solve_bands,
                         solve_cell_functions, synthesize_periodic,
                         two_phase_1d, wavenumber_quadrature)
@@ -570,6 +571,51 @@ def test_homogenized_field_matches_direct_phase_sum(eff1d_32, source1d,
               for c, deriv in zip(cells, [(), (0,), (0, 0)]))
     u = homogenized_field(eff1d_32, freq, source1d, quad1d, 2, (ax,))
     assert _rel(u.values, ref) < 1e-12
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_low_orders_match_direct_phase_sum(eff1d_32, source1d, quad1d,
+                                           ragged_axis, order):
+    """U0 = phi_p W0 and U1 = U0 + eps chi1 W0', each cell function summed
+    with a directly built exp(i 2 pi n x) matrix; the one-order call
+    synthesizes only the columns its order uses."""
+    gamma, cell = eff1d_32.gamma, eff1d_32.cell
+    eps = 0.375
+    freq = FrequencySpec(branch=0, sigma=-1, omega_hat=1.0, eps=eps,
+                         omega2=gamma.omega2 - eps ** 2)
+    ax = ragged_axis
+    P = _direct_phase(ax, 2.0 * np.pi * gamma.basis.indices[:, 0])
+    cells = [gamma.coeffs, eps * cell.chi1[:, 0]][:order + 1]
+    ref = sum((P @ c) * effective_envelope(eff1d_32, freq, source1d, quad1d,
+                                           0, (eps * ax,), deriv)
+              for c, deriv in zip(cells, [(), (0,)]))
+    u = homogenized_field(eff1d_32, freq, source1d, quad1d, order, (ax,))
+    assert _rel(u.values, ref) < 1e-12
+
+
+def test_all_orders_equal_per_order_calls_2d(source2d):
+    """One homogenized_fields call (one cell synthesis, one envelope phase
+    matrix per axis) gives each order as its own call does, and U1 - U0 is
+    eps sum_a chi1_a d_a W0 with chi1 synthesized point by point."""
+    gamma = eigenpair_at_gamma(disk_2d(), 0, 4)
+    eff = effective_coefficients(solve_cell_functions(gamma))
+    quad_ = wavenumber_quadrature(2, 8.0, 16)
+    eps = 0.5
+    freq = FrequencySpec(branch=0, sigma=-1, omega_hat=1.0, eps=eps,
+                         omega2=gamma.omega2 - eps ** 2)
+    axes = (np.linspace(-2.3, 2.9, 37), np.linspace(-1.7, 1.1, 23))
+    fields = homogenized_fields(eff, freq, source2d, quad_, (0, 1, 2), axes)
+    assert sorted(fields) == [0, 1, 2]
+    for m in (0, 1, 2):
+        alone = homogenized_field(eff, freq, source2d, quad_, m, axes)
+        assert fields[m].meta == alone.meta
+        assert _rel(fields[m].values, alone.values) < 1e-12
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    slow = tuple(eps * a for a in axes)
+    first = sum(eps * synthesize_periodic(gamma.basis, eff.cell.chi1[:, a], pts)
+                * effective_envelope(eff, freq, source2d, quad_, 0, slow, (a,))
+                for a in range(2))
+    assert _rel(fields[1].values - fields[0].values, first) < 1e-12
 
 
 def test_exact_solution_matches_direct_phase_sum(gamma1d_32, source1d,

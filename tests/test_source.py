@@ -61,6 +61,24 @@ def test_make_frequency_sub_acoustic(med1d, gamma1d_32):
         make_frequency(gamma1d_32, diagram, +1, 1.0, 0.25)
 
 
+def test_make_frequency_below_spectrum_needs_no_diagram(med1d, gamma1d_32):
+    """Every Bloch eigenvalue is >= 0, so omega^2 < 0 is accepted whatever
+    the spectrum data, and an empty gap list admits exactly such drives."""
+    diagram = dispersion_diagram(med1d, cutoff=16, count=4,
+                                 samples_per_segment=20)
+    for gaps in ([], find_band_gaps(diagram), diagram):
+        assert make_frequency(gamma1d_32, gaps, -1, 1.0, 0.25) == \
+            make_frequency(gamma1d_32, diagram, -1, 1.0, 0.25)
+    # a window without any sample cannot validate omega^2 >= 0, but
+    # omega^2 < 0 needs no sample
+    far = make_frequency(gamma1d_32, diagram, -1, 1.0, 0.25, k_window=-1.0)
+    assert far.omega2 < 0
+    with pytest.raises(ValueError, match="k_window"):
+        make_frequency(gamma1d_32, diagram, +1, 1.0, 0.25, k_window=-1.0)
+    with pytest.raises(NotInGap):
+        make_frequency(gamma1d_32, [], +1, 1.0, 0.25)
+
+
 def test_make_frequency_gap_list_path(med1d):
     diagram = dispersion_diagram(med1d, cutoff=16, count=4,
                                  samples_per_segment=20)
