@@ -9,18 +9,25 @@ source mass they carried.  Envelope derivatives are taken spectrally
 (multiplication by i khat under the integral), never by grid differencing.
 
 The exact solution sums every Galerkin mode at each node through the
-resolvent: (S(k) - omega^2 B)^{-1} B c0 is one Hermitian-indefinite solve
-per node on one BlochPencil, with no mode truncation.  The gap condition (no
-eigenvalue within DENOM_TOL of omega^2) is checked exactly by Sylvester
-inertia: the LDL^H factors of S - (omega^2 -+ DENOM_TOL) B must have equally
-many negative pivots.  By time reversal the inertia at -k equals that at k,
-so the check runs once per +-k pair of nodes.  A real pencil (centred media)
-uses the real symmetric LAPACK routines ?sytrf/?sysv, a complex one
-?hetrf/?hesv.  Synthesis is factored, exp(i (2 pi n + k) x) =
-exp(i k x) exp(i 2 pi n x): one periodic phase matrix per axis serves every
-node (and every cell function of the homogenized fields), evaluated in slabs
-of SYNTH_BLOCK grid points to bound the temporaries.  That matrix is a product
-of two tables of ~sqrt(2N+1) exponentials at x - round(x), ~1e-14 accurate.
+resolvent (S(k) - omega^2 B)^{-1} B c0 on one BlochPencil, with no mode
+truncation.  Time reversal of the real medium pairs the nodes: x(-k) =
+e^{-i theta} P conj(x(k)) with P: j -> -j and e^{i theta} = c0^H B P
+conj(c0), so only the first node of each +-k pair is solved.  The pairing is
+guarded by the residual ||P conj(c0) - e^{i theta} c0||_B <= PAIR_TOL; a
+degenerate omega_p^2(0) fails it, and then every node is solved.  Below the
+spectrum (omega^2 < -DENOM_TOL) the solve is one Cholesky ?posv, and a
+failed factorization is a GapViolation.  Otherwise it is a Bunch-Kaufman
+?hesv, and the gap condition (no eigenvalue within DENOM_TOL of omega^2) is
+checked exactly by Sylvester inertia: the LDL^H factors of S - (omega^2 -+
+DENOM_TOL) B must have equally many negative pivots, once per +-k pair.  A
+real pencil (centred media) uses the real LAPACK routines (?posv, ?sytrf,
+?sysv), a complex one the Hermitian ones.
+
+Synthesis is factored, exp(i (2 pi n + k) x) = exp(i k x) exp(i 2 pi n x):
+one periodic phase matrix per axis serves every node (and every cell
+function of the homogenized fields), evaluated in slabs of SYNTH_BLOCK grid
+points to bound the temporaries.  That matrix is a product of two tables of
+~sqrt(2N+1) exponentials at x - round(x), ~1e-14 accurate.
 
 The homogenized fields of every requested order come from one pass
 (homogenized_fields): the order-2 cell stack [phi_p, eps chi1, eps^2 (cov
@@ -32,6 +39,7 @@ built per slab like the periodic one.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +51,7 @@ from .cell import EffectiveCoefficients
 from .source import FrequencySpec, SourceSpec
 
 DENOM_TOL = 1e-8
+PAIR_TOL = 1e-10        # time-reversal guard, B-norm residual
 ENVELOPE_DENOM_TOL = 1e-10
 SYNTH_BLOCK = 512      # grid points per synthesis slab
 
@@ -239,13 +248,24 @@ def _bloch_phase(axes, sl, ks: np.ndarray) -> np.ndarray:
 # Exact Bloch solution and branch restriction
 # ---------------------------------------------------------------------------
 
-def _lapack(name: str, A: np.ndarray):
-    """LAPACK routine ?<name> for A's dtype and its optimal work size; the
-    Hermitian ?he* routines are ?sy* for real A."""
-    if not np.iscomplexobj(A):
+@functools.lru_cache(maxsize=32)
+def _lapack(name: str, dtype: np.dtype, n: int):
+    """LAPACK routine ?<name> for `dtype` and its optimal work size at order
+    n (0 for routines without one); the Hermitian ?he* routines are ?sy* for
+    real dtypes.  Cached, so a loop over nodes queries each size once."""
+    if not np.issubdtype(dtype, np.complexfloating):
         name = name.replace("he", "sy", 1)
-    fn, query = get_lapack_funcs((name, name + "_lwork"), (A,))
-    return fn, int(np.real(query(len(A), lower=1)[0]))
+    if name.endswith("posv"):
+        return get_lapack_funcs((name,), dtype=dtype)[0], 0
+    fn, query = get_lapack_funcs((name, name + "_lwork"), dtype=dtype)
+    return fn, int(np.real(query(n, lower=1)[0]))
+
+
+def _factorization(omega2: float) -> str:
+    """"cholesky" below the spectrum (omega^2 < -DENOM_TOL, where S(k) -
+    omega^2 B is positive definite and no eigenvalue >= 0 lies within
+    DENOM_TOL), "ldl" (Bunch-Kaufman with the inertia check) otherwise."""
+    return "cholesky" if omega2 < -DENOM_TOL else "ldl"
 
 
 def _eigenvalues_below(S: np.ndarray, B: np.ndarray, sigma: float) -> int:
@@ -257,7 +277,7 @@ def _eigenvalues_below(S: np.ndarray, B: np.ndarray, sigma: float) -> int:
     ipiv < 0), since the pivot rule only picks 2x2 blocks with a negative
     determinant (for ?hetrf and ?sytrf alike).
     """
-    hetrf, lwork = _lapack("hetrf", S)
+    hetrf, lwork = _lapack("hetrf", S.dtype, len(S))
     ldu, ipiv, _ = hetrf(S - sigma * B, lower=1, lwork=lwork,
                          overwrite_a=True)
     negative_pivots = np.count_nonzero(ldu.diagonal().real[ipiv > 0] < 0.0)
@@ -269,12 +289,30 @@ def _resolvent_term(pencil: BlochPencil, omega2: float, k: np.ndarray,
     """The sum over all M Galerkin modes,
         sum_m phi_m(k) phi_m(k)^H rhs / (omega_m^2(k) - omega^2)
             = (S(k) - omega^2 B)^{-1} rhs,
-    since the B-orthonormal eigenvectors diagonalize the pencil.  Raises
-    GapViolation when an eigenvalue lies within DENOM_TOL of omega^2 (unequal
-    counts below omega^2 -+ DENOM_TOL), unless -k is in gap_checked; adds k
-    there.  A complex rhs on a real pencil is solved as two real columns.
+    since the B-orthonormal eigenvectors diagonalize the pencil.
+
+    Below the spectrum (_factorization: omega^2 < -DENOM_TOL) this is one
+    Cholesky solve ?posv: S(k) is positive semidefinite, so S - omega^2 B is
+    definite and every eigenvalue lies more than DENOM_TOL above omega^2; a
+    failed factorization (a pencil that is not) raises GapViolation.
+    Otherwise it is one Bunch-Kaufman solve ?hesv, after an inertia check
+    that raises GapViolation when an eigenvalue lies within DENOM_TOL of
+    omega^2 (unequal counts below omega^2 -+ DENOM_TOL), unless -k is in
+    gap_checked; adds k there.  A complex rhs on a real pencil is solved as
+    two real columns.
     """
     S = pencil.stiffness(k)
+    split = np.iscomplexobj(rhs) and not np.iscomplexobj(S)
+    cols = np.stack([rhs.real, rhs.imag], axis=1) if split else rhs
+    if _factorization(omega2) == "cholesky":
+        posv, _ = _lapack("posv", S.dtype, len(S))
+        _, x, info = posv(S - omega2 * pencil.B, cols, lower=1,
+                          overwrite_a=True)
+        if info > 0:
+            raise GapViolation(
+                f"S - omega^2 B not positive definite at k = {k}: an "
+                f"eigenvalue lies at or below omega^2 = {omega2:.12g}")
+        return x[:, 0] + 1j * x[:, 1] if split else x
     if tuple(-k) not in gap_checked:
         lo, hi = (_eigenvalues_below(S, pencil.B, omega2 + t)
                   for t in (-DENOM_TOL, DENOM_TOL))
@@ -283,9 +321,7 @@ def _resolvent_term(pencil: BlochPencil, omega2: float, k: np.ndarray,
                 f"{hi - lo} eigenvalue(s) within {DENOM_TOL:.0e} of "
                 f"omega^2 = {omega2:.12g} at k = {k}")
         gap_checked.add(tuple(k))
-    split = np.iscomplexobj(rhs) and not np.iscomplexobj(S)
-    cols = np.stack([rhs.real, rhs.imag], axis=1) if split else rhs
-    hesv, lwork = _lapack("hesv", S)
+    hesv, lwork = _lapack("hesv", S.dtype, len(S))
     _, _, x, info = hesv(S - omega2 * pencil.B, cols, lower=1, lwork=lwork,
                          overwrite_a=True)
     if info > 0:
@@ -305,6 +341,53 @@ def _branch_term(gamma: GammaPair, pencil: BlochPencil, omega2: float,
     return v * (np.vdot(v, rhs) / denom[gamma.branch])
 
 
+def _time_reversal(basis: PlaneWaveBasis, B: np.ndarray, c0: np.ndarray):
+    """(P, e^{i theta}, residual) for the pairing x(-k) = e^{-i theta} P
+    conj(x(k)) of solutions with right-hand side B c0.
+
+    P: j -> -j is an index array (P x = x[P]); e^{i theta} = c0^H B P
+    conj(c0); residual = ||P conj(c0) - e^{i theta} c0||_B.  A real medium
+    has S(-k) = P conj(S(k)) P and B P = P conj(B), so the pairing holds to
+    the residual, which is roundoff when omega_p^2(0) is simple.  P conj is
+    a B-isometry, so |e^{i theta}|^2 = 1 - residual^2: |e^{i theta}| within
+    1e-12 of 1 still allows a residual of 1.4e-6.
+    """
+    n = 2 * basis.cutoff + 1
+    scatter = basis.cube_scatter()
+    position = np.empty_like(scatter)      # cube position -> basis index
+    position[scatter] = np.arange(basis.size)
+    P = position[n ** basis.dimension - 1 - scatter]   # -j: reversed cube
+    mirrored = c0[P].conj()
+    phase = np.vdot(c0, B @ mirrored)
+    r = mirrored - phase * c0
+    return P, phase, float(np.sqrt(abs(np.vdot(r, B @ r))))
+
+
+def _paired_solves(ks: np.ndarray, size: int, solve, pairing) -> tuple:
+    """Columns solve(k_q) (length `size`) at every node, and the number of
+    solves.
+
+    With pairing = (P, e^{i theta}) from _time_reversal, the second node of
+    each +-k pair (k = 0 pairs with itself) is filled with e^{-i theta} P
+    conj(column of its partner) instead of a solve, which also inherits the
+    partner's gap check; with pairing None every node is solved.
+    """
+    out = np.empty((size, len(ks)), dtype=complex)
+    first, mirror = {}, []    # solved node of each k; (node, partner)
+    for q, k in enumerate(ks):
+        p = first.get(tuple(-k)) if pairing is not None else None
+        if p is None:
+            out[:, q] = solve(k)
+            first[tuple(k)] = q
+        else:
+            mirror.append((q, p))
+    if mirror:
+        P, phase = pairing
+        q, p = np.array(mirror).T
+        out[:, q] = np.conj(phase) * out[np.ix_(P, p)].conj()
+    return out, len(first)
+
+
 def exact_bloch_solution(gamma: GammaPair, freq: FrequencySpec,
                          source: SourceSpec, quad: WavenumberQuadrature,
                          axes, branch_only: bool = False) -> FieldOnGrid:
@@ -314,14 +397,24 @@ def exact_bloch_solution(gamma: GammaPair, freq: FrequencySpec,
            F(khat) / (omega_m^2 - omega^2) e^{i eps khat.x} phi_m(x) dkhat
 
     The mode sum at each node is one resolvent solve (_resolvent_term), so
-    there is no mode truncation; GapViolation is raised when any Galerkin
-    eigenvalue at a node lies within DENOM_TOL of omega^2 (checked once per
-    +-k pair of nodes, matched exactly).  With branch_only=True the sum keeps
-    only m = p (one eigenpair per node, and the check covers branches 0..p).
+    there is no mode truncation: a Cholesky solve below the spectrum
+    (omega^2 < -DENOM_TOL), otherwise a Bunch-Kaufman solve after an exact
+    inertia check.  GapViolation is raised when any Galerkin eigenvalue at a
+    node lies within DENOM_TOL of omega^2.  With branch_only=True the sum
+    keeps only m = p (one eigenpair per node, and the check covers branches
+    0..p).
+
+    By time reversal only the first node of each +-k pair is solved; its
+    partner is e^{-i theta} P conj of it (_time_reversal), guarded by
+    ||P conj(c0) - e^{i theta} c0||_B <= PAIR_TOL.  When the guard fails (a
+    degenerate omega_p^2(0)) every node is solved, and the inertia check
+    still runs once per pair.
 
     Nodes with eps |khat|_inf > pi lie outside the Brillouin zone and are
-    skipped; meta reports their number (dropped_nodes) and their share of
-    sum w |F| (dropped_mass).
+    skipped.  meta reports their number (dropped_nodes) and their share of
+    sum w |F| (dropped_mass), the solves done (linear solves or eigensolves),
+    the guard residual (pair_residual) and the factorization ("cholesky" or
+    "ldl"; None for the branch term, an eigensolve).
     """
     basis = gamma.basis
     d = basis.dimension
@@ -336,12 +429,17 @@ def exact_bloch_solution(gamma: GammaPair, freq: FrequencySpec,
     inside = np.max(np.abs(ks), axis=1) <= np.pi
     ks = ks[inside]
 
-    coeffs = np.empty((basis.size, len(ks)), dtype=complex)
-    gap_checked = set()       # nodes whose gap check also covers their -k
-    for q, k in enumerate(ks):
-        coeffs[:, q] = (_branch_term(gamma, pencil, freq.omega2, k, bc0)
-                        if branch_only else _resolvent_term(
-                            pencil, freq.omega2, k, bc0, gap_checked))
+    P, phase, residual = _time_reversal(basis, pencil.B, gamma.coeffs)
+    if branch_only:
+        factorization = None
+        solve = lambda k: _branch_term(gamma, pencil, freq.omega2, k, bc0)
+    else:
+        factorization = _factorization(freq.omega2)
+        gap_checked = set()   # nodes whose gap check also covers their -k
+        solve = lambda k: _resolvent_term(pencil, freq.omega2, k, bc0,
+                                          gap_checked)
+    coeffs, solves = _paired_solves(
+        ks, basis.size, solve, (P, phase) if residual <= PAIR_TOL else None)
 
     weights = pref * wF[inside]
     cube = basis.coeff_cube(coeffs)
@@ -354,7 +452,9 @@ def exact_bloch_solution(gamma: GammaPair, freq: FrequencySpec,
                        meta={"eps": eps,
                              "dropped_nodes": int(np.count_nonzero(~inside)),
                              "dropped_mass": float(
-                                 np.sum(np.abs(wF[~inside])) / total)})
+                                 np.sum(np.abs(wF[~inside])) / total),
+                             "solves": solves, "pair_residual": residual,
+                             "factorization": factorization})
 
 
 def branch_solution(gamma, freq, source, quad, axes) -> FieldOnGrid:

@@ -1,10 +1,18 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from blochhomog import (GaussianEnvelope, MediumSpec, SourceSpec,
                         effective_coefficients, eigenpair_at_gamma,
                         solve_cell_functions, two_phase_1d, disk_2d,
                         wavenumber_quadrature)
+
+# CI sets HYPOTHESIS_PROFILE=ci: every run draws the same examples.  Local
+# runs keep the random default.
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

@@ -1,16 +1,17 @@
 import dataclasses
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from scipy.integrate import quad
 
-from blochhomog import (EnvelopeSingularity, FieldOnGrid, GapViolation,
-                        GaussianEnvelope, Inclusion, MediumSpec, SourceSpec,
-                        PlaneWaveBasis, assemble_operator, bloch_pencil,
-                        branch_solution,
+from blochhomog import (BlochPencil, EnvelopeSingularity, FieldOnGrid,
+                        GapViolation, GaussianEnvelope, Inclusion, MediumSpec,
+                        SourceSpec, PlaneWaveBasis, assemble_operator,
+                        bloch_pencil, branch_solution,
                         disk_2d,
                         effective_coefficients, effective_envelope,
                         eigenpair_at_gamma, envelope_pde_residual,
@@ -20,6 +21,7 @@ from blochhomog import (EnvelopeSingularity, FieldOnGrid, GapViolation,
                         quadrature_self_test, solve_bands,
                         solve_cell_functions, synthesize_periodic,
                         two_phase_1d, wavenumber_quadrature)
+from blochhomog import fields
 from blochhomog.fields import (SYNTH_BLOCK, _eigenvalues_below,
                                _periodic_phase, _resolvent_term)
 from blochhomog.source import FrequencySpec
@@ -345,6 +347,180 @@ def test_resolvent_property_1d(source1d, G2, rho2, radius, cutoff, node,
                          omega2=lam)
     with pytest.raises(GapViolation):
         exact_bloch_solution(gamma, freq, source1d, quad_, (ax,))
+
+
+# ---------------------------------------------------------------------------
+# Time-reversal pairing of +-k nodes and the Cholesky path
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _pairing_case(draw, dim):
+    """One inclusion of random contrast and size, centred or off-centre, a
+    cutoff, a branch 0..2 and a gauge phase for c0."""
+    radius = draw(st.floats(0.05, 0.2))
+    centred = draw(st.booleans())
+    centre = tuple(0.0 if centred else draw(st.floats(-0.25, 0.25))
+                   for _ in range(dim))
+    spec = MediumSpec(dimension=dim, background_G=draw(st.floats(0.2, 5.0)),
+                      background_rho=draw(st.floats(0.2, 5.0)),
+                      inclusions=(Inclusion(center=centre, radius=radius,
+                                            G=draw(st.floats(0.2, 20.0)),
+                                            rho=draw(st.floats(0.2, 30.0))),))
+    cutoff = draw(st.integers(4, 16) if dim == 1 else st.integers(2, 4))
+    return (spec, cutoff, draw(st.integers(0, 2)),
+            draw(st.floats(-np.pi, np.pi)))
+
+
+def _paired_and_per_node(gamma, freq, quad_, axes):
+    """The exact field as solved (paired when the guard allows) and with
+    every node solved."""
+    source = SourceSpec(envelope=GaussianEnvelope(quad_.dimension), k_max=8.0)
+    u = exact_bloch_solution(gamma, freq, source, quad_, axes)
+    with mock.patch.object(fields, "PAIR_TOL", -1.0):      # never pair
+        ref = exact_bloch_solution(gamma, freq, source, quad_, axes)
+    assert ref.meta["solves"] == len(quad_.nodes)
+    return u, ref
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_paired_solves_equal_per_node_solves(dim, data):
+    """x(-k) = e^{-i theta} P conj(x(k)): one solve per +-k pair gives the
+    field solved at every node, on the Cholesky (branch 0) and the
+    Bunch-Kaufman (branches 1, 2) path, in any c0 gauge.  To 1e-12 when c0
+    is made exactly time-reversal symmetric; the eigensolver's c0 is so only
+    up to pair_residual (~1e-12 on centred media), which the fields then
+    differ by."""
+    spec, cutoff, branch, theta = data.draw(_pairing_case(dim))
+    gamma = eigenpair_at_gamma(spec, branch, cutoff)
+    gamma = dataclasses.replace(gamma, coeffs=np.exp(1j * theta) * gamma.coeffs)
+    eps = 0.25
+    freq = FrequencySpec(branch=branch, sigma=-1, omega_hat=1.0, eps=eps,
+                         omega2=gamma.omega2 - eps ** 2)
+    quad_ = wavenumber_quadrature(dim, 8.0, 8)
+    # a drive nearer an eigenvalue amplifies the roundoff of the solves
+    # themselves, at k and -k alike, past 1e-12
+    pencil = bloch_pencil(gamma.table, gamma.basis)
+    assume(min(np.min(np.abs(scipy.linalg.eigh(
+        pencil.stiffness(eps * khat), pencil.B, eigvals_only=True,
+        subset_by_index=(0, branch + 2)) - freq.omega2))
+        for khat in quad_.nodes) >= 1e-2)
+    axes = (np.linspace(-1.3, 0.9, 11), np.linspace(-0.7, 1.6, 9))[:dim]
+    u, ref = _paired_and_per_node(gamma, freq, quad_, axes)
+    residual = u.meta["pair_residual"]
+    if residual > fields.PAIR_TOL:                 # degenerate: not paired
+        assert u.meta["solves"] == len(quad_.nodes)
+        assert np.array_equal(u.values, ref.values)
+        return
+    assert u.meta["solves"] == len(quad_.nodes) // 2
+    assert _rel(u.values, ref.values) <= 1e-12 + 10.0 * residual
+    P, phase, _ = fields._time_reversal(gamma.basis, pencil.B, gamma.coeffs)
+    gamma = dataclasses.replace(gamma, coeffs=0.5 * (
+        gamma.coeffs + np.conj(phase) * gamma.coeffs[P].conj()))
+    u, ref = _paired_and_per_node(gamma, freq, quad_, axes)
+    assert u.meta["pair_residual"] <= 1e-14
+    assert _rel(u.values, ref.values) <= 1e-12
+
+
+@pytest.mark.parametrize("points, solves", [(64, 32), (65, 33)])
+def test_one_solve_per_pm_k_pair(gamma1d_32, source1d, points, solves):
+    """k = 0 (odd rule) pairs with itself; eps k_max = 2 keeps every node."""
+    quad_ = wavenumber_quadrature(1, 8.0, points)
+    freq = FrequencySpec(branch=0, sigma=-1, omega_hat=1.0, eps=0.25,
+                         omega2=-0.0625)
+    ax = (np.linspace(-2.0, 2.0, 9),)
+    u = exact_bloch_solution(gamma1d_32, freq, source1d, quad_, ax)
+    assert u.meta["solves"] == solves
+    assert u.meta["pair_residual"] <= fields.PAIR_TOL
+    assert u.meta["factorization"] == "cholesky"
+    up = branch_solution(gamma1d_32, freq, source1d, quad_, ax)
+    assert up.meta["solves"] == solves and up.meta["factorization"] is None
+
+
+def test_degenerate_branch_falls_back_to_per_node_solves(source2d):
+    """Branch 1 of an off-centre disk is degenerate with branch 2 (square
+    symmetry), so P conj(c0) is not a multiple of c0: every node is solved
+    and the field still equals the mode sum."""
+    disk = disk_2d()
+    spec = dataclasses.replace(disk, inclusions=(dataclasses.replace(
+        disk.inclusions[0], center=(0.13, -0.07)),))
+    gamma = eigenpair_at_gamma(spec, 1, 3)
+    eps = 0.25
+    quad_ = wavenumber_quadrature(2, 8.0, 8)
+    freq = FrequencySpec(branch=1, sigma=-1, omega_hat=1.0, eps=eps,
+                         omega2=gamma.omega2 - eps ** 2)
+    axes = (np.linspace(-1.0, 0.6, 7), np.linspace(-0.4, 1.5, 5))
+    u = exact_bloch_solution(gamma, freq, source2d, quad_, axes)
+    assert u.meta["pair_residual"] > 1e-3
+    assert u.meta["solves"] == 64 and u.meta["factorization"] == "ldl"
+    spectra = _node_spectra(gamma, source2d, quad_, eps)
+    assert _rel(u.values, _mode_sum(gamma, spectra, freq, axes)) < 1e-10
+
+
+def test_pairing_guard_is_the_residual_not_the_phase_modulus(med1d):
+    """c0 + 1e-6 c1 (c1 odd, c0 even) has |e^{i theta}| = 1 - 2e-12 but a
+    residual of 2e-6, and pairing it would move the field by ~1e-6: it must
+    be solved at every node."""
+    c0, c1 = (eigenpair_at_gamma(med1d, p, 16).coeffs for p in (0, 1))
+    gamma = eigenpair_at_gamma(med1d, 0, 16)
+    gamma = dataclasses.replace(gamma, coeffs=(c0 + 1e-6 * c1) / np.sqrt(
+        1.0 + 1e-12))
+    freq = FrequencySpec(branch=0, sigma=-1, omega_hat=1.0, eps=0.25,
+                         omega2=-0.0625)
+    quad_ = wavenumber_quadrature(1, 8.0, 8)
+    u, ref = _paired_and_per_node(gamma, freq, quad_,
+                                  (np.linspace(-1.3, 0.9, 11),))
+    assert u.meta["pair_residual"] == pytest.approx(2e-6, rel=1e-3)
+    assert u.meta["solves"] == 8
+    assert np.array_equal(u.values, ref.values)
+
+
+def test_gap_violation_just_below_zero_at_gamma(homog_setup):
+    """omega^2 = -DENOM_TOL/2 lies within DENOM_TOL of omega_0^2(0) = 0, on
+    the node k = 0 of an odd rule: still the checked (LDL) path."""
+    gamma, _, source, _ = homog_setup
+    quad_ = wavenumber_quadrature(1, 8.0, 9)
+    freq = FrequencySpec(branch=0, sigma=-1, omega_hat=1.0, eps=0.25,
+                         omega2=-0.5 * fields.DENOM_TOL)
+    ax = (np.linspace(-1.0, 1.0, 5),)
+    for solver in (exact_bloch_solution, branch_solution):
+        with pytest.raises(GapViolation):
+            solver(gamma, freq, source, quad_, ax)
+
+
+def _diagonal_pencil(eigenvalue, k):
+    """Hand-built 3x3 pencil, B = I, with S(k) = diag(eigenvalue, ...)."""
+    basis = PlaneWaveBasis(1, 1)
+    tp = 2.0 * np.pi * basis.indices
+    G = np.diag([eigenvalue / k[0] ** 2, 1.0, 1.0])
+    return BlochPencil(basis=basis, G=G, B=np.eye(3), tp=tp)
+
+
+def test_cholesky_path_starts_strictly_below_minus_denom_tol():
+    """At omega^2 = -DENOM_TOL an eigenvalue -DENOM_TOL/2 leaves S - omega^2
+    B definite, but lies within DENOM_TOL: the inertia check must see it."""
+    k = np.array([0.5])
+    pencil = _diagonal_pencil(-0.5 * fields.DENOM_TOL, k)
+    with pytest.raises(GapViolation):
+        _resolvent_term(pencil, -fields.DENOM_TOL, k, np.ones(3), set())
+
+
+def test_indefinite_pencil_below_spectrum_raises(gamma1d_32, source1d,
+                                                 quad1d, monkeypatch):
+    """A failed Cholesky factorization is a GapViolation, for a hand-built
+    pencil and for the exact solver given one (S negated): no field."""
+    k = np.array([0.5])
+    with pytest.raises(GapViolation, match="not positive definite"):
+        _resolvent_term(_diagonal_pencil(-1.0, k), -0.5, k, np.ones(3), set())
+    negated = lambda table, basis: dataclasses.replace(
+        bloch_pencil(table, basis), G=-bloch_pencil(table, basis).G)
+    monkeypatch.setattr(fields, "bloch_pencil", negated)
+    freq = FrequencySpec(branch=0, sigma=-1, omega_hat=1.0, eps=0.25,
+                         omega2=-0.0625)
+    with pytest.raises(GapViolation, match="not positive definite"):
+        exact_bloch_solution(gamma1d_32, freq, source1d, quad1d,
+                             (np.linspace(-1.0, 1.0, 5),))
 
 
 # ---------------------------------------------------------------------------
