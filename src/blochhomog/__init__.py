@@ -9,19 +9,17 @@ from .bloch import (PlaneWaveBasis, BlochPencil, bloch_pencil, solve_bands,
                     assemble_operator, brillouin_path, dispersion_diagram,
                     DispersionDiagram, BandGap, find_band_gaps, fix_phase,
                     export_diagram_csv, eigenpair_at_gamma, GammaPair)
-from .cell import (symmetrize_full, symmetrize_partial, pencil_blocks,
-                   ConstrainedSolver, CellFunctions, solve_cell_functions,
-                   EffectiveCoefficients, effective_coefficients,
-                   extrapolated_coefficients, dispersion_expansion_check,
-                   CompatibilityViolation, SingularSystem)
+from .cell import (symmetrize_full, pencil_blocks, ConstrainedSolver,
+                   CellFunctions, solve_cell_functions, EffectiveCoefficients,
+                   effective_coefficients, extrapolated_coefficients,
+                   dispersion_expansion_check, CompatibilityViolation,
+                   SingularSystem)
 from .source import (GaussianEnvelope, SourceSpec, FrequencySpec,
-                     drive_frequency, make_frequency, sample_source,
-                     projection_check, NotInGap)
+                     drive_frequency, make_frequency, sample_source, NotInGap)
 from .fields import (WavenumberQuadrature, wavenumber_quadrature,
-                     quadrature_self_test, FieldOnGrid, synthesize_periodic,
+                     FieldOnGrid, synthesize_periodic,
                      exact_bloch_solution, branch_solution, effective_envelope,
-                     envelope_pde_residual, homogenized_field,
-                     homogenized_fields,
+                     homogenized_field, homogenized_fields,
                      export_field_csv, export_field_npz,
                      GapViolation, EnvelopeSingularity)
 from .convergence import (ReferenceConfig, reference_solution, relative_error,

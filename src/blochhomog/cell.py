@@ -58,13 +58,6 @@ def symmetrize_full(T: np.ndarray) -> np.ndarray:
     return sum(np.transpose(T, p) for p in perms) / len(perms)
 
 
-def symmetrize_partial(T: np.ndarray) -> np.ndarray:
-    """Average over permutations of all indices except the first."""
-    n = T.ndim
-    perms = list(itertools.permutations(range(1, n)))
-    return sum(np.transpose(T, (0,) + p) for p in perms) / len(perms)
-
-
 # ---------------------------------------------------------------------------
 # Matrix blocks of the pencil expansion at k = 0
 # ---------------------------------------------------------------------------

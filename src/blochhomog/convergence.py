@@ -4,8 +4,16 @@ Independent finite-difference reference solver and the convergence harness.
 The reference discretizes  -div(G grad u) - omega^2 rho u = eps^2 f_eps(eps x)
 on the truncated domain [-L, L]^d, L = half_width + 1/2, with homogeneous
 Dirichlet conditions — legitimate because in-gap frequencies make the
-solution decay exponentially.  A conservative second-order stencil is used,
-with face conductivities formed by harmonic averaging across each face.
+solution decay exponentially.  One assembler serves every d: along each
+axis a, the face between nodes j and j+1 carries the harmonic mean
+G_f = 2 G_- G_+ / (G_- + G_+) of G sampled h/4 to either side, and with
+w = G_f / h^2 the conservative second-order stencil is
+
+    A = diag(sum_a (w_lo,a + w_hi,a) - omega^2 rho) - w on the +-stride_a bands,
+
+stride_a = n_i^(d-1-a) for n_i interior nodes per axis (C order), with no
+coupling past the last node along an axis.  A is real, so the complex
+right-hand side is solved as two real columns of one sparse LU.
 
 convergence_study compares every requested homogenized order with one
 reference per eps; the orders share one cell synthesis on that grid.
@@ -21,7 +29,7 @@ import scipy.sparse.linalg as spla
 from scipy.integrate import trapezoid
 
 from .bloch import GammaPair
-from .fields import FieldOnGrid, homogenized_fields
+from .fields import FieldOnGrid, _grid_points, homogenized_fields
 from .medium import evaluate_coefficient
 from .source import (SourceSpec, FrequencySpec, drive_frequency,
                      make_frequency, sample_source)
@@ -38,123 +46,57 @@ class ReferenceConfig:
     decay_threshold: float = 1e-6
 
 
-def _grid_1d(cfg: ReferenceConfig):
-    L = cfg.half_width + 0.5
-    h = 1.0 / cfg.points_per_cell
-    n = int(round(2 * L / h)) + 1
-    return np.linspace(-L, L, n), h
-
-
 def reference_solution(gamma: GammaPair, freq: FrequencySpec,
                        source: SourceSpec, cfg: ReferenceConfig) -> FieldOnGrid:
-    """Sparse direct solve of the truncated-domain problem."""
-    if gamma.spec.dimension == 1:
-        return _reference_1d(gamma, freq, source, cfg)
-    return _reference_2d(gamma, freq, source, cfg)
-
-
-def _reference_1d(gamma, freq, source, cfg):
+    """Sparse direct solve of the truncated-domain problem (see module doc)."""
     spec = gamma.spec
-    x, h = _grid_1d(cfg)
-    n = len(x)
-    eps = freq.eps
+    d = spec.dimension
+    L = cfg.half_width + 0.5
+    h = 1.0 / cfg.points_per_cell
+    x = np.linspace(-L, L, int(round(2 * L / h)) + 1)
+    xi = x[1:-1]                        # interior nodes per axis
+    ni = len(xi)
+    faces = x[:-1] + 0.5 * h            # face between node j and j+1
 
-    faces = x[:-1] + 0.5 * h
-    Gl = evaluate_coefficient(spec, "G", faces - 0.25 * h)
-    Gr = evaluate_coefficient(spec, "G", faces + 0.25 * h)
-    Gf = 2.0 * Gl * Gr / (Gl + Gr)
-    rho = evaluate_coefficient(spec, "rho", x)
+    main = np.zeros((ni,) * d)
+    bands, offsets = [], []
+    for a in range(d):
+        along = [xi] * d
+        along[a] = faces - 0.25 * h
+        G_minus = evaluate_coefficient(spec, "G", _grid_points(along))
+        along[a] = faces + 0.25 * h
+        G_plus = evaluate_coefficient(spec, "G", _grid_points(along))
+        w = 2.0 * G_minus * G_plus / (G_minus + G_plus) / h ** 2
+        w_lo = np.take(w, np.arange(ni), axis=a)
+        w_hi = np.take(w, np.arange(1, ni + 1), axis=a)
+        main += w_lo
+        main += w_hi
+        # a node first (last) along a meets the Dirichlet wall on its lo
+        # (hi) face: that weight stays on the diagonal only
+        first = (np.arange(ni) == 0).reshape((-1,) + (1,) * (d - 1 - a))
+        stride = ni ** (d - 1 - a)
+        bands += [-np.where(first, 0.0, w_lo).ravel()[stride:],
+                  -np.where(first[::-1], 0.0, w_hi).ravel()[:-stride]]
+        offsets += [-stride, stride]
+    interior = _grid_points((xi,) * d)
+    main = main.ravel() - freq.omega2 * evaluate_coefficient(
+        spec, "rho", interior).ravel()
+    A = sp.diags([main] + bands, offsets=[0] + offsets, format="csc")
+    rhs = freq.eps ** 2 * sample_source(gamma, source, freq.eps,
+                                        interior).ravel()
+    # A is real: the real and imaginary parts share one factorization
+    sol = spla.splu(A).solve(np.column_stack([rhs.real, rhs.imag]))
 
-    xi = x[1:-1]                        # interior unknowns
-    wl = Gf[:-1] / h ** 2               # face left of node i+1
-    wr = Gf[1:] / h ** 2
-    main = wl + wr - freq.omega2 * rho[1:-1]
-    A = sp.diags([-wl[1:], main, -wr[:-1]], offsets=[-1, 0, 1], format="csc")
-    rhs = eps ** 2 * sample_source(gamma, source, eps, xi)
-
-    u_int = spla.spsolve(A, rhs.astype(complex))
-    u = np.zeros(n, dtype=complex)
-    u[1:-1] = u_int
-
+    u = np.zeros((len(x),) * d, dtype=complex)
+    u[(slice(1, -1),) * d] = (sol[:, 0] + 1j * sol[:, 1]).reshape((ni,) * d)
     peak = np.max(np.abs(u))
-    edge = max(abs(u[1]), abs(u[-2]))
+    edge = max(np.abs(np.take(u, [1, -2], axis=a)).max() for a in range(d))
     if peak > 0 and edge > cfg.decay_threshold * peak:
         raise DecayCheckFailed(
             f"boundary/peak = {edge / peak:.2e} exceeds {cfg.decay_threshold:.0e}")
-    return FieldOnGrid(axes=(x,), values=u, label="reference solution",
-                       meta={"eps": eps, "boundary_ratio": edge / peak if peak else 0.0})
-
-
-def _reference_2d(gamma, freq, source, cfg):
-    spec = gamma.spec
-    x, h = _grid_1d(cfg)
-    n = len(x)
-    eps = freq.eps
-    ni = n - 2
-    xi = x[1:-1]
-
-    X1, X2 = np.meshgrid(x, x, indexing="ij")
-    pts = np.stack([X1, X2], axis=-1)
-    rho = evaluate_coefficient(spec, "rho", pts)
-
-    def face_cond(axis):
-        # faces between node i and i+1 along `axis`, sampled h/4 to each side
-        if axis == 0:
-            fp = np.stack(np.meshgrid(x[:-1] + 0.5 * h, x, indexing="ij"), axis=-1)
-            off = np.array([0.25 * h, 0.0])
-        else:
-            fp = np.stack(np.meshgrid(x, x[:-1] + 0.5 * h, indexing="ij"), axis=-1)
-            off = np.array([0.0, 0.25 * h])
-        Ga = evaluate_coefficient(spec, "G", fp - off)
-        Gb = evaluate_coefficient(spec, "G", fp + off)
-        return 2.0 * Ga * Gb / (Ga + Gb)
-
-    Gx = face_cond(0)                   # (n-1, n)
-    Gy = face_cond(1)                   # (n, n-1)
-
-    def gid(i, j):                      # interior numbering
-        return (i - 1) * ni + (j - 1)
-
-    N2 = ni * ni
-    I, J = np.meshgrid(np.arange(1, n - 1), np.arange(1, n - 1), indexing="ij")
-    I = I.ravel()
-    J = J.ravel()
-    me = gid(I, J)
-
-    wW = Gx[I - 1, J] / h ** 2
-    wE = Gx[I, J] / h ** 2
-    wS = Gy[I, J - 1] / h ** 2
-    wN = Gy[I, J] / h ** 2
-    main = wW + wE + wS + wN - freq.omega2 * rho[I, J]
-
-    rows = [me]
-    cols = [me]
-    vals = [main]
-    for w, di, dj in ((wW, -1, 0), (wE, 1, 0), (wS, 0, -1), (wN, 0, 1)):
-        keep = (I + di >= 1) & (I + di <= n - 2) & (J + dj >= 1) & (J + dj <= n - 2)
-        rows.append(me[keep])
-        cols.append(gid(I[keep] + di, J[keep] + dj))
-        vals.append(-w[keep])
-    A = sp.csc_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(N2, N2))
-
-    Xi, Xj = np.meshgrid(xi, xi, indexing="ij")
-    pts_i = np.stack([Xi, Xj], axis=-1)
-    rhs = eps ** 2 * sample_source(gamma, source, eps, pts_i).ravel()
-
-    u_int = spla.spsolve(A, rhs.astype(complex))
-    u = np.zeros((n, n), dtype=complex)
-    u[1:-1, 1:-1] = u_int.reshape(ni, ni)
-
-    peak = np.max(np.abs(u))
-    edge = max(np.abs(u[1, :]).max(), np.abs(u[-2, :]).max(),
-               np.abs(u[:, 1]).max(), np.abs(u[:, -2]).max())
-    if peak > 0 and edge > cfg.decay_threshold * peak:
-        raise DecayCheckFailed(
-            f"boundary/peak = {edge / peak:.2e} exceeds {cfg.decay_threshold:.0e}")
-    return FieldOnGrid(axes=(x, x), values=u, label="reference solution",
-                       meta={"eps": eps, "boundary_ratio": edge / peak if peak else 0.0})
+    return FieldOnGrid(axes=(x,) * d, values=u, label="reference solution",
+                       meta={"eps": freq.eps,
+                             "boundary_ratio": edge / peak if peak else 0.0})
 
 
 # ---------------------------------------------------------------------------

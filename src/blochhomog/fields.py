@@ -107,19 +107,6 @@ def wavenumber_quadrature(dimension: int, k_max: float = 8.0,
                                 nodes=nodes, weights=weights)
 
 
-def quadrature_self_test(quad: WavenumberQuadrature) -> float:
-    """Worst relative error integrating exp(-|k|^2/4) and k^2 exp(-|k|^2/4)."""
-    from scipy.special import erf
-    k = quad.axis_nodes
-    w = quad.axis_weights
-    a = quad.k_max
-    exact0 = 2.0 * np.sqrt(np.pi) * erf(a / 2.0)
-    got0 = float(w @ np.exp(-k ** 2 / 4.0))
-    exact2 = 4.0 * np.sqrt(np.pi) * erf(a / 2.0) - 4.0 * a * np.exp(-a ** 2 / 4.0)
-    got2 = float(w @ (k ** 2 * np.exp(-k ** 2 / 4.0)))
-    return max(abs(got0 - exact0) / exact0, abs(got2 - exact2) / abs(exact2))
-
-
 # ---------------------------------------------------------------------------
 # Grids and field containers
 # ---------------------------------------------------------------------------
@@ -531,21 +518,6 @@ def effective_envelope(eff: EffectiveCoefficients, freq: FrequencySpec,
     """
     return _envelopes(eff, freq, source, quad, axes,
                       [(order, [derivative])])[..., 0]
-
-
-def envelope_pde_residual(eff: EffectiveCoefficients, freq: FrequencySpec,
-                          source: SourceSpec, quad: WavenumberQuadrature,
-                          axes) -> float:
-    """Max residual of  mu0 : grad^2 W0 + rho0 sigma Omega_hat^2 W0 = -rho0 g
-    with g the inverse transform of F, all evaluated spectrally."""
-    d = quad.dimension
-    second = [(a, b) for a in range(d) for b in range(d)]
-    W = _envelopes(eff, freq, source, quad, axes, [(0, second + [()])])
-    W0 = W[..., -1]
-    g = source.envelope.modulation(_grid_points(axes))
-    res = (W[..., :-1] @ eff.mu0.ravel()
-           + eff.rho0 * (freq.sigma * freq.omega_hat ** 2 * W0 + g))
-    return float(np.max(np.abs(res)) / max(np.max(np.abs(W0)), 1e-300))
 
 
 # ---------------------------------------------------------------------------

@@ -77,11 +77,6 @@ class CoefficientTable:
     G_hat: np.ndarray
     rho_hat: np.ndarray
 
-    def value(self, which: str, n) -> complex:
-        arr = self.G_hat if which == "G" else self.rho_hat
-        idx = tuple(int(c) + self.cutoff for c in np.atleast_1d(n))
-        return arr[idx]
-
 
 def _indicator_hat(dimension: int, center, radius: float, n_grid):
     """Fourier coefficients of the inclusion indicator on an integer index grid.

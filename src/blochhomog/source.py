@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BandGap, DispersionDiagram, GammaPair, bloch_pencil
+from .bloch import BandGap, DispersionDiagram, GammaPair
 from .medium import evaluate_coefficient
 
 
@@ -148,57 +148,16 @@ def make_frequency(gamma: GammaPair, gaps: list[BandGap] | DispersionDiagram,
 
 
 def sample_source(gamma: GammaPair, source: SourceSpec, eps: float,
-                  x_points, quad=None) -> np.ndarray:
+                  x_points) -> np.ndarray:
     """Evaluate f_eps(eps x) on points in fast coordinates.
 
     Material density is the sharp pointwise value; the eigenfunction is
-    synthesized from its Fourier coefficients.  With `quad` given (a
-    WavenumberQuadrature), the envelope modulation is computed by numerical
-    quadrature instead of the closed form — the two must agree to
-    quadrature accuracy.
+    synthesized from its Fourier coefficients and the envelope modulation
+    is the closed form.
     """
     from .fields import synthesize_periodic  # local import, no cycle at module load
 
     x = np.asarray(x_points, dtype=float)
-    spec = gamma.spec
-    rho = evaluate_coefficient(spec, "rho", x)
+    rho = evaluate_coefficient(gamma.spec, "rho", x)
     phi = synthesize_periodic(gamma.basis, gamma.coeffs, x)
-    if quad is None:
-        mod = source.envelope.modulation(eps * x)
-    else:
-        d = spec.dimension
-        F = source.envelope.spectrum(quad.nodes)
-        phase = np.exp(1j * eps * (x.reshape(-1, d) @ quad.nodes.T))
-        mod = ((2.0 * np.pi) ** (-d / 2.0)
-               * (phase @ (quad.weights * F))).reshape(rho.shape)
-    return mod * rho * phi
-
-
-def projection_check(gamma: GammaPair, source: SourceSpec, eps: float,
-                     k, coeffs_other, half_width: float,
-                     points_per_cell: int = 32) -> float:
-    """Discrepancy between the closed-form projection of the source onto a
-    Bloch mode and its brute-force trapezoid evaluation.
-
-    Closed form: int f_eps(eps x) conj(e^{ik.x} phi(x)) dx
-               = eps^{-d} (2 pi)^{d/2} conj(<rho conj(phi_p) phi>) F(k/eps).
-    """
-    from .fields import _grid_points, synthesize_periodic
-
-    d = gamma.spec.dimension
-    Bmat = bloch_pencil(gamma.table, gamma.basis).B
-    # <rho conj(phi_p) phi> with phi = the other mode
-    inner = np.vdot(gamma.coeffs, Bmat @ np.asarray(coeffs_other))
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    F = source.envelope.spectrum((k / eps)[None, :])[0]
-    closed = (eps ** -d) * (2.0 * np.pi) ** (d / 2.0) * np.conj(inner) * F
-
-    h = 1.0 / points_per_cell
-    n = int(round(2 * half_width / h))
-    ax = -half_width + (np.arange(n) + 0.5) * h
-    pts = _grid_points((ax,) * d)
-    fvals = sample_source(gamma, source, eps, pts)
-    mode = np.exp(1j * (pts @ k)) * synthesize_periodic(
-        gamma.basis, np.asarray(coeffs_other), pts)
-    brute = np.sum(fvals * np.conj(mode)) * h ** d
-    return abs(brute - closed)
+    return source.envelope.modulation(eps * x) * rho * phi

@@ -61,8 +61,8 @@ def test_periodicity_under_reciprocal_shift(med1d):
     # hand-built pencil on the shifted index set {j + 1} at wavevector k
     jj = basis.indices[:, 0] + 1
     diff = jj[:, None] - jj[None, :]
-    G = np.array([[table.value("G", [n]) for n in row] for row in diff])
-    R = np.array([[table.value("rho", [n]) for n in row] for row in diff])
+    G = table.G_hat[diff + table.cutoff]
+    R = table.rho_hat[diff + table.cutoff]
     freqs = 2 * np.pi * jj + k
     S_shift = G * np.outer(freqs, freqs)
     w2 = scipy.linalg.eigh(S2, B2, eigvals_only=True, subset_by_index=(0, 5))

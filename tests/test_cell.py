@@ -11,8 +11,8 @@ from blochhomog import (CompatibilityViolation, ConstrainedSolver, Inclusion,
                         dispersion_expansion_check,
                         effective_coefficients, eigenpair_at_gamma,
                         extrapolated_coefficients, pencil_blocks, solve_bands,
-                        solve_cell_functions, symmetrize_full,
-                        symmetrize_partial, two_phase_1d, disk_2d)
+                        solve_cell_functions, symmetrize_full, two_phase_1d,
+                        disk_2d)
 from blochhomog.cell import DIAGNOSTIC_TOL
 
 
@@ -25,15 +25,6 @@ def test_symmetrize_full_rank2():
     S = symmetrize_full(T)
     assert np.allclose(S, 0.5 * (T + T.T))
     assert np.allclose(symmetrize_full(S), S)       # idempotent
-
-
-def test_symmetrize_partial_rank3():
-    T = np.zeros((3, 3, 3))
-    T[0, 1, 2] = 1.0                                # e1 (x) e2 (x) e3
-    S = symmetrize_partial(T)
-    expected = np.zeros_like(T)
-    expected[0, 1, 2] = expected[0, 2, 1] = 0.5
-    assert np.allclose(S, expected)
 
 
 def test_symmetrize_full_rank4_random():

@@ -65,25 +65,35 @@ def test_slope_fit_with_noise():
 # Finite-difference reference
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def homog_ref_setup():
-    spec = spec_from_dict({"d": 1, "background": {"G": 1.0, "rho": 1.0},
+def _homog_ref_setup(d, cutoff, nodes):
+    spec = spec_from_dict({"d": d, "background": {"G": 1.0, "rho": 1.0},
                            "inclusions": []})
-    gamma = eigenpair_at_gamma(spec, 0, 4)
-    source = SourceSpec(envelope=GaussianEnvelope(1), k_max=8.0)
+    gamma = eigenpair_at_gamma(spec, 0, cutoff)
+    source = SourceSpec(envelope=GaussianEnvelope(d), k_max=8.0)
     freq = FrequencySpec(branch=0, sigma=-1, omega_hat=1.0, eps=0.5,
                          omega2=-0.25)
-    quad_ = wavenumber_quadrature(1, 8.0, 128)
-    return gamma, freq, source, quad_
+    return gamma, freq, source, wavenumber_quadrature(d, 8.0, nodes)
 
 
-def test_reference_second_order_in_h(homog_ref_setup):
+@pytest.fixture(scope="module")
+def homog_ref_setup():
+    return _homog_ref_setup(1, 4, 128)
+
+
+# d -> (cutoff, quadrature nodes per axis, half width, points per cell)
+SECOND_ORDER_CASES = {1: (4, 128, 20, (8, 16, 32)),
+                      2: (2, 64, 16, (1, 2, 4))}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_reference_second_order_in_h(d):
     """On a constant-coefficient medium the spectral solution is exact, so
     the finite-difference error must shrink by ~4x per mesh doubling."""
-    gamma, freq, source, quad_ = homog_ref_setup
+    cutoff, nodes, half_width, ppcs = SECOND_ORDER_CASES[d]
+    gamma, freq, source, quad_ = _homog_ref_setup(d, cutoff, nodes)
     errs = []
-    for ppc in (8, 16, 32):
-        cfg = ReferenceConfig(half_width=20, points_per_cell=ppc,
+    for ppc in ppcs:
+        cfg = ReferenceConfig(half_width=half_width, points_per_cell=ppc,
                               decay_threshold=1e-3)
         ref = reference_solution(gamma, freq, source, cfg)
         exact = exact_bloch_solution(gamma, freq, source, quad_, ref.axes)

@@ -14,16 +14,15 @@ from blochhomog import (BlochPencil, EnvelopeSingularity, FieldOnGrid,
                         bloch_pencil, branch_solution,
                         disk_2d,
                         effective_coefficients, effective_envelope,
-                        eigenpair_at_gamma, envelope_pde_residual,
+                        eigenpair_at_gamma,
                         exact_bloch_solution, export_field_csv,
                         export_field_npz, homogenized_field,
-                        homogenized_fields,
-                        quadrature_self_test, solve_bands,
+                        homogenized_fields, solve_bands,
                         solve_cell_functions, synthesize_periodic,
                         two_phase_1d, wavenumber_quadrature)
 from blochhomog import fields
-from blochhomog.fields import (SYNTH_BLOCK, _eigenvalues_below,
-                               _periodic_phase, _resolvent_term)
+from blochhomog.fields import (SYNTH_BLOCK, _eigenvalues_below, _envelopes,
+                               _grid_points, _periodic_phase, _resolvent_term)
 from blochhomog.source import FrequencySpec
 
 
@@ -40,6 +39,19 @@ def homog_setup():
 # ---------------------------------------------------------------------------
 # Quadrature
 # ---------------------------------------------------------------------------
+
+def quadrature_self_test(quad_):
+    """Worst relative error integrating exp(-|k|^2/4) and k^2 exp(-|k|^2/4)."""
+    from scipy.special import erf
+    k = quad_.axis_nodes
+    w = quad_.axis_weights
+    a = quad_.k_max
+    exact0 = 2.0 * np.sqrt(np.pi) * erf(a / 2.0)
+    got0 = float(w @ np.exp(-k ** 2 / 4.0))
+    exact2 = 4.0 * np.sqrt(np.pi) * erf(a / 2.0) - 4.0 * a * np.exp(-a ** 2 / 4.0)
+    got2 = float(w @ (k ** 2 * np.exp(-k ** 2 / 4.0)))
+    return max(abs(got0 - exact0) / exact0, abs(got2 - exact2) / abs(exact2))
+
 
 def test_quadrature_self_test_gauss():
     q = wavenumber_quadrature(1, 8.0, 64)
@@ -552,6 +564,19 @@ def test_w2_reduces_to_w0_without_mu2(homog_setup):
     W0 = effective_envelope(eff0, freq, source, quad_, 0, (r,))
     W2 = effective_envelope(eff0, freq, source, quad_, 2, (r,))
     assert np.max(np.abs(W2 - W0)) < 1e-14
+
+
+def envelope_pde_residual(eff, freq, source, quad_, axes):
+    """Max residual of  mu0 : grad^2 W0 + rho0 sigma Omega_hat^2 W0 = -rho0 g
+    with g the inverse transform of F, all evaluated spectrally."""
+    d = quad_.dimension
+    second = [(a, b) for a in range(d) for b in range(d)]
+    W = _envelopes(eff, freq, source, quad_, axes, [(0, second + [()])])
+    W0 = W[..., -1]
+    g = source.envelope.modulation(_grid_points(axes))
+    res = (W[..., :-1] @ eff.mu0.ravel()
+           + eff.rho0 * (freq.sigma * freq.omega_hat ** 2 * W0 + g))
+    return float(np.max(np.abs(res)) / max(np.max(np.abs(W0)), 1e-300))
 
 
 def test_envelope_pde_residual(homog_setup):

@@ -14,16 +14,17 @@ from blochhomog import (Inclusion, MediumSpec, evaluate_coefficient,
 
 def test_mean_values_1d(med1d):
     table = fourier_table(med1d, 4)
-    assert abs(table.value("G", [0]) - 3.5) < 1e-12
-    assert abs(table.value("rho", [0]) - 10.5) < 1e-12
+    # q_hat(n) sits at index n + cutoff on each axis
+    assert abs(table.G_hat[4] - 3.5) < 1e-12
+    assert abs(table.rho_hat[4] - 10.5) < 1e-12
 
 
 def test_mean_values_2d(med2d):
     table = fourier_table(med2d, 4)
     # background + contrast * disk area
-    assert abs(table.value("rho", [0, 0]) - (1.0 + 19.0 * np.pi * 0.09)) < 1e-12
-    assert abs(table.value("rho", [0, 0]) - 6.372123437638546) < 1e-12
-    assert abs(table.value("G", [0, 0]) - (1.0 + 5.0 * np.pi * 0.09)) < 1e-12
+    assert abs(table.rho_hat[4, 4] - (1.0 + 19.0 * np.pi * 0.09)) < 1e-12
+    assert abs(table.rho_hat[4, 4] - 6.372123437638546) < 1e-12
+    assert abs(table.G_hat[4, 4] - (1.0 + 5.0 * np.pi * 0.09)) < 1e-12
 
 
 def test_hermitian_symmetry_off_center():
@@ -32,8 +33,8 @@ def test_hermitian_symmetry_off_center():
                                             G=4.0, rho=9.0),))
     table = fourier_table(spec, 6)
     for n in range(1, 7):
-        assert abs(table.value("G", [n]) - np.conj(table.value("G", [-n]))) < 1e-14
-        assert abs(table.value("rho", [n]) - np.conj(table.value("rho", [-n]))) < 1e-14
+        assert abs(table.G_hat[6 + n] - np.conj(table.G_hat[6 - n])) < 1e-14
+        assert abs(table.rho_hat[6 + n] - np.conj(table.rho_hat[6 - n])) < 1e-14
 
 
 def test_partial_sum_converges_to_sharp_profile(med1d):
@@ -56,8 +57,8 @@ def test_partial_sum_converges_to_sharp_profile(med1d):
 def test_smoothing_damps_high_modes(med1d):
     sharp = fourier_table(med1d, 8)
     smooth = fourier_table(two_phase_1d(smoothing=0.05), 8)
-    assert abs(smooth.value("G", [8])) < 0.1 * abs(sharp.value("G", [8]))
-    assert abs(smooth.value("G", [0]) - sharp.value("G", [0])) < 1e-12
+    assert abs(smooth.G_hat[16]) < 0.1 * abs(sharp.G_hat[16])
+    assert abs(smooth.G_hat[8] - sharp.G_hat[8]) < 1e-12
 
 
 def test_disk_coefficient_matches_numeric_integral(med2d):
@@ -70,7 +71,7 @@ def test_disk_coefficient_matches_numeric_integral(med2d):
     vals = evaluate_coefficient(med2d, "rho", pts)
     brute = np.mean(vals * np.exp(-2j * np.pi * (n[0] * X1 + n[1] * X2)))
     table = fourier_table(med2d, 4)
-    assert abs(brute - table.value("rho", n)) < 1e-3
+    assert abs(brute - table.rho_hat[tuple(n + 4)]) < 1e-3
 
 
 # ---------------------------------------------------------------------------

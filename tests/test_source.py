@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from blochhomog import (GaussianEnvelope, NotInGap, SourceSpec,
+from blochhomog import (GaussianEnvelope, NotInGap, SourceSpec, bloch_pencil,
                         dispersion_diagram, eigenpair_at_gamma,
-                        find_band_gaps, make_frequency, projection_check,
-                        sample_source, wavenumber_quadrature)
+                        find_band_gaps, make_frequency, sample_source,
+                        synthesize_periodic, wavenumber_quadrature)
+from blochhomog.fields import _grid_points
 
 
 # ---------------------------------------------------------------------------
@@ -115,24 +116,30 @@ def test_make_frequency_input_validation(gamma1d_32):
 # Source sampling
 # ---------------------------------------------------------------------------
 
-def test_sample_source_quadrature_agrees_with_closed_form(gamma1d_32, source1d):
+def _quadrature_modulation(env, quad_, y):
+    """(2 pi)^{-d/2} sum_k w F(k) exp(i k.y): the defining integral of the
+    modulation by the wavenumber quadrature."""
+    d = quad_.dimension
+    F = env.spectrum(quad_.nodes)
+    phase = np.exp(1j * (y.reshape(-1, d) @ quad_.nodes.T))
+    return ((2.0 * np.pi) ** (-d / 2.0)
+            * (phase @ (quad_.weights * F))).reshape(y.shape[:-1])
+
+
+def test_modulation_quadrature_agrees_with_closed_form():
     # k_max = 10 keeps the envelope-tail truncation below the 1e-8 target
-    quad1 = wavenumber_quadrature(1, 10.0, 96)
-    x = np.linspace(-12.0, 12.0, 401)
-    closed = sample_source(gamma1d_32, source1d, 0.5, x)
-    numeric = sample_source(gamma1d_32, source1d, 0.5, x, quad=quad1)
-    assert np.max(np.abs(closed - numeric)) < 1e-8
+    env = GaussianEnvelope(1)
+    y = 0.5 * np.linspace(-12.0, 12.0, 401)[:, None]
+    numeric = _quadrature_modulation(env, wavenumber_quadrature(1, 10.0, 96), y)
+    assert np.max(np.abs(env.modulation(y) - numeric)) < 1e-8
 
 
-def test_sample_source_quadrature_2d(med2d, source2d):
-    gamma = eigenpair_at_gamma(med2d, 0, 4)
-    quad2 = wavenumber_quadrature(2, 10.0, 48)
-    g = np.linspace(-3.0, 3.0, 31)
-    X1, X2 = np.meshgrid(g, g, indexing="ij")
-    pts = np.stack([X1, X2], axis=-1)
-    closed = sample_source(gamma, source2d, 0.5, pts)
-    numeric = sample_source(gamma, source2d, 0.5, pts, quad=quad2)
-    assert np.max(np.abs(closed - numeric)) < 1e-8
+def test_modulation_quadrature_2d():
+    env = GaussianEnvelope(2)
+    g = 0.5 * np.linspace(-3.0, 3.0, 31)
+    y = _grid_points((g, g))
+    numeric = _quadrature_modulation(env, wavenumber_quadrature(2, 10.0, 48), y)
+    assert np.max(np.abs(env.modulation(y) - numeric)) < 1e-8
 
 
 def test_source_even_for_centered_medium(gamma1d_32, source1d):
@@ -144,6 +151,33 @@ def test_source_even_for_centered_medium(gamma1d_32, source1d):
 # ---------------------------------------------------------------------------
 # Projection closed form
 # ---------------------------------------------------------------------------
+
+def projection_check(gamma, source, eps, k, coeffs_other, half_width,
+                     points_per_cell=32):
+    """Discrepancy between the closed-form projection of the source onto a
+    Bloch mode and its brute-force trapezoid evaluation.
+
+    Closed form: int f_eps(eps x) conj(e^{ik.x} phi(x)) dx
+               = eps^{-d} (2 pi)^{d/2} conj(<rho conj(phi_p) phi>) F(k/eps).
+    """
+    d = gamma.spec.dimension
+    Bmat = bloch_pencil(gamma.table, gamma.basis).B
+    # <rho conj(phi_p) phi> with phi = the other mode
+    inner = np.vdot(gamma.coeffs, Bmat @ np.asarray(coeffs_other))
+    k = np.atleast_1d(np.asarray(k, dtype=float))
+    F = source.envelope.spectrum((k / eps)[None, :])[0]
+    closed = (eps ** -d) * (2.0 * np.pi) ** (d / 2.0) * np.conj(inner) * F
+
+    h = 1.0 / points_per_cell
+    n = int(round(2 * half_width / h))
+    ax = -half_width + (np.arange(n) + 0.5) * h
+    pts = _grid_points((ax,) * d)
+    fvals = sample_source(gamma, source, eps, pts)
+    mode = np.exp(1j * (pts @ k)) * synthesize_periodic(
+        gamma.basis, np.asarray(coeffs_other), pts)
+    brute = np.sum(fvals * np.conj(mode)) * h ** d
+    return abs(brute - closed)
+
 
 def test_projection_check_same_mode(gamma1d_32, source1d):
     diff = projection_check(gamma1d_32, source1d, 0.5, [0.0],
