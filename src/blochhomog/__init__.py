@@ -12,8 +12,7 @@ from .bloch import (PlaneWaveBasis, BlochPencil, bloch_pencil, solve_bands,
 from .cell import (symmetrize_full, pencil_blocks, ConstrainedSolver,
                    CellFunctions, solve_cell_functions, EffectiveCoefficients,
                    effective_coefficients, extrapolated_coefficients,
-                   dispersion_expansion_check, CompatibilityViolation,
-                   SingularSystem)
+                   CompatibilityViolation, SingularSystem)
 from .source import (GaussianEnvelope, SourceSpec, FrequencySpec,
                      drive_frequency, make_frequency, sample_source, NotInGap)
 from .fields import (WavenumberQuadrature, wavenumber_quadrature,

@@ -242,8 +242,8 @@ class BandGap:
     def width(self) -> float:
         return self.omega2_high - self.omega2_low
 
-    def contains(self, omega2: float, margin: float = 0.0) -> bool:
-        return self.omega2_low + margin < omega2 < self.omega2_high - margin
+    def contains(self, omega2: float) -> bool:
+        return self.omega2_low < omega2 < self.omega2_high
 
 
 def find_band_gaps(diagram: DispersionDiagram) -> list[BandGap]:

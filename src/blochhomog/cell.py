@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .bloch import GammaPair, PlaneWaveBasis, bloch_pencil, solve_bands
+from .bloch import GammaPair, PlaneWaveBasis, bloch_pencil
 from .medium import CoefficientTable, MediumSpec
 
 COMPAT_TOL = 1e-9
@@ -232,24 +232,6 @@ class EffectiveCoefficients:
     corrector_cov: np.ndarray
     diagnostics_ok: bool
 
-    def omega2_expansion(self, khat, eps: float) -> float:
-        """omega_p^2(eps*khat) through fourth order."""
-        khat = np.atleast_1d(np.asarray(khat, dtype=float))
-        w2 = np.einsum("ab,a,b->", self.mu0, khat, khat) / self.rho0
-        w4 = -np.einsum("abcd,a,b,c,d->", self.mu2, khat, khat, khat, khat) / self.rho0
-        return self.gamma.omega2 + eps ** 2 * w2.real + eps ** 4 * w4.real
-
-    def quadratic_form(self, khat) -> float:
-        """(mu0/rho0) : khat khat, the leading dispersion curvature."""
-        khat = np.atleast_1d(np.asarray(khat, dtype=float))
-        return float(np.einsum("ab,a,b->", self.mu0, khat, khat).real / self.rho0)
-
-    def quartic_form(self, khat) -> float:
-        """-(mu2/rho0) : khat^4, the next dispersion correction."""
-        khat = np.atleast_1d(np.asarray(khat, dtype=float))
-        return float(-np.einsum("abcd,a,b,c,d->", self.mu2,
-                                khat, khat, khat, khat).real / self.rho0)
-
 
 def effective_coefficients(cell: CellFunctions) -> EffectiveCoefficients:
     """Averages of the corrector fields: effective tensors plus diagnostics.
@@ -326,32 +308,3 @@ def extrapolated_coefficients(fine: EffectiveCoefficients,
         rho1=fine.rho1, mu1=fine.mu1, rho2=fine.rho2,
         corrector_cov=fine.corrector_cov,
         diagnostics_ok=fine.diagnostics_ok and coarse.diagnostics_ok)
-
-
-# ---------------------------------------------------------------------------
-# Dispersion expansion self-test
-# ---------------------------------------------------------------------------
-
-def dispersion_expansion_check(eff: EffectiveCoefficients, khat,
-                               eps_list) -> dict:
-    """Remainder |omega_p^2(eps khat) - 4th-order expansion| and its slope.
-
-    The remainder should scale like eps^6; the returned slope is the
-    log-log least-squares fit over eps_list.
-    """
-    gamma = eff.gamma
-    khat = np.atleast_1d(np.asarray(khat, dtype=float))
-    remainders = []
-    for eps in eps_list:
-        sol = solve_bands(gamma.table, gamma.basis, eps * khat,
-                          gamma.branch + 1)
-        exact = sol.omega2[gamma.branch]
-        approx = eff.omega2_expansion(khat, eps)
-        remainders.append(abs(exact - approx))
-    eps_arr = np.asarray(eps_list, dtype=float)
-    rem = np.asarray(remainders)
-    good = rem > 0
-    slope = np.nan
-    if good.sum() >= 2:
-        slope = np.polyfit(np.log(eps_arr[good]), np.log(rem[good]), 1)[0]
-    return {"eps": eps_arr, "remainder": rem, "slope": float(slope)}

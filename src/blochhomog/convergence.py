@@ -78,12 +78,11 @@ def reference_solution(gamma: GammaPair, freq: FrequencySpec,
         bands += [-np.where(first, 0.0, w_lo).ravel()[stride:],
                   -np.where(first[::-1], 0.0, w_hi).ravel()[:-stride]]
         offsets += [-stride, stride]
-    interior = _grid_points((xi,) * d)
     main = main.ravel() - freq.omega2 * evaluate_coefficient(
-        spec, "rho", interior).ravel()
+        spec, "rho", _grid_points((xi,) * d)).ravel()
     A = sp.diags([main] + bands, offsets=[0] + offsets, format="csc")
     rhs = freq.eps ** 2 * sample_source(gamma, source, freq.eps,
-                                        interior).ravel()
+                                        (xi,) * d).ravel()
     # A is real: the real and imaginary parts share one factorization
     sol = spla.splu(A).solve(np.column_stack([rhs.real, rhs.imag]))
 

@@ -25,9 +25,10 @@ real pencil (centred media) uses the real LAPACK routines (?posv, ?sytrf,
 
 Synthesis is factored, exp(i (2 pi n + k) x) = exp(i k x) exp(i 2 pi n x):
 one periodic phase matrix per axis serves every node (and every cell
-function of the homogenized fields), evaluated in slabs of SYNTH_BLOCK grid
-points to bound the temporaries.  That matrix is a product of two tables of
-~sqrt(2N+1) exponentials at x - round(x), ~1e-14 accurate.
+function of the homogenized fields, and the source's phi_p), evaluated in
+slabs of SYNTH_BLOCK grid points by _periodic_blocks, the one grid
+synthesizer.  That matrix is a product of two tables of ~sqrt(2N+1)
+exponentials at x - round(x), ~1e-14 accurate.
 
 The homogenized fields of every requested order come from one pass
 (homogenized_fields): the order-2 cell stack [phi_p, eps chi1, eps^2 (cov
@@ -135,27 +136,14 @@ class FieldOnGrid:
         return self.axes[0], self.values[:, j]
 
 
-def synthesize_periodic(basis: PlaneWaveBasis, coeffs: np.ndarray, x):
-    """Evaluate sum_j c_j exp(i 2 pi j.x) at points x (shape (..., d) or (...,)).
-
-    Points are taken SYNTH_BLOCK at a time, which bounds the phase matrices.
-    """
-    x = np.asarray(x, dtype=float)
-    d = basis.dimension
-    if d == 1 and (x.ndim <= 1 or x.shape[-1] != 1):
-        x = x[..., None]
-    pts = x.reshape(-1, d)
-    N = basis.cutoff
-    cube = basis.coeff_cube(coeffs).reshape(2 * N + 1, -1)
-    vals = np.empty(len(pts), dtype=complex)
-    for start in range(0, len(pts), SYNTH_BLOCK):
-        blk = pts[start:start + SYNTH_BLOCK]
-        part = _periodic_phase(blk[:, 0], N) @ cube         # (P, n^(d-1))
-        for a in range(1, d):
-            part = np.einsum("pj,pjr->pr", _periodic_phase(blk[:, a], N),
-                             part.reshape(len(blk), 2 * N + 1, -1))
-        vals[start:start + len(blk)] = part[:, 0]
-    return vals.reshape(x.shape[:-1])
+def synthesize_periodic(basis: PlaneWaveBasis, coeffs: np.ndarray, axes):
+    """sum_j c_j exp(i 2 pi j.x) on the separable grid `axes`: the
+    coefficients go through _periodic_blocks as a one-column cube."""
+    cube = basis.coeff_cube(np.asarray(coeffs)[:, None])
+    out = np.empty(tuple(len(ax) for ax in axes), dtype=complex)
+    for sl, part in _periodic_blocks(basis, cube, axes):
+        out[sl] = part[..., 0]
+    return out
 
 
 def _grid_points(axes):
@@ -216,8 +204,9 @@ def _periodic_blocks(basis: PlaneWaveBasis, cube: np.ndarray, axes):
     rows = max(1, SYNTH_BLOCK // int(np.prod([len(ax) for ax in axes[1:]])))
     for start in range(0, len(axes[0]), rows):
         sl = slice(start, start + rows)
-        first = _periodic_phase(axes[0][sl], basis.cutoff)
-        yield sl, _separable_synth(cube, [first] + rest)
+        # the slab's phase matrix dies here: the next reuses its pages
+        yield sl, _separable_synth(
+            cube, [_periodic_phase(axes[0][sl], basis.cutoff)] + rest)
 
 
 def _bloch_phase(axes, sl, ks: np.ndarray) -> np.ndarray:

@@ -79,23 +79,17 @@ class CoefficientTable:
 
 
 def _indicator_hat(dimension: int, center, radius: float, n_grid):
-    """Fourier coefficients of the inclusion indicator on an integer index grid.
-
-    n_grid is a tuple of integer arrays (one per axis, broadcastable).
-    """
+    """Fourier coefficients of the inclusion indicator on an integer index
+    grid n_grid (one float array per axis, all one shape): the centred
+    ball's transform at |n| (interval or disk) times exp(-2 pi i n.c)."""
+    norm = np.abs(np.hypot.reduce(n_grid))
     if dimension == 1:
-        n = n_grid[0].astype(float)
-        out = 2.0 * radius * np.sinc(2.0 * radius * n)
-        phase = np.exp(-2j * np.pi * n * center[0])
-        return out * phase
-    n1 = n_grid[0].astype(float)
-    n2 = n_grid[1].astype(float)
-    norm = np.hypot(n1, n2)
-    out = np.empty_like(norm)
-    nz = norm > 0
-    out[nz] = radius * j1(2.0 * np.pi * norm[nz] * radius) / norm[nz]
-    out[~nz] = np.pi * radius ** 2
-    phase = np.exp(-2j * np.pi * (n1 * center[0] + n2 * center[1]))
+        out = 2.0 * radius * np.sinc(2.0 * radius * norm)
+    else:
+        out = np.full_like(norm, np.pi * radius ** 2)      # n = 0
+        nz = norm > 0
+        out[nz] = radius * j1(2.0 * np.pi * norm[nz] * radius) / norm[nz]
+    phase = np.exp(-2j * np.pi * sum(n * c for n, c in zip(n_grid, center)))
     return out * phase
 
 
@@ -108,7 +102,7 @@ def fourier_table(spec: MediumSpec, cutoff: int) -> CoefficientTable:
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     d = spec.dimension
-    ax = np.arange(-cutoff, cutoff + 1)
+    ax = np.arange(-cutoff, cutoff + 1.0)          # integers, as floats
     n_grid = np.meshgrid(*(ax,) * d, indexing="ij")
     shape = (2 * cutoff + 1,) * d
 
@@ -131,30 +125,32 @@ def fourier_table(spec: MediumSpec, cutoff: int) -> CoefficientTable:
     return CoefficientTable(dimension=d, cutoff=cutoff, G_hat=G_hat, rho_hat=rho_hat)
 
 
+def _as_points(x, dimension: int) -> np.ndarray:
+    """x as points of shape (..., d).  In 1D a scalar or flat array lists
+    coordinates; a trailing axis of length 1 behind another is the d axis."""
+    x = np.asarray(x, dtype=float)
+    if dimension == 1 and (x.ndim < 2 or x.shape[-1] != 1):
+        x = x[..., None]
+    return x
+
+
 def evaluate_coefficient(spec: MediumSpec, which: str, x) -> np.ndarray:
     """Pointwise (sharp, unsmoothed) value of G or rho at physical points.
 
-    x: array of shape (..., d) or (...,) in 1D.  Points are wrapped into
-    the unit cell.  Exactly on an interface the two-sided mean is returned,
-    matching the limit of the Fourier series.
+    x: points (see _as_points); the result has shape x.shape[:-1].  Points
+    are wrapped into the unit cell.  Exactly on an interface the two-sided
+    mean is returned, matching the limit of the Fourier series.
     """
     if which not in ("G", "rho"):
         raise ValueError("which must be 'G' or 'rho'")
-    d = spec.dimension
-    x = np.asarray(x, dtype=float)
-    if d == 1 and (x.ndim == 0 or x.shape[-1] != 1):
-        x = x[..., None]
+    x = _as_points(x, spec.dimension)
     x = x - np.round(x)
 
     bg = spec.background_G if which == "G" else spec.background_rho
     out = np.full(x.shape[:-1], bg, dtype=float)
     for inc in spec.inclusions:
         val = inc.G if which == "G" else inc.rho
-        delta = x - np.asarray(inc.center)
-        if d == 1:
-            dist = np.abs(delta[..., 0])
-        else:
-            dist = np.linalg.norm(delta, axis=-1)
+        dist = np.linalg.norm(x - np.asarray(inc.center), axis=-1)
         inside = dist < inc.radius - _BOUNDARY_TOL
         boundary = np.abs(dist - inc.radius) <= _BOUNDARY_TOL
         out[inside] = val

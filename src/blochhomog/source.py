@@ -8,7 +8,8 @@ The source has the separated form
 
 with F a rapidly decaying envelope spectrum.  For the built-in Gaussian
 F(khat) = (2 sqrt(pi))^{-1} exp(-|khat|^2/4) the inner integral is itself a
-Gaussian, available in closed form.
+Gaussian, available in closed form.  sample_source evaluates f_eps on the
+separable grid of the fields, with their synthesizer for phi_p.
 
 The driving frequency is omega^2 = omega_p^2(0) + eps^2 sigma Omega_hat^2
 and must sit strictly inside a band gap or below the whole spectrum.  The
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import BandGap, DispersionDiagram, GammaPair
-from .medium import evaluate_coefficient
+from .medium import _as_points, evaluate_coefficient
 
 
 class NotInGap(Exception):
@@ -39,26 +40,19 @@ class GaussianEnvelope:
     amplitude: float = 1.0 / (2.0 * np.sqrt(np.pi))
 
     def spectrum(self, khat) -> np.ndarray:
-        khat = np.asarray(khat, dtype=float)
-        if khat.ndim == 1 and self.dimension == 1:
-            sq = khat ** 2
-        else:
-            sq = np.sum(np.atleast_2d(khat) ** 2, axis=-1)
+        """F at wavenumber points khat (medium._as_points): shape
+        khat.shape[:-1]."""
+        sq = np.sum(_as_points(khat, self.dimension) ** 2, axis=-1)
         return self.amplitude * np.exp(-sq / 4.0)
 
     def modulation(self, y) -> np.ndarray:
-        """Closed form of (2 pi)^{-d/2} int F(khat) exp(i khat.y) dkhat.
+        """Closed form of (2 pi)^{-d/2} int F(khat) exp(i khat.y) dkhat at
+        points y (medium._as_points): shape y.shape[:-1].
 
         Gaussian integral: the prefactor is
         (2 pi)^{-d/2} * amplitude * (2 sqrt(pi))^d.
         """
-        y = np.asarray(y, dtype=float)
-        if self.dimension > 1:
-            sq = np.sum(y ** 2, axis=-1)
-        else:
-            if y.ndim >= 2 and y.shape[-1] == 1:
-                y = y[..., 0]
-            sq = y ** 2
+        sq = np.sum(_as_points(y, self.dimension) ** 2, axis=-1)
         pref = (2.0 * np.pi) ** (-self.dimension / 2.0) * self.amplitude \
             * (2.0 * np.sqrt(np.pi)) ** self.dimension
         return pref * np.exp(-sq)
@@ -93,7 +87,15 @@ class FrequencySpec:
 
 def drive_frequency(gamma: GammaPair, sigma: int, omega_hat: float,
                     eps: float) -> FrequencySpec:
-    """omega^2 = omega_p^2(0) + eps^2 sigma Omega_hat^2, not validated."""
+    """omega^2 = omega_p^2(0) + eps^2 sigma Omega_hat^2.
+
+    Checks sigma = +-1 and Omega_hat, eps > 0, not the spectrum (that is
+    make_frequency's part).
+    """
+    if sigma not in (-1, 1):
+        raise ValueError("sigma must be +1 or -1")
+    if omega_hat <= 0 or eps <= 0:
+        raise ValueError("omega_hat and eps must be positive")
     omega2 = gamma.omega2 + eps ** 2 * sigma * omega_hat ** 2
     return FrequencySpec(branch=gamma.branch, sigma=sigma,
                          omega_hat=omega_hat, eps=eps, omega2=omega2)
@@ -116,10 +118,6 @@ def make_frequency(gamma: GammaPair, gaps: list[BandGap] | DispersionDiagram,
     source actually probes -- even when a distant part of some branch crosses
     omega^2.  Pass eps * K_max of the source to match the synthesis window.
     """
-    if sigma not in (-1, 1):
-        raise ValueError("sigma must be +1 or -1")
-    if omega_hat <= 0 or eps <= 0:
-        raise ValueError("omega_hat and eps must be positive")
     freq = drive_frequency(gamma, sigma, omega_hat, eps)
     omega2 = freq.omega2
 
@@ -148,16 +146,16 @@ def make_frequency(gamma: GammaPair, gaps: list[BandGap] | DispersionDiagram,
 
 
 def sample_source(gamma: GammaPair, source: SourceSpec, eps: float,
-                  x_points) -> np.ndarray:
-    """Evaluate f_eps(eps x) on points in fast coordinates.
+                  axes) -> np.ndarray:
+    """Evaluate f_eps(eps x) on the separable fast-coordinate grid `axes`.
 
     Material density is the sharp pointwise value; the eigenfunction is
-    synthesized from its Fourier coefficients and the envelope modulation
-    is the closed form.
+    synthesized on the grid from its Fourier coefficients, and the envelope
+    modulation is the closed form.
     """
-    from .fields import synthesize_periodic  # local import, no cycle at module load
+    from .fields import _grid_points, synthesize_periodic  # no cycle at load
 
-    x = np.asarray(x_points, dtype=float)
+    x = _grid_points(axes)
     rho = evaluate_coefficient(gamma.spec, "rho", x)
-    phi = synthesize_periodic(gamma.basis, gamma.coeffs, x)
+    phi = synthesize_periodic(gamma.basis, gamma.coeffs, axes)
     return source.envelope.modulation(eps * x) * rho * phi

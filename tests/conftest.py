@@ -6,8 +6,8 @@ from hypothesis import settings
 
 from blochhomog import (GaussianEnvelope, MediumSpec, SourceSpec,
                         effective_coefficients, eigenpair_at_gamma,
-                        solve_cell_functions, two_phase_1d, disk_2d,
-                        wavenumber_quadrature)
+                        solve_bands, solve_cell_functions, two_phase_1d,
+                        disk_2d, wavenumber_quadrature)
 
 # CI sets HYPOTHESIS_PROFILE=ci: every run draws the same examples.  Local
 # runs keep the random default.
@@ -67,3 +67,43 @@ def announce(capsys):
         with capsys.disabled():
             print(msg)
     return _say
+
+
+def _omega2_expansion(eff, khat, eps: float) -> float:
+    """omega_p^2(eps*khat) through fourth order."""
+    khat = np.atleast_1d(np.asarray(khat, dtype=float))
+    w2 = np.einsum("ab,a,b->", eff.mu0, khat, khat) / eff.rho0
+    w4 = -np.einsum("abcd,a,b,c,d->", eff.mu2, khat, khat, khat,
+                    khat) / eff.rho0
+    return eff.gamma.omega2 + eps ** 2 * w2.real + eps ** 4 * w4.real
+
+
+def _dispersion_expansion_check(eff, khat, eps_list) -> dict:
+    """Remainder |omega_p^2(eps khat) - 4th-order expansion| and its slope.
+
+    The remainder should scale like eps^6; the returned slope is the
+    log-log least-squares fit over eps_list.
+    """
+    gamma = eff.gamma
+    khat = np.atleast_1d(np.asarray(khat, dtype=float))
+    remainders = []
+    for eps in eps_list:
+        sol = solve_bands(gamma.table, gamma.basis, eps * khat,
+                          gamma.branch + 1)
+        exact = sol.omega2[gamma.branch]
+        approx = _omega2_expansion(eff, khat, eps)
+        remainders.append(abs(exact - approx))
+    eps_arr = np.asarray(eps_list, dtype=float)
+    rem = np.asarray(remainders)
+    good = rem > 0
+    slope = np.nan
+    if good.sum() >= 2:
+        slope = np.polyfit(np.log(eps_arr[good]), np.log(rem[good]), 1)[0]
+    return {"eps": eps_arr, "remainder": rem, "slope": float(slope)}
+
+
+@pytest.fixture(scope="session")
+def dispersion_expansion_check():
+    """The eps^6 remainder check of the fourth-order dispersion expansion,
+    shared by the cell tests and criterion 5."""
+    return _dispersion_expansion_check

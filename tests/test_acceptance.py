@@ -14,7 +14,7 @@ from scipy.optimize import brentq
 from blochhomog import (PlaneWaveBasis, ReferenceConfig, SourceSpec,
                         GaussianEnvelope, assemble_operator,
                         convergence_study, dispersion_diagram,
-                        dispersion_expansion_check, disk_2d,
+                        disk_2d,
                         effective_coefficients, eigenpair_at_gamma,
                         exact_bloch_solution, extrapolated_coefficients,
                         find_band_gaps, fourier_table, reference_solution,
@@ -161,7 +161,8 @@ def test_criterion_4_vanishing_diagnostics(announce):
 # 5: quartic dispersion expansion remainder
 # ---------------------------------------------------------------------------
 
-def test_criterion_5_dispersion_expansion(med1d, gamma2d_p3, announce):
+def test_criterion_5_dispersion_expansion(med1d, gamma2d_p3, announce,
+                                          dispersion_expansion_check):
     eps_list = [0.04, 0.02, 0.01]
     gamma1 = eigenpair_at_gamma(med1d, 0, 32)
     eff1 = effective_coefficients(solve_cell_functions(gamma1))

@@ -197,6 +197,34 @@ def test_fields_not_in_gap_exits_3(tmp_path):
                  "--out", str(tmp_path / "out")]) == 3
 
 
+_BAD_DRIVES = [{"sigma": 0}, {"omega_hat": -1.0}]
+
+
+@pytest.mark.parametrize("bad", _BAD_DRIVES)
+def test_fields_bad_drive_without_gap_check_exits_2(tmp_path, capsys, bad):
+    """validate_gap: false skips the spectrum check, not the input checks."""
+    body = {**base_cfg(), **bad}
+    body["fields"] = {"eps": 0.5, "half_width": 2, "points_per_cell": 8,
+                      "outputs": ["order0"], "validate_gap": False}
+    out = str(tmp_path / "out")
+    assert main(["fields", "--config", write_cfg(tmp_path, body),
+                 "--out", out]) == 2
+    assert "validation error" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "field_order0.csv"))
+
+
+@pytest.mark.parametrize("bad", _BAD_DRIVES)
+def test_converge_bad_drive_without_gap_check_exits_2(tmp_path, capsys, bad):
+    body = {**base_cfg(), **bad}
+    body["converge"] = {"eps": [0.5], "eval_half_width": 3.0,
+                        "validate_gap": False}
+    out = str(tmp_path / "out")
+    assert main(["converge", "--config", write_cfg(tmp_path, body),
+                 "--out", out]) == 2
+    assert "validation error" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "converge.json"))
+
+
 def test_converge_outputs_and_slope_gate(tmp_path):
     body = base_cfg()
     body["quadrature"] = {"points_per_axis": 64}
@@ -301,20 +329,31 @@ def _readme_config():
 
 @pytest.fixture
 def work_counts(monkeypatch):
-    """Count dispersion diagrams built by the CLI and periodic syntheses of
-    cell stacks on a grid (fields._periodic_blocks passes)."""
-    counts = {"diagrams": 0, "syntheses": 0}
+    """Count dispersion diagrams built by the CLI, and periodic syntheses on
+    a grid (fields._periodic_blocks passes): those of the source's phi_p
+    (fields.synthesize_periodic, one pass each) apart from the rest, which
+    here are cell stacks."""
+    counts = {"diagrams": 0, "cell_stacks": 0, "sources": 0}
+    diagram = cli.dispersion_diagram
+    periodic_blocks = fields._periodic_blocks
+    synthesize = fields.synthesize_periodic
 
-    def counted(key, fn):
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def counted_diagram(*args, **kwargs):
+        counts["diagrams"] += 1
+        return diagram(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "dispersion_diagram",
-                        counted("diagrams", cli.dispersion_diagram))
-    monkeypatch.setattr(fields, "_periodic_blocks",
-                        counted("syntheses", fields._periodic_blocks))
+    def counted_blocks(*args):
+        counts["cell_stacks"] += 1
+        return periodic_blocks(*args)
+
+    def counted_source(*args):
+        counts["sources"] += 1
+        counts["cell_stacks"] -= 1          # its own pass through the blocks
+        return synthesize(*args)
+
+    monkeypatch.setattr(cli, "dispersion_diagram", counted_diagram)
+    monkeypatch.setattr(fields, "_periodic_blocks", counted_blocks)
+    monkeypatch.setattr(fields, "synthesize_periodic", counted_source)
     return counts
 
 
@@ -323,13 +362,13 @@ def test_readme_example_config_converges(tmp_path, work_counts):
     slopes sit inside its slope_bands and e2 < e1 < e0 at every eps.  It
     drives branch 0 at omega^2 < 0, below every Bloch eigenvalue: no diagram
     is built, and each eps synthesizes the cell functions once for all three
-    orders."""
+    orders and the source's phi_p once for the reference."""
     cfg = write_cfg(tmp_path, _readme_config())
     out = str(tmp_path / "out")
     assert main(["converge", "--config", cfg, "--out", out]) == 0
     rep = json.load(open(os.path.join(out, "converge.json")))
     assert set(rep["slopes"]) == {"0", "1", "2"}
-    assert work_counts == {"diagrams": 0, "syntheses": 3}
+    assert work_counts == {"diagrams": 0, "cell_stacks": 3, "sources": 3}
 
 
 def test_converge_above_acoustic_branch_builds_one_diagram(tmp_path, capsys,
@@ -343,7 +382,7 @@ def test_converge_above_acoustic_branch_builds_one_diagram(tmp_path, capsys,
     assert main(["converge", "--config", cfg,
                  "--out", str(tmp_path / "out")]) == 3
     assert "intersects branch 0" in capsys.readouterr().err
-    assert work_counts == {"diagrams": 1, "syntheses": 0}
+    assert work_counts == {"diagrams": 1, "cell_stacks": 0, "sources": 0}
 
 
 def test_fields_orders_share_one_synthesis(tmp_path, work_counts):
@@ -353,6 +392,6 @@ def test_fields_orders_share_one_synthesis(tmp_path, work_counts):
     out = str(tmp_path / "out")
     assert main(["fields", "--config", write_cfg(tmp_path, body),
                  "--out", out]) == 0
-    assert work_counts == {"diagrams": 0, "syntheses": 1}
+    assert work_counts == {"diagrams": 0, "cell_stacks": 1, "sources": 0}
     for name in ("order0", "order1", "order2"):
         assert os.path.exists(os.path.join(out, f"field_{name}.csv"))

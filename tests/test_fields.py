@@ -187,7 +187,7 @@ def _mode_sum(gamma, spectra, freq, axes, keep=None):
         if keep is not None:
             amps = np.where(np.arange(len(amps)) == keep, amps, 0.0)
         out += wF * np.exp(1j * pts @ k) * synthesize_periodic(
-            basis, vecs @ amps, pts)
+            basis, vecs @ amps, axes)
     return (2.0 * np.pi) ** (-d / 2.0) * freq.eps ** 2 * out
 
 
@@ -660,8 +660,8 @@ def test_synthesize_periodic_constant():
     basis = PlaneWaveBasis(1, 3)
     coeffs = np.zeros(basis.size, dtype=complex)
     coeffs[0] = 2.0                          # j = 0 entry
-    vals = synthesize_periodic(basis, coeffs, np.linspace(-1, 1, 7))
-    assert np.allclose(vals, 2.0)
+    vals = synthesize_periodic(basis, coeffs, (np.linspace(-1, 1, 7),))
+    assert vals.shape == (7,) and np.allclose(vals, 2.0)
 
 
 def test_field_line_extraction():
@@ -733,17 +733,20 @@ def test_periodic_phase_accuracy_on_criterion7_grid():
 
 
 def test_synthesize_periodic_2d_direct_sum():
-    """Point-blocked separable synthesis against the per-point sum
-    sum_j c_j exp(i 2 pi j.x); the point count leaves a partial slab."""
+    """Slab-wise separable synthesis on random axes against the per-point
+    sum sum_j c_j exp(i 2 pi j.x); 41 rows of 29 points leave a partial
+    slab (SYNTH_BLOCK // 29 rows each)."""
     basis = PlaneWaveBasis(2, 6)
     rng = np.random.default_rng(5)
     coeffs = (rng.standard_normal(basis.size)
               + 1j * rng.standard_normal(basis.size))
-    pts = rng.uniform(-20.0, 20.0, (2 * SYNTH_BLOCK + 77, 2))
-    got = synthesize_periodic(basis, coeffs, pts)
-    direct = np.array([np.sum(coeffs * np.exp(2j * np.pi * (basis.indices @ p)))
-                       for p in pts])
-    assert got.shape == (len(pts),)
+    axes = (np.sort(rng.uniform(-20.0, 20.0, 41)),
+            rng.uniform(-20.0, 20.0, 29))
+    assert len(axes[0]) % (SYNTH_BLOCK // len(axes[1])) != 0
+    got = synthesize_periodic(basis, coeffs, axes)
+    pts = _grid_points(axes)
+    direct = np.exp(2j * np.pi * (pts @ basis.indices.T)) @ coeffs
+    assert got.shape == (41, 29)
     assert np.max(np.abs(got - direct)) < 1e-12 * np.sum(np.abs(coeffs))
 
 
@@ -797,7 +800,7 @@ def test_low_orders_match_direct_phase_sum(eff1d_32, source1d, quad1d,
 def test_all_orders_equal_per_order_calls_2d(source2d):
     """One homogenized_fields call (one cell synthesis, one envelope phase
     matrix per axis) gives each order as its own call does, and U1 - U0 is
-    eps sum_a chi1_a d_a W0 with chi1 synthesized point by point."""
+    eps sum_a chi1_a d_a W0 with each chi1_a synthesized on its own."""
     gamma = eigenpair_at_gamma(disk_2d(), 0, 4)
     eff = effective_coefficients(solve_cell_functions(gamma))
     quad_ = wavenumber_quadrature(2, 8.0, 16)
@@ -811,9 +814,9 @@ def test_all_orders_equal_per_order_calls_2d(source2d):
         alone = homogenized_field(eff, freq, source2d, quad_, m, axes)
         assert fields[m].meta == alone.meta
         assert _rel(fields[m].values, alone.values) < 1e-12
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     slow = tuple(eps * a for a in axes)
-    first = sum(eps * synthesize_periodic(gamma.basis, eff.cell.chi1[:, a], pts)
+    first = sum(eps * synthesize_periodic(gamma.basis, eff.cell.chi1[:, a],
+                                          axes)
                 * effective_envelope(eff, freq, source2d, quad_, 0, slow, (a,))
                 for a in range(2))
     assert _rel(fields[1].values - fields[0].values, first) < 1e-12

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from blochhomog import (Inclusion, MediumSpec, evaluate_coefficient,
-                        fourier_table, load_spec, spec_from_dict, spec_to_dict,
+from blochhomog import (GaussianEnvelope, Inclusion, MediumSpec,
+                        evaluate_coefficient, fourier_table, load_spec,
+                        spec_from_dict, spec_to_dict,
                         two_phase_1d, disk_2d)
 
 
@@ -85,6 +86,24 @@ def test_evaluate_coefficient_values(med1d):
     assert evaluate_coefficient(med1d, "rho", np.array([0.25])) == 10.5
     # periodic wrapping
     assert evaluate_coefficient(med1d, "G", np.array([1.1])) == 6.0
+
+
+@pytest.mark.parametrize("dim, x, shape", [
+    (1, np.array([0.3]), (1,)),          # one-element array: one point
+    (1, 0.3, ()),
+    (1, np.full(4, 0.3), (4,)),
+    (1, np.full((4, 1), 0.3), (4,)),     # trailing d axis
+    (2, np.array([0.3, 0.1]), ()),       # a single 2D point
+    (2, np.full((4, 3, 2), 0.3), (4, 3)),
+])
+def test_point_shapes_one_convention(med1d, med2d, dim, x, shape):
+    """evaluate_coefficient, GaussianEnvelope.spectrum and .modulation read
+    points one way (medium._as_points) and return points.shape[:-1]."""
+    spec = med1d if dim == 1 else med2d
+    env = GaussianEnvelope(dim)
+    for value in (evaluate_coefficient(spec, "rho", x), env.spectrum(x),
+                  env.modulation(x)):
+        assert np.shape(value) == shape
 
 
 def test_evaluate_coefficient_2d(med2d):

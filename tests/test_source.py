@@ -3,7 +3,8 @@ import pytest
 from scipy.integrate import quad
 
 from blochhomog import (GaussianEnvelope, NotInGap, SourceSpec, bloch_pencil,
-                        dispersion_diagram, eigenpair_at_gamma,
+                        dispersion_diagram, drive_frequency,
+                        eigenpair_at_gamma,
                         find_band_gaps, make_frequency, sample_source,
                         synthesize_periodic, wavenumber_quadrature)
 from blochhomog.fields import _grid_points
@@ -110,6 +111,11 @@ def test_make_frequency_input_validation(gamma1d_32):
         make_frequency(gamma1d_32, [], 0, 1.0, 0.25)
     with pytest.raises(ValueError):
         make_frequency(gamma1d_32, [], -1, -1.0, 0.25)
+    # the unvalidated-spectrum path checks the same inputs
+    for sigma, omega_hat, eps in ((0, 1.0, 0.25), (-1, -1.0, 0.25),
+                                  (-1, 1.0, 0.0)):
+        with pytest.raises(ValueError):
+            drive_frequency(gamma1d_32, sigma, omega_hat, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +150,7 @@ def test_modulation_quadrature_2d():
 
 def test_source_even_for_centered_medium(gamma1d_32, source1d):
     x = np.linspace(-6.0, 6.0, 121)
-    f = sample_source(gamma1d_32, source1d, 0.5, x)
+    f = sample_source(gamma1d_32, source1d, 0.5, (x,))
     assert np.max(np.abs(f - f[::-1])) < 1e-10 * np.max(np.abs(f))
 
 
@@ -171,10 +177,10 @@ def projection_check(gamma, source, eps, k, coeffs_other, half_width,
     h = 1.0 / points_per_cell
     n = int(round(2 * half_width / h))
     ax = -half_width + (np.arange(n) + 0.5) * h
-    pts = _grid_points((ax,) * d)
-    fvals = sample_source(gamma, source, eps, pts)
-    mode = np.exp(1j * (pts @ k)) * synthesize_periodic(
-        gamma.basis, np.asarray(coeffs_other), pts)
+    axes = (ax,) * d
+    fvals = sample_source(gamma, source, eps, axes)
+    mode = np.exp(1j * (_grid_points(axes) @ k)) * synthesize_periodic(
+        gamma.basis, np.asarray(coeffs_other), axes)
     brute = np.sum(fvals * np.conj(mode)) * h ** d
     return abs(brute - closed)
 
