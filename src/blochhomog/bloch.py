@@ -17,10 +17,19 @@ when both coefficient tables are exactly real (centred inclusions: phase
 exp(-0j)) and complex otherwise.  G and rho are real-valued, so
 S(-k) = P conj(S(k)) P and B = P conj(B) P with P: j -> -j, and the spectra
 at +-k coincide; dispersion_diagram solves each +-k pair once.
+
+Every dense product of the package goes through contract, on scipy's BLAS
+?gemm: scipy also does all of the LAPACK work (eigh, ?posv, ?hesv, LU).
+numpy and scipy may each bundle their own OpenBLAS, each with its own thread
+pool; after a call a pool's workers keep spinning for a while, and the other
+pool's work runs at about half speed meanwhile.  With one library, one pool
+is busy at a time.  stiffness makes no BLAS call at all.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +40,54 @@ from .medium import CoefficientTable, MediumSpec, fourier_table
 PHASE_FALLBACK_TOL = 1e-8
 SIMPLE_REL_TOL = 1e-6
 GAP_REL_TOL = 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Dense products
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _gemm(dtype: np.dtype):
+    """scipy's BLAS ?gemm for `dtype` (float64 or complex128), looked up
+    once per dtype."""
+    return scipy.linalg.get_blas_funcs("gemm", dtype=dtype)
+
+
+def _fortran(m: np.ndarray):
+    """(F-contiguous array, trans) with op(array) = m for ?gemm; only a
+    matrix that is neither C- nor F-contiguous is copied."""
+    if m.flags.f_contiguous:
+        return m, 0
+    if m.flags.c_contiguous:
+        return m.T, 1
+    return np.asfortranarray(m), 0
+
+
+def contract(a, b) -> np.ndarray:
+    """Sum over the last axis of `a` and the first axis of `b`, shape
+    a.shape[:-1] + b.shape[1:] (np.tensordot(a, b, 1)); a numpy scalar when
+    both are vectors.  The package's one dense product, on scipy's ?gemm
+    (see the module docstring).
+
+    A real `a` times a complex `b` multiplies `a` by the float64 view of `b`
+    (real and imaginary parts as interleaved columns), with no complex copy
+    of `a`; a complex `a` times a real `b` uses a complex copy of `b`.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    shape = a.shape[:-1] + b.shape[1:]
+    a2 = a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
+    b2 = b.reshape(b.shape[0], math.prod(b.shape[1:]))
+    split = np.iscomplexobj(b2) and not np.iscomplexobj(a2)
+    if split:
+        b2 = np.ascontiguousarray(b2, dtype=complex).view(np.float64)
+    dtype = np.result_type(a2, b2, np.float64)
+    # out^T = b2^T a2^T: ?gemm writes it F-contiguous, so out is C-contiguous
+    x, trans_a = _fortran(b2.T.astype(dtype, copy=False))
+    y, trans_b = _fortran(a2.T.astype(dtype, copy=False))
+    out = _gemm(dtype)(1.0, x, y, trans_a=trans_a, trans_b=trans_b).T
+    if split:
+        out = out.view(complex)
+    return out.reshape(shape)[()]
 
 
 @dataclass(frozen=True)
@@ -87,9 +144,13 @@ class BlochPencil:
     tp: np.ndarray
 
     def stiffness(self, k) -> np.ndarray:
-        """S(k) = G o (2 pi j + k)(2 pi j + k)^T."""
-        kpg = self.tp + k
-        return self.G * (kpg @ kpg.T)
+        """S(k) = G o sum_a outer(kpg_a, kpg_a), kpg = 2 pi j + k: d <= 2
+        outer products, no BLAS call."""
+        kpg = (self.tp + k).T
+        outer = np.multiply.outer(kpg[0], kpg[0])
+        for t in kpg[1:]:
+            outer += np.multiply.outer(t, t)
+        return self.G * outer
 
     def blocks(self):
         """(S0, S1_list, Gm, B) with S(k) = S0 + sum k_a S1[a] + |k|^2 Gm."""

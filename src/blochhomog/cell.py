@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .bloch import GammaPair, PlaneWaveBasis, bloch_pencil
+from .bloch import GammaPair, PlaneWaveBasis, bloch_pencil, contract
 from .medium import CoefficientTable, MediumSpec
 
 COMPAT_TOL = 1e-9
@@ -67,18 +67,6 @@ def pencil_blocks(table: CoefficientTable, basis: PlaneWaveBasis):
     return bloch_pencil(table, basis).blocks()
 
 
-def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A @ x for x of shape (M, ...).  A real block times a complex x goes
-    through as stacked real and imaginary columns, since numpy would
-    otherwise multiply by a complex copy of A."""
-    if np.iscomplexobj(A) or not np.iscomplexobj(x):
-        return A @ x
-    cols = x.reshape(len(x), -1)
-    n = cols.shape[1]
-    y = A @ np.concatenate([cols.real, cols.imag], axis=1)
-    return (y[:, :n] + 1j * y[:, n:]).reshape(x.shape)
-
-
 class ConstrainedSolver:
     """Solve (S0 - w0 B) x = rhs subject to c0^H B x = 0 via a bordered system.
 
@@ -90,7 +78,7 @@ class ConstrainedSolver:
     def __init__(self, S0, B, omega2, c0):
         n = S0.shape[0]
         A = S0 - omega2 * B
-        b = _matvec(B, c0)
+        b = contract(B, c0)
         K = np.zeros((n + 1, n + 1), dtype=complex, order="F")
         K[:n, :n] = A
         K[:n, n] = b
@@ -112,7 +100,7 @@ class ConstrainedSolver:
         scale = np.linalg.norm(rhs)
         if scale < self._floor:
             return np.zeros(self._n, dtype=complex)
-        incompat = abs(np.vdot(self._c0, rhs))
+        incompat = abs(contract(self._c0.conj(), rhs))
         if scale > 0 and incompat > COMPAT_TOL * scale:
             raise CompatibilityViolation(
                 f"<rhs, phi_p> = {incompat:.3e} exceeds {COMPAT_TOL:.0e} * |rhs|")
@@ -120,10 +108,10 @@ class ConstrainedSolver:
         full[:self._n] = rhs
         sol = scipy.linalg.lu_solve(self._lu, full)
         x, mult = sol[:self._n], sol[self._n]
-        res = np.linalg.norm(_matvec(self._A, x) + mult * self._b - rhs)
+        res = np.linalg.norm(contract(self._A, x) + mult * self._b - rhs)
         if scale > 0 and res > RESIDUAL_BOUND * max(scale, 1.0):
             raise SingularSystem(f"bordered solve residual {res:.3e}")
-        constraint = abs(np.vdot(self._b, x))
+        constraint = abs(contract(self._b.conj(), x))
         if constraint > CONSTRAINT_TOL * max(np.linalg.norm(x), 1.0):
             raise SingularSystem(f"zero-mean constraint violated: {constraint:.3e}")
         return x
@@ -167,36 +155,36 @@ def solve_cell_functions(gamma: GammaPair) -> CellFunctions:
     # the hierarchy below assumes unit rho-normalization; enforce it so a
     # rescaled eigenvector yields identical correctors
     c0 = gamma.coeffs
-    c0 = c0 / np.sqrt(np.real(np.vdot(c0, _matvec(B, c0))))
+    c0 = c0 / np.sqrt(np.real(contract(c0.conj(), contract(B, c0))))
     solver = ConstrainedSolver(S0, B, gamma.omega2, c0)
 
-    gc0 = _matvec(Gm, c0)
-    bc0 = _matvec(B, c0)
-    s1c0 = np.stack([_matvec(S, c0) for S in S1], axis=1)
+    gc0 = contract(Gm, c0)
+    bc0 = contract(B, c0)
+    s1c0 = np.stack([contract(S, c0) for S in S1], axis=1)
 
     # first corrector: (S0 - w0 B) chi1_a = i S1_a c0
     chi1 = np.stack([solver.solve(1j * v) for v in s1c0.T], axis=1)
 
     # quadratic dispersion tensor (mu0 / rho0); S1_a is Hermitian
-    A2 = 1j * (s1c0.conj().T @ chi1)
-    A2 = 0.5 * (A2 + A2.T) + np.eye(d) * np.vdot(c0, gc0)
+    A2 = 1j * contract(s1c0.conj().T, chi1)
+    A2 = 0.5 * (A2 + A2.T) + np.eye(d) * contract(c0.conj(), gc0)
 
     # second corrector:
     # (S0 - w0 B) chi2_ab = sym_ab[ i S1_a chi1_b + delta_ab Gm c0 - A2_ab B c0 ]
     chi2 = np.zeros((M, d, d), dtype=complex)
     for a, b in itertools.combinations_with_replacement(range(d), 2):
-        rhs = 0.5j * (_matvec(S1[a], chi1[:, b]) + _matvec(S1[b], chi1[:, a]))
+        rhs = 0.5j * (contract(S1[a], chi1[:, b]) + contract(S1[b], chi1[:, a]))
         chi2[:, a, b] = chi2[:, b, a] = solver.solve(
             rhs + (a == b) * gc0 - A2[a, b] * bc0)
 
-    gchi1, bchi1 = _matvec(Gm, chi1), _matvec(B, chi1)
+    gchi1, bchi1 = contract(Gm, chi1), contract(B, chi1)
     # third corrector:
     # (S0 - w0 B) chi3_abc =
     #     sym_abc[ i S1_a chi2_bc + delta_ab Gm chi1_c - A2_ab B chi1_c ]
     chi3 = np.zeros((M, d, d, d), dtype=complex)
     for key in itertools.combinations_with_replacement(range(d), 3):
         perms = set(itertools.permutations(key))
-        rhs = sum(1j * _matvec(S1[i], chi2[:, j, l]) + (i == j) * gchi1[:, l]
+        rhs = sum(1j * contract(S1[i], chi2[:, j, l]) + (i == j) * gchi1[:, l]
                   - A2[i, j] * bchi1[:, l] for i, j, l in perms)
         x = solver.solve(rhs / len(perms))
         for (i, j, l) in perms:
@@ -245,10 +233,10 @@ def effective_coefficients(cell: CellFunctions) -> EffectiveCoefficients:
     gamma = cell.gamma
     d = gamma.basis.dimension
     # the unit rho-normalized c0 of the cell solve: bc0 = B c0 / |c0|_B
-    c0 = gamma.coeffs / np.real(np.vdot(gamma.coeffs, cell.bc0))
+    c0 = gamma.coeffs / np.real(contract(gamma.coeffs.conj(), cell.bc0))
 
-    alpha_p = 1.0 / float(np.real(np.vdot(c0, c0)))   # <|phi_p|^2>^-1
-    rho0 = alpha_p * float(np.real(np.vdot(c0, cell.bc0)))
+    alpha_p = 1.0 / float(np.real(contract(c0.conj(), c0)))   # <|phi_p|^2>^-1
+    rho0 = alpha_p * float(np.real(contract(c0.conj(), cell.bc0)))
 
     def flux_average(chi_lower, chi_higher):
         """alpha_p < {G(grad chi^(n) + I (x) chi^(n-1)) conj(phi_p)}
@@ -257,8 +245,8 @@ def effective_coefficients(cell: CellFunctions) -> EffectiveCoefficients:
         In matrix form the pair of terms contracts to
         i c0^H S1_a chi^(n)_... + delta_ab c0^H Gm chi^(n-1)_...
         """
-        flux = 1j * np.tensordot(cell.s1c0.conj(), chi_higher, axes=(0, 0))
-        lower = np.tensordot(cell.gc0.conj(), chi_lower, axes=(0, 0))
+        flux = 1j * contract(cell.s1c0.conj().T, chi_higher)
+        lower = contract(cell.gc0.conj(), chi_lower)
         return alpha_p * symmetrize_full(flux + np.multiply.outer(np.eye(d),
                                                                   lower))
 
@@ -266,9 +254,9 @@ def effective_coefficients(cell: CellFunctions) -> EffectiveCoefficients:
     mu1 = flux_average(cell.chi1, cell.chi2)          # (d,d,d), should vanish
     mu2 = flux_average(cell.chi2, cell.chi3)          # (d,d,d,d)
 
-    rho1 = alpha_p * np.tensordot(cell.bc0.conj(), cell.chi1, axes=(0, 0))
-    rho2 = alpha_p * np.tensordot(cell.bc0.conj(), cell.chi2, axes=(0, 0))
-    cov = (cell.chi1.conj().T @ cell.bchi1).T         # <rho chi1_a conj(chi1_b)>
+    rho1 = alpha_p * contract(cell.bc0.conj(), cell.chi1)
+    rho2 = alpha_p * contract(cell.bc0.conj(), cell.chi2)
+    cov = contract(cell.bchi1.T, cell.chi1.conj())    # <rho chi1_a conj(chi1_b)>
 
     scale = max(np.abs(mu0).max(), 1e-300)
     imag = max(np.abs(t.imag).max() / max(np.abs(t).max(), 1e-300)

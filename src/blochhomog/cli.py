@@ -22,9 +22,9 @@ import numpy as np
 import scipy.linalg
 
 from . import __version__
-from .bloch import (bloch_pencil, dispersion_diagram, eigenpair_at_gamma,
-                    export_diagram_csv, find_band_gaps, GammaPair,
-                    PlaneWaveBasis)
+from .bloch import (bloch_pencil, contract, dispersion_diagram,
+                    eigenpair_at_gamma, export_diagram_csv, find_band_gaps,
+                    GammaPair, PlaneWaveBasis)
 from .cell import (CompatibilityViolation, SingularSystem, CellFunctions,
                    effective_coefficients, extrapolated_coefficients,
                    solve_cell_functions)
@@ -168,7 +168,7 @@ def cached_gamma(cfg: dict, cache_dir: str | None) -> GammaPair:
         basis = PlaneWaveBasis(spec.dimension, cutoff)
         table = fourier_table(spec, 2 * cutoff)
         _require(c0.shape == (basis.size,), path, f"coeffs shape {c0.shape}")
-        norm = np.vdot(c0, bloch_pencil(table, basis).B @ c0)
+        norm = contract(c0.conj(), contract(bloch_pencil(table, basis).B, c0))
         _require(abs(norm - 1.0) <= CACHE_NORM_TOL, path,
                  f"c0^H B c0 = {norm.real:.12g}")
         return GammaPair(spec=spec, basis=basis, table=table, branch=branch,
@@ -298,11 +298,11 @@ def cmd_gaps(cfg, out, args):
 def cmd_cell(cfg, out, args):
     gamma = cached_gamma(cfg, _cache_dir(out))
     cell = cached_cell(cfg, gamma, _cache_dir(out))
-    bc0 = bloch_pencil(gamma.table, gamma.basis).B @ gamma.coeffs
+    B = bloch_pencil(gamma.table, gamma.basis).B
+    bc0h = contract(B, gamma.coeffs).conj()
 
     def zero_mean(chi):
-        flat = chi.reshape(chi.shape[0], -1)
-        return float(np.max(np.abs(bc0.conj() @ flat)))
+        return float(np.max(np.abs(contract(bc0h, chi))))
 
     npz_path = os.path.join(out, "cell.npz")
     np.savez(npz_path, chi1=cell.chi1, chi2=cell.chi2, chi3=cell.chi3,

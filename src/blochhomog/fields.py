@@ -28,7 +28,9 @@ one periodic phase matrix per axis serves every node (and every cell
 function of the homogenized fields, and the source's phi_p), evaluated in
 slabs of SYNTH_BLOCK grid points by _periodic_blocks, the one grid
 synthesizer.  That matrix is a product of two tables of ~sqrt(2N+1)
-exponentials at x - round(x), ~1e-14 accurate.
+exponentials at x - round(x), ~1e-14 accurate.  The synthesis contractions,
+like every dense product here, are bloch.contract on scipy's BLAS, the
+library of the node solves, so one BLAS thread pool serves the whole loop.
 
 The homogenized fields of every requested order come from one pass
 (homogenized_fields): the order-2 cell stack [phi_p, eps chi1, eps^2 (cov
@@ -47,7 +49,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .bloch import (BlochPencil, GammaPair, PlaneWaveBasis, bloch_pencil,
-                    solve_bands)
+                    contract, solve_bands)
 from .cell import EffectiveCoefficients
 from .source import FrequencySpec, SourceSpec
 
@@ -188,7 +190,7 @@ def _separable_synth(cube: np.ndarray, phases) -> np.ndarray:
     """
     out = cube
     for a, E in enumerate(phases):
-        out = np.moveaxis(np.tensordot(E, out, axes=(1, a)), 0, a)
+        out = np.moveaxis(contract(E, np.moveaxis(out, a, 0)), 0, a)
     return out
 
 
@@ -314,7 +316,7 @@ def _branch_term(gamma: GammaPair, pencil: BlochPencil, omega2: float,
         raise GapViolation(
             f"denominator {np.min(np.abs(denom)):.3e} at k = {k}")
     v = sol.vectors[:, gamma.branch]
-    return v * (np.vdot(v, rhs) / denom[gamma.branch])
+    return v * (contract(v.conj(), rhs) / denom[gamma.branch])
 
 
 def _time_reversal(basis: PlaneWaveBasis, B: np.ndarray, c0: np.ndarray):
@@ -334,9 +336,9 @@ def _time_reversal(basis: PlaneWaveBasis, B: np.ndarray, c0: np.ndarray):
     position[scatter] = np.arange(basis.size)
     P = position[n ** basis.dimension - 1 - scatter]   # -j: reversed cube
     mirrored = c0[P].conj()
-    phase = np.vdot(c0, B @ mirrored)
+    phase = contract(c0.conj(), contract(B, mirrored))
     r = mirrored - phase * c0
-    return P, phase, float(np.sqrt(abs(np.vdot(r, B @ r))))
+    return P, phase, float(np.sqrt(abs(contract(r.conj(), contract(B, r)))))
 
 
 def _paired_solves(ks: np.ndarray, size: int, solve, pairing) -> tuple:
@@ -396,7 +398,7 @@ def exact_bloch_solution(gamma: GammaPair, freq: FrequencySpec,
     d = basis.dimension
     eps = freq.eps
     pencil = bloch_pencil(gamma.table, basis)
-    bc0 = pencil.B @ gamma.coeffs
+    bc0 = contract(pencil.B, gamma.coeffs)
 
     # (eps^d from dk = eps^d dkhat cancels the eps^{-d} in the projection)
     pref = (2.0 * np.pi) ** (-d / 2.0) * eps ** 2
@@ -421,7 +423,7 @@ def exact_bloch_solution(gamma: GammaPair, freq: FrequencySpec,
     cube = basis.coeff_cube(coeffs)
     out = np.empty(tuple(len(a) for a in axes), dtype=complex)
     for sl, part in _periodic_blocks(basis, cube, axes):
-        out[sl] = (part * _bloch_phase(axes, sl, ks)) @ weights
+        out[sl] = contract(part * _bloch_phase(axes, sl, ks), weights)
     total = np.sum(np.abs(wF))
     label = f"branch {gamma.branch} solution" if branch_only else "exact solution"
     return FieldOnGrid(axes=tuple(axes), values=out, label=label,

@@ -275,14 +275,16 @@ _CELL_ARRAYS = ("chi1", "chi2", "chi3", "A2", "s1c0", "gc0", "bc0", "bchi1")
 def test_real_block_products_equal_complex_products(med1d, med2d, monkeypatch,
                                                     dim, theta):
     """On a real (centred) pencil the cell solve multiplies the blocks by
-    stacked real and imaginary columns; every array it returns equals the
-    one from plain complex products.  theta != 0 makes c0 complex too."""
+    the float64 view of complex columns; every array it returns equals the
+    one from plain complex numpy products.  theta != 0 makes c0 complex
+    too."""
     gamma = eigenpair_at_gamma(med1d if dim == 1 else med2d, 0,
                                32 if dim == 1 else 4)
     gamma = dataclasses.replace(gamma, coeffs=np.exp(1j * theta) * gamma.coeffs)
     assert pencil_blocks(gamma.table, gamma.basis)[0].dtype == np.float64
     split = solve_cell_functions(gamma)
-    monkeypatch.setattr(cell_module, "_matvec", lambda A, x: A @ x)
+    monkeypatch.setattr(cell_module, "contract",
+                        lambda A, x: np.tensordot(A, x, 1))
     plain = solve_cell_functions(gamma)
     for name in _CELL_ARRAYS:
         a, b = getattr(split, name), getattr(plain, name)
@@ -390,6 +392,35 @@ def test_effective_tensors_phase_gauge_invariant(dim, data, theta):
     for name in ("mu0", "mu2"):
         a, b = getattr(rot, name), getattr(ref, name)
         assert np.max(np.abs(a - b)) <= 1e-12 * scale[name], name
+
+
+# the corner of _sharp_media(1) closest to the bound below: the softest,
+# thinnest inclusion in the stiffest background, error 9.0e-3 = 2.3 / 256
+_SOFT_THIN_1D = MediumSpec(dimension=1, background_G=5.0, background_rho=0.2,
+                           inclusions=(Inclusion((0.0,), 0.05, 0.2, 0.2),))
+
+
+@settings(max_examples=10, deadline=None)
+@given(spec=_sharp_media(1))
+@example(spec=_SOFT_THIN_1D)
+def test_mu0_over_rho0_converges_to_harmonic_over_arithmetic_mean(spec):
+    """In 1D the homogenized branch-0 coefficient is <1/G>^-1 / <rho>.  The
+    Galerkin mu0/rho0 approaches it like 1/N across a jump of G: the
+    relative error falls at every step 16 -> 64 -> 256 until it is roundoff
+    (no jump of G: exact at every N), and is below 3/256 at N = 256 for
+    every medium _sharp_media(1) draws."""
+    f = _volume_fraction(spec)
+    inc = spec.inclusions[0]
+    exact = (1.0 / ((1.0 - f) / spec.background_G + f / inc.G)
+             / ((1.0 - f) * spec.background_rho + f * inc.rho))
+    errors = []
+    for cutoff in (16, 64, 256):
+        eff = effective_coefficients(solve_cell_functions(
+            eigenpair_at_gamma(spec, 0, cutoff)))
+        errors.append(abs(eff.mu0[0, 0] / eff.rho0 / exact - 1.0))
+    assert all(e1 < e0 or e1 < 1e-13 for e0, e1 in zip(errors, errors[1:])), \
+        errors
+    assert errors[2] < 3.0 / 256, errors
 
 
 @pytest.mark.parametrize("dim", [1, 2])
