@@ -25,24 +25,29 @@ real pencil (centred media) uses the real LAPACK routines (?posv, ?sytrf,
 
 Synthesis is factored, exp(i (2 pi n + k) x) = exp(i k x) exp(i 2 pi n x):
 one periodic phase matrix per axis serves every node (and every cell
-function of the homogenized fields, and the source's phi_p), evaluated in
-slabs of SYNTH_BLOCK grid points by _periodic_blocks, the one grid
-synthesizer.  That matrix is a product of two tables of ~sqrt(2N+1)
-exponentials at x - round(x), ~1e-14 accurate.  The synthesis contractions,
+function of the homogenized fields, and the source's phi_p).  Its rows
+depend on x only through x - round(x), so _periodic_blocks, the one grid
+synthesizer, folds each axis onto one cell: it synthesizes each distinct
+reduced coordinate once, in slabs of at most SYNTH_BLOCK of them, and
+yields the grid back as row-index blocks of at most SYNTH_BLOCK points (a
+reference grid of 57 cells at 64 points per cell synthesizes 65 rows, not
+3649).  The matrix is a product of two tables of ~sqrt(2N+1) exponentials
+at x - round(x), ~1e-14 accurate.  The synthesis contractions,
 like every dense product here, are bloch.contract on scipy's BLAS, the
 library of the node solves, so one BLAS thread pool serves the whole loop.
 
 The homogenized fields of every requested order come from one pass
 (homogenized_fields): the order-2 cell stack [phi_p, eps chi1, eps^2 (cov
-phi_p + chi2)] is synthesized once per slab, and each order contracts its
-leading columns with [W0, grad W0] or all of them with [W2, grad W2,
-grad^2 W2]; the W0 and W2 stacks share one envelope phase matrix per axis,
-built per slab like the periodic one.
+phi_p + chi2)] is synthesized once, and each order contracts its leading
+columns with [W0, grad W0] or all of them with [W2, grad W2, grad^2 W2];
+the W0 and W2 stacks share one envelope phase matrix per axis, built per
+block on the grid's own coordinates (the envelope is not periodic).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +61,7 @@ from .source import FrequencySpec, SourceSpec
 DENOM_TOL = 1e-8
 PAIR_TOL = 1e-10        # time-reversal guard, B-norm residual
 ENVELOPE_DENOM_TOL = 1e-10
-SYNTH_BLOCK = 512      # grid points per synthesis slab
+SYNTH_BLOCK = 512      # points per synthesis slab and per yielded block
 
 
 class GapViolation(Exception):
@@ -143,8 +148,8 @@ def synthesize_periodic(basis: PlaneWaveBasis, coeffs: np.ndarray, axes):
     coefficients go through _periodic_blocks as a one-column cube."""
     cube = basis.coeff_cube(np.asarray(coeffs)[:, None])
     out = np.empty(tuple(len(ax) for ax in axes), dtype=complex)
-    for sl, part in _periodic_blocks(basis, cube, axes):
-        out[sl] = part[..., 0]
+    for rows, part in _periodic_blocks(basis, cube, axes):
+        out[rows] = part[..., 0]
     return out
 
 
@@ -195,28 +200,47 @@ def _separable_synth(cube: np.ndarray, phases) -> np.ndarray:
 
 
 def _periodic_blocks(basis: PlaneWaveBasis, cube: np.ndarray, axes):
-    """Evaluate sum_j cube[j, ...] exp(i 2 pi j.x) on the grid, in slabs of
-    the first axis holding about SYNTH_BLOCK points each.
+    """Evaluate sum_j cube[j, ...] exp(i 2 pi j.x) on the grid, folded onto
+    one cell.
 
-    Yields (slice of axis 0, values of shape (rows, X_2, ..., *extra)).  The
-    periodic phase matrices are built once per axis (per slab for axis 0),
-    so no (points x (2N+1)) temporary exceeds SYNTH_BLOCK rows.
+    The sum depends on each coordinate only through x - round(x), which is
+    exact, so every axis is folded to its distinct reduced coordinates
+    (np.unique) and the synthesis runs on those alone: a grid of whole cells
+    at 2^m points per cell folds to 2^m + 1 per axis, however many cells.
+    Axis 0 is synthesized in folded slabs of at most SYNTH_BLOCK distinct
+    points; each slab's grid rows are gathered back, in blocks of at most
+    SYNTH_BLOCK grid points (one row at least).
+
+    Yields (row indices of axis 0, values of shape (rows, X_2, ..., *extra));
+    the blocks cover every row once, and an empty axis yields none.
     """
-    rest = [_periodic_phase(ax, basis.cutoff) for ax in axes[1:]]
-    rows = max(1, SYNTH_BLOCK // int(np.prod([len(ax) for ax in axes[1:]])))
-    for start in range(0, len(axes[0]), rows):
-        sl = slice(start, start + rows)
+    if not all(len(ax) for ax in axes):
+        return
+    (u0, inv0), *rest = [np.unique(ax - np.round(ax), return_inverse=True)
+                         for ax in axes]
+    phases = [_periodic_phase(u, basis.cutoff) for u, _ in rest]
+    gather = [inv for _, inv in rest]
+    slab = max(1, SYNTH_BLOCK // math.prod(len(u) for u, _ in rest))
+    block = max(1, SYNTH_BLOCK // math.prod(len(inv) for inv in gather))
+    order = np.argsort(inv0, kind="stable")      # grid rows by folded row
+    ends = np.searchsorted(inv0[order], np.arange(0, len(u0) + slab, slab))
+    for s, (lo, hi) in enumerate(zip(ends[:-1], ends[1:])):
+        first = s * slab
         # the slab's phase matrix dies here: the next reuses its pages
-        yield sl, _separable_synth(
-            cube, [_periodic_phase(axes[0][sl], basis.cutoff)] + rest)
+        part = _separable_synth(cube, [_periodic_phase(
+            u0[first:first + slab], basis.cutoff)] + phases)
+        for start in range(lo, hi, block):
+            idx = order[start:min(start + block, hi)]
+            yield idx, part[np.ix_(inv0[idx] - first, *gather)]
 
 
-def _bloch_phase(axes, sl, ks: np.ndarray) -> np.ndarray:
-    """exp(i k_q.x) on a slab of the grid, shape (rows, X_2, ..., Q)."""
+def _bloch_phase(axes, rows, ks: np.ndarray) -> np.ndarray:
+    """exp(i k_q.x) on the grid rows `rows` of axis 0 (an index array), shape
+    (len(rows), X_2, ..., Q)."""
     d = len(axes)
     phase = 1.0
     for a, ax in enumerate(axes):
-        x = ax[sl] if a == 0 else ax
+        x = ax[rows] if a == 0 else ax
         phase = phase * _phase_matrix(x, ks[:, a]).reshape(
             (len(x),) + (1,) * (d - 1 - a) + (len(ks),))
     return phase
@@ -422,8 +446,8 @@ def exact_bloch_solution(gamma: GammaPair, freq: FrequencySpec,
     weights = pref * wF[inside]
     cube = basis.coeff_cube(coeffs)
     out = np.empty(tuple(len(a) for a in axes), dtype=complex)
-    for sl, part in _periodic_blocks(basis, cube, axes):
-        out[sl] = contract(part * _bloch_phase(axes, sl, ks), weights)
+    for rows, part in _periodic_blocks(basis, cube, axes):
+        out[rows] = contract(part * _bloch_phase(axes, rows, ks), weights)
     total = np.sum(np.abs(wF))
     label = f"branch {gamma.branch} solution" if branch_only else "exact solution"
     return FieldOnGrid(axes=tuple(axes), values=out, label=label,
@@ -529,7 +553,7 @@ def homogenized_fields(eff: EffectiveCoefficients, freq: FrequencySpec,
     stack [phi_p, eps chi1, eps^2 (corrector_cov phi_p + chi2)], synthesized
     once for all orders, with [W0, grad W0] (m < 2) or [W2, grad W2,
     grad^2 W2]; the W0 and W2 columns share one envelope phase matrix per
-    axis and slab.  Returns {m: FieldOnGrid}.
+    axis and grid block.  Returns {m: FieldOnGrid}.
     """
     orders = sorted(set(orders))
     if not orders or not set(orders) <= {0, 1, 2}:
@@ -550,18 +574,18 @@ def homogenized_fields(eff: EffectiveCoefficients, freq: FrequencySpec,
     if 2 in orders:
         stacks.append((2, derivs))
     envelopes = _envelope_cube(eff, freq, source, quad, stacks)
-    # envelope phases in the same slabs as the periodic ones: no
+    # envelope phases on the grid rows of each periodic block: no
     # (points x nodes) matrix over the whole grid
     rest = [_phase_matrix(eps * ax, quad.axis_nodes) for ax in axes[1:]]
     cube = basis.coeff_cube(np.stack(cells[:width[orders[-1]]], axis=-1))
     values = {m: np.empty(tuple(len(a) for a in axes), dtype=complex)
               for m in orders}
-    for sl, part in _periodic_blocks(basis, cube, axes):
-        first = _phase_matrix(eps * axes[0][sl], quad.axis_nodes)
+    for rows, part in _periodic_blocks(basis, cube, axes):
+        first = _phase_matrix(eps * axes[0][rows], quad.axis_nodes)
         W = _separable_synth(envelopes, [first] + rest)
         for m in orders:
             env = W[..., n0:] if m == 2 else W[..., :width[m]]
-            values[m][sl] = np.sum(part[..., :width[m]] * env, axis=-1)
+            values[m][rows] = np.sum(part[..., :width[m]] * env, axis=-1)
     return {m: FieldOnGrid(axes=tuple(axes), values=values[m],
                            label=f"order-{m} approximation",
                            meta={"eps": eps, "order": m}) for m in orders}

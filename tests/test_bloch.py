@@ -345,6 +345,51 @@ def test_paired_diagram_equals_per_k_solve(G2, rho2, radius, centre, cutoff,
         1e-10 * np.max(np.abs(per_k))
 
 
+@st.composite
+def _admissible_medium(draw, dim):
+    """One inclusion of random contrast, size and position in a random
+    background (positive G and rho, the inclusion inside the cell), a
+    cutoff and a wavevector in the Brillouin zone."""
+    centre = tuple(draw(st.floats(-0.25, 0.25)) for _ in range(dim))
+    spec = MediumSpec(dimension=dim, background_G=draw(st.floats(0.2, 5.0)),
+                      background_rho=draw(st.floats(0.2, 5.0)),
+                      inclusions=(Inclusion(center=centre,
+                                            radius=draw(st.floats(0.05, 0.2)),
+                                            G=draw(st.floats(0.2, 20.0)),
+                                            rho=draw(st.floats(0.2, 30.0))),))
+    cutoff = draw(st.integers(3, 12) if dim == 1 else st.integers(2, 4))
+    k = np.array([draw(st.floats(-np.pi, np.pi)) for _ in range(dim)])
+    return spec, cutoff, k
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_reciprocal_shift_periodicity(dim, data):
+    """omega(k + 2 pi e_a) = omega(k) up to the basis truncation.  The
+    pencil at k + 2 pi e_a on the cutoff-N basis is the pencil at k on the
+    index set {j + e_a}, which holds the cutoff-(N-1) set and lies in the
+    cutoff-(N+1) set.  By Rayleigh-Ritz monotonicity both omega_m(k + 2 pi
+    e_a; N) and omega_m(k; N) lie in [omega_m(k; N+1), omega_m(k; N-1)], so
+    the shift moves no band by more than that bracket, which closes as N
+    grows."""
+    spec, N, k = data.draw(_admissible_medium(dim))
+    table = fourier_table(spec, 2 * (N + 1))
+    count = 4
+
+    def bands(cutoff, kv):
+        return solve_bands(table, PlaneWaveBasis(dim, cutoff), kv,
+                           count).omega2
+
+    upper, lower = bands(N - 1, k), bands(N + 1, k)
+    tol = 1e-10 * np.max(np.abs(upper))
+    for a in range(dim):
+        shifted = bands(N, k + 2.0 * np.pi * np.eye(dim)[a])
+        assert np.all(lower - tol <= shifted) and np.all(shifted <= upper + tol)
+        assert np.max(np.abs(shifted - bands(N, k))) <= \
+            np.max(upper - lower) + tol
+
+
 def test_paired_diagram_equals_per_k_solve_2d(med2d):
     """Explicit +-k samples on the 2D medium (real pencil)."""
     ks = np.array([[0.4, -1.1], [-0.4, 1.1], [2.0, 0.3], [-2.0, -0.3]])

@@ -371,6 +371,35 @@ def test_readme_example_config_converges(tmp_path, work_counts):
     assert work_counts == {"diagrams": 0, "cell_stacks": 3, "sources": 3}
 
 
+def test_readme_syntheses_fold_onto_one_cell(tmp_path, monkeypatch):
+    """Every grid synthesis of the README `converge` run (the source's phi_p
+    and the cell stack, at each eps) passes _periodic_phase one row per
+    distinct x - round(x), 65 on the 64-points-per-cell reference grids,
+    not one per grid point."""
+    syntheses = []
+    periodic_blocks = fields._periodic_blocks
+    periodic_phase = fields._periodic_phase
+
+    def counted_blocks(basis, cube, axes):
+        (x,) = axes
+        syntheses.append({"points": len(x), "phase_rows": 0,
+                          "distinct": len(np.unique(x - np.round(x)))})
+        yield from periodic_blocks(basis, cube, axes)
+
+    def counted_phase(x, cutoff):
+        syntheses[-1]["phase_rows"] += len(x)
+        return periodic_phase(x, cutoff)
+
+    monkeypatch.setattr(fields, "_periodic_blocks", counted_blocks)
+    monkeypatch.setattr(fields, "_periodic_phase", counted_phase)
+    cfg = write_cfg(tmp_path, _readme_config())
+    assert main(["converge", "--config", cfg, "--out",
+                 str(tmp_path / "out")]) == 0
+    assert len(syntheses) == 6                  # phi_p and cell stack per eps
+    for s in syntheses:
+        assert s["phase_rows"] == s["distinct"] == 65 < s["points"]
+
+
 def test_converge_above_acoustic_branch_builds_one_diagram(tmp_path, capsys,
                                                            work_counts):
     """sigma = +1 puts omega^2 on the acoustic branch: the one diagram for

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -175,7 +176,8 @@ def _node_spectra(gamma, source, quad_, eps):
 
 def _mode_sum(gamma, spectra, freq, axes, keep=None):
     """Reference field: the mode superposition summed node by node and
-    evaluated pointwise, over all modes or only branch `keep`."""
+    evaluated point by point (_direct_periodic), over all modes or only
+    branch `keep`."""
     basis = gamma.basis
     d = basis.dimension
     _, B = assemble_operator(gamma.table, basis, np.zeros(d))
@@ -186,9 +188,15 @@ def _mode_sum(gamma, spectra, freq, axes, keep=None):
         amps = (vecs.conj().T @ bc0) / (vals - freq.omega2)
         if keep is not None:
             amps = np.where(np.arange(len(amps)) == keep, amps, 0.0)
-        out += wF * np.exp(1j * pts @ k) * synthesize_periodic(
+        out += wF * np.exp(1j * pts @ k) * _direct_periodic(
             basis, vecs @ amps, axes)
     return (2.0 * np.pi) ** (-d / 2.0) * freq.eps ** 2 * out
+
+
+def _direct_periodic(basis, coeffs, axes):
+    """sum_j c_j exp(i 2 pi j.x) summed point by point, each phase built
+    directly (no argument reduction, no folding)."""
+    return np.exp(2j * np.pi * (_grid_points(axes) @ basis.indices.T)) @ coeffs
 
 
 def _first_node_gap(spectra):
@@ -744,10 +752,154 @@ def test_synthesize_periodic_2d_direct_sum():
             rng.uniform(-20.0, 20.0, 29))
     assert len(axes[0]) % (SYNTH_BLOCK // len(axes[1])) != 0
     got = synthesize_periodic(basis, coeffs, axes)
-    pts = _grid_points(axes)
-    direct = np.exp(2j * np.pi * (pts @ basis.indices.T)) @ coeffs
     assert got.shape == (41, 29)
-    assert np.max(np.abs(got - direct)) < 1e-12 * np.sum(np.abs(coeffs))
+    assert np.max(np.abs(got - _direct_periodic(basis, coeffs, axes))) \
+        < 1e-12 * np.sum(np.abs(coeffs))
+
+
+# ---------------------------------------------------------------------------
+# Folding the grid synthesis onto one cell
+# ---------------------------------------------------------------------------
+
+# dyadic reduced coordinates, with the +-0.5 ties where np.round rounds to even
+_REDUCED = [-0.5, 0.5, 0.0, 0.25, -0.375, 0.125]
+
+
+@st.composite
+def _folded_axis(draw, length):
+    """An axis of `length` (a strategy) points, each one of a few reduced
+    coordinates (the +-0.5 ties and arbitrary floats among them) shifted by
+    a random integer in [-4, 4]: equal x - round(x) repeat in random order,
+    scattered over the axis and across slab and block boundaries."""
+    reduced = draw(st.lists(st.sampled_from(_REDUCED) | st.floats(-0.5, 0.5),
+                            min_size=1, max_size=4))
+    n = draw(length)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return rng.choice(reduced, n) + rng.integers(-4, 5, n)
+
+
+@st.composite
+def _folded_grid(draw, dim):
+    """Axes of a 1D grid (some longer than SYNTH_BLOCK) or a 2D grid, and a
+    synthesis block size: the default or a small one that splits the folded
+    axis into several slabs."""
+    if dim == 1:
+        axes = (draw(_folded_axis(st.integers(1, 40)
+                                  | st.just(SYNTH_BLOCK + 37))),)
+    else:
+        axes = tuple(draw(_folded_axis(st.integers(1, 12))) for _ in range(2))
+    return axes, draw(st.sampled_from([1, 5, 64, SYNTH_BLOCK]))
+
+
+@pytest.fixture(scope="module")
+def fold_setup(gamma1d_32, eff1d_32, source1d, source2d):
+    """Per dimension: eigenpair, effective coefficients, source, a small
+    quadrature, the drive and the full node spectra for the mode sum."""
+    gamma2 = eigenpair_at_gamma(disk_2d(), 0, 4)
+    setup = {}
+    for d, gamma, eff, source in ((1, gamma1d_32, eff1d_32, source1d),
+                                  (2, gamma2, effective_coefficients(
+                                      solve_cell_functions(gamma2)),
+                                   source2d)):
+        quad_ = wavenumber_quadrature(d, 8.0, 16 if d == 1 else 6)
+        eps = 0.5
+        freq = FrequencySpec(branch=0, sigma=-1, omega_hat=1.0, eps=eps,
+                             omega2=gamma.omega2 - eps ** 2)
+        setup[d] = (gamma, eff, source, quad_, freq,
+                    _node_spectra(gamma, source, quad_, eps))
+    return setup
+
+
+def _direct_homogenized(eff, freq, source, quad_, axes):
+    """U0, U1 and U2 with every cell function summed point by point
+    (_direct_periodic) and each envelope from effective_envelope."""
+    gamma, cell = eff.gamma, eff.cell
+    d, eps = gamma.basis.dimension, freq.eps
+    slow = tuple(eps * ax for ax in axes)
+
+    def term(coeffs, order, deriv):
+        return _direct_periodic(gamma.basis, coeffs, axes) * \
+            effective_envelope(eff, freq, source, quad_, order, slow, deriv)
+
+    second = [(a, b) for a in range(d) for b in range(d)]
+    u0 = term(gamma.coeffs, 0, ())
+    u1 = u0 + sum(term(eps * cell.chi1[:, a], 0, (a,)) for a in range(d))
+    u2 = term(gamma.coeffs, 2, ()) \
+        + sum(term(eps * cell.chi1[:, a], 2, (a,)) for a in range(d)) \
+        + sum(term(eps ** 2 * (eff.corrector_cov[a, b] * gamma.coeffs
+                               + cell.chi2[:, a, b]), 2, (a, b))
+              for a, b in second)
+    return {0: u0, 1: u1, 2: u2}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_folded_synthesis_equals_direct_sums(fold_setup, dim, data):
+    """On axes whose reduced coordinates repeat out of order, the folded
+    synthesis gives the per-point sums: synthesize_periodic, the exact field
+    (against the mode sum over every node) and the homogenized fields of
+    orders 0, 1, 2.  The blocks cover every grid row once, hold at most
+    max(SYNTH_BLOCK, one row) points, and each slab passes _periodic_phase
+    at most SYNTH_BLOCK distinct reduced coordinates (one row at least)."""
+    axes, block = data.draw(_folded_grid(dim))
+    gamma, eff, source, quad_, freq, spectra = fold_setup[dim]
+    basis = gamma.basis
+    shape = tuple(len(ax) for ax in axes)
+    row = math.prod(shape[1:])
+    distinct = [len(np.unique(ax - np.round(ax))) for ax in axes]
+    phase_rows = []
+
+    def counted_phase(x, cutoff):
+        phase_rows.append(len(x))
+        return _periodic_phase(x, cutoff)
+
+    with mock.patch.object(fields, "SYNTH_BLOCK", block), \
+            mock.patch.object(fields, "_periodic_phase", counted_phase):
+        blocks = list(fields._periodic_blocks(
+            basis, basis.coeff_cube(gamma.coeffs[:, None]), axes))
+        got = synthesize_periodic(basis, gamma.coeffs, axes)
+        u = exact_bloch_solution(gamma, freq, source, quad_, axes)
+        homogenized = homogenized_fields(eff, freq, source, quad_, (0, 1, 2),
+                                         axes)
+    rows = np.concatenate([r for r, _ in blocks])
+    assert np.array_equal(np.sort(rows), np.arange(shape[0]))
+    for r, part in blocks:
+        assert part.shape == (len(r),) + shape[1:] + (1,)
+        assert len(r) * row <= max(block, row)
+    slab = max(1, block // math.prod(distinct[1:]))
+    assert max(phase_rows) <= max([slab] + distinct[1:])
+    assert sum(phase_rows) == 4 * sum(distinct)     # four syntheses
+
+    scale = np.sum(np.abs(gamma.coeffs))
+    assert np.max(np.abs(got - _direct_periodic(basis, gamma.coeffs, axes))) \
+        <= 1e-12 * scale
+    assert _rel(u.values, _mode_sum(gamma, spectra, freq, axes)) < 1e-10
+    direct = _direct_homogenized(eff, freq, source, quad_, axes)
+    for m in (0, 1, 2):
+        assert _rel(homogenized[m].values, direct[m]) < 1e-12
+
+
+def test_empty_axes_give_empty_fields(fold_setup):
+    """An empty axis, first or second, gives an empty field of the grid's
+    shape from every synthesis (no blocks, no ZeroDivisionError)."""
+    grids = {1: [(np.zeros(0),)],
+             2: [(np.linspace(0.0, 1.0, 3), np.zeros(0)),
+                 (np.zeros(0), np.linspace(0.0, 1.0, 3))]}
+    for dim, cases in grids.items():
+        gamma, eff, source, quad_, freq, _ = fold_setup[dim]
+        for axes in cases:
+            shape = tuple(len(ax) for ax in axes)
+            assert not list(fields._periodic_blocks(
+                gamma.basis, gamma.basis.coeff_cube(gamma.coeffs[:, None]),
+                axes))
+            assert synthesize_periodic(gamma.basis, gamma.coeffs,
+                                       axes).shape == shape
+            u = exact_bloch_solution(gamma, freq, source, quad_, axes)
+            assert u.values.shape == shape
+            for field in homogenized_fields(eff, freq, source, quad_,
+                                            (0, 1, 2), axes).values():
+                assert field.values.shape == shape
 
 
 @pytest.fixture(scope="module")
