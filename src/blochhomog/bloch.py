@@ -145,12 +145,12 @@ class BlochPencil:
 
     def stiffness(self, k) -> np.ndarray:
         """S(k) = G o sum_a outer(kpg_a, kpg_a), kpg = 2 pi j + k: d <= 2
-        outer products, no BLAS call."""
+        outer products, no BLAS call, in one new buffer of G's dtype."""
         kpg = (self.tp + k).T
-        outer = np.multiply.outer(kpg[0], kpg[0])
+        S = np.multiply.outer(kpg[0], kpg[0], out=np.empty_like(self.G))
         for t in kpg[1:]:
-            outer += np.multiply.outer(t, t)
-        return self.G * outer
+            S += np.multiply.outer(t, t)
+        return np.multiply(self.G, S, out=S)
 
     def blocks(self):
         """(S0, S1_list, Gm, B) with S(k) = S0 + sum k_a S1[a] + |k|^2 Gm."""

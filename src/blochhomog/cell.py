@@ -72,14 +72,15 @@ class ConstrainedSolver:
 
     The operator is singular on span(c0); the border adds the Lagrange
     multiplier that projects the right-hand side onto the compatible
-    subspace.  One LU factorization is shared by all right-hand sides.
+    subspace.  One LU factorization is shared by all right-hand sides; it is
+    real when S0, B and c0 are (a complex rhs is then two real columns).
     """
 
     def __init__(self, S0, B, omega2, c0):
         n = S0.shape[0]
         A = S0 - omega2 * B
         b = contract(B, c0)
-        K = np.zeros((n + 1, n + 1), dtype=complex, order="F")
+        K = np.zeros((n + 1, n + 1), dtype=np.result_type(A, b), order="F")
         K[:n, :n] = A
         K[:n, n] = b
         K[n, :n] = b.conj()
@@ -104,9 +105,13 @@ class ConstrainedSolver:
         if scale > 0 and incompat > COMPAT_TOL * scale:
             raise CompatibilityViolation(
                 f"<rhs, phi_p> = {incompat:.3e} exceeds {COMPAT_TOL:.0e} * |rhs|")
-        full = np.zeros(self._n + 1, dtype=complex)
-        full[:self._n] = rhs
+        K = self._lu[0]
+        split = not np.iscomplexobj(K)              # real K: two columns
+        cols = np.stack([rhs.real, rhs.imag], axis=1) if split else rhs
+        full = np.zeros((self._n + 1,) + cols.shape[1:], dtype=K.dtype)
+        full[:self._n] = cols
         sol = scipy.linalg.lu_solve(self._lu, full)
+        sol = sol[:, 0] + 1j * sol[:, 1] if split else sol
         x, mult = sol[:self._n], sol[self._n]
         res = np.linalg.norm(contract(self._A, x) + mult * self._b - rhs)
         if scale > 0 and res > RESIDUAL_BOUND * max(scale, 1.0):

@@ -83,8 +83,10 @@ def reference_solution(gamma: GammaPair, freq: FrequencySpec,
     A = sp.diags([main] + bands, offsets=[0] + offsets, format="csc")
     rhs = freq.eps ** 2 * sample_source(gamma, source, freq.eps,
                                         (xi,) * d).ravel()
-    # A is real: the real and imaginary parts share one factorization
-    sol = spla.splu(A).solve(np.column_stack([rhs.real, rhs.imag]))
+    # A is real: the real and imaginary parts share one factorization; it is
+    # symmetric, so the ordering is minimum degree on A^T + A
+    sol = spla.splu(A, permc_spec="MMD_AT_PLUS_A").solve(
+        np.column_stack([rhs.real, rhs.imag]))
 
     u = np.zeros((len(x),) * d, dtype=complex)
     u[(slice(1, -1),) * d] = (sol[:, 0] + 1j * sol[:, 1]).reshape((ni,) * d)

@@ -26,22 +26,25 @@ real pencil (centred media) uses the real LAPACK routines (?posv, ?sytrf,
 Synthesis is factored, exp(i (2 pi n + k) x) = exp(i k x) exp(i 2 pi n x):
 one periodic phase matrix per axis serves every node (and every cell
 function of the homogenized fields, and the source's phi_p).  Its rows
-depend on x only through x - round(x), so _periodic_blocks, the one grid
-synthesizer, folds each axis onto one cell: it synthesizes each distinct
-reduced coordinate once, in slabs of at most SYNTH_BLOCK of them, and
+depend on x only through r = x - round(x), so _periodic_blocks, the one
+grid synthesizer, folds each axis onto one cell (_fold_axes): it
+synthesizes each distinct r once, in slabs of at most SYNTH_BLOCK, and
 yields the grid back as row-index blocks of at most SYNTH_BLOCK points (a
 reference grid of 57 cells at 64 points per cell synthesizes 65 rows, not
 3649).  The matrix is a product of two tables of ~sqrt(2N+1) exponentials
-at x - round(x), ~1e-14 accurate.  The synthesis contractions,
-like every dense product here, are bloch.contract on scipy's BLAS, the
-library of the node solves, so one BLAS thread pool serves the whole loop.
+at r, ~1e-14 accurate.  The non-periodic phases exp(i f x) (Bloch f = k,
+envelope f = eps khat) share the fold: exp(i f round(x)) exp(i f r) from a
+table over the distinct cells and one over the distinct r (57 + 65 rows
+of exponentials, not 3649).  The contractions, like every dense product
+here, are bloch.contract on scipy's BLAS, the library of the node solves,
+so one BLAS thread pool serves the whole loop.
 
 The homogenized fields of every requested order come from one pass
 (homogenized_fields): the order-2 cell stack [phi_p, eps chi1, eps^2 (cov
 phi_p + chi2)] is synthesized once, and each order contracts its leading
 columns with [W0, grad W0] or all of them with [W2, grad W2, grad^2 W2];
-the W0 and W2 stacks share one envelope phase matrix per axis, built per
-block on the grid's own coordinates (the envelope is not periodic).
+the W0 and W2 stacks share one envelope phase per axis, on the fast grid's
+fold (the envelope is not periodic), gathered per block of grid rows.
 """
 
 from __future__ import annotations
@@ -148,7 +151,7 @@ def synthesize_periodic(basis: PlaneWaveBasis, coeffs: np.ndarray, axes):
     coefficients go through _periodic_blocks as a one-column cube."""
     cube = basis.coeff_cube(np.asarray(coeffs)[:, None])
     out = np.empty(tuple(len(ax) for ax in axes), dtype=complex)
-    for rows, part in _periodic_blocks(basis, cube, axes):
+    for rows, part in _periodic_blocks(basis, cube, _fold_axes(axes)):
         out[rows] = part[..., 0]
     return out
 
@@ -158,10 +161,25 @@ def _grid_points(axes):
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
-def _phase_matrix(x, freqs) -> np.ndarray:
-    """exp(i x f), f not integer multiples of 2 pi: one row per point."""
-    E = np.outer(x, 1j * freqs)
-    return np.exp(E, out=E)              # in place: one (points x f) array
+def _fold_axes(axes) -> list:
+    """The exact split x = m + r, m = round(x), of each axis: (distinct r,
+    index of each point's r, distinct m, index of each point's m)."""
+    return [(*np.unique(ax - np.round(ax), return_inverse=True),
+             *np.unique(np.round(ax), return_inverse=True)) for ax in axes]
+
+
+def _nonperiodic_phase(fold, freqs):
+    """exp(i x f), f not multiples of 2 pi, on a folded axis: a function of
+    point indices (default all) gathering rows exp(i m f) exp(i r f) from
+    tables over the distinct m and r, accurate to the rounding of m f."""
+    reduced, ir, cells, ic = fold
+    cell, row = (np.exp(1j * np.outer(v, freqs)) for v in (cells, reduced))
+
+    def phase(idx=slice(None)):
+        E = cell[ic[idx]]
+        E *= row[ir[idx]]
+        return E
+    return phase
 
 
 def _periodic_phase(x, cutoff: int) -> np.ndarray:
@@ -199,28 +217,27 @@ def _separable_synth(cube: np.ndarray, phases) -> np.ndarray:
     return out
 
 
-def _periodic_blocks(basis: PlaneWaveBasis, cube: np.ndarray, axes):
-    """Evaluate sum_j cube[j, ...] exp(i 2 pi j.x) on the grid, folded onto
-    one cell.
+def _periodic_blocks(basis: PlaneWaveBasis, cube: np.ndarray, folds):
+    """Evaluate sum_j cube[j, ...] exp(i 2 pi j.x) on the grid of the folded
+    axes `folds` (_fold_axes), folded onto one cell.
 
     The sum depends on each coordinate only through x - round(x), which is
-    exact, so every axis is folded to its distinct reduced coordinates
-    (np.unique) and the synthesis runs on those alone: a grid of whole cells
-    at 2^m points per cell folds to 2^m + 1 per axis, however many cells.
-    Axis 0 is synthesized in folded slabs of at most SYNTH_BLOCK distinct
-    points; each slab's grid rows are gathered back, in blocks of at most
-    SYNTH_BLOCK grid points (one row at least).
+    exact, so every axis is folded to its distinct reduced coordinates and
+    the synthesis runs on those alone: a grid of whole cells at 2^m points
+    per cell folds to 2^m + 1 per axis, however many cells.  Axis 0 is
+    synthesized in folded slabs of at most SYNTH_BLOCK distinct points; each
+    slab's grid rows are gathered back, in blocks of at most SYNTH_BLOCK
+    grid points (one row at least).
 
     Yields (row indices of axis 0, values of shape (rows, X_2, ..., *extra));
     the blocks cover every row once, and an empty axis yields none.
     """
-    if not all(len(ax) for ax in axes):
+    if not all(len(f[1]) for f in folds):
         return
-    (u0, inv0), *rest = [np.unique(ax - np.round(ax), return_inverse=True)
-                         for ax in axes]
-    phases = [_periodic_phase(u, basis.cutoff) for u, _ in rest]
-    gather = [inv for _, inv in rest]
-    slab = max(1, SYNTH_BLOCK // math.prod(len(u) for u, _ in rest))
+    (u0, inv0, _, _), *rest = folds
+    phases = [_periodic_phase(f[0], basis.cutoff) for f in rest]
+    gather = [f[1] for f in rest]
+    slab = max(1, SYNTH_BLOCK // math.prod(len(f[0]) for f in rest))
     block = max(1, SYNTH_BLOCK // math.prod(len(inv) for inv in gather))
     order = np.argsort(inv0, kind="stable")      # grid rows by folded row
     ends = np.searchsorted(inv0[order], np.arange(0, len(u0) + slab, slab))
@@ -234,15 +251,14 @@ def _periodic_blocks(basis: PlaneWaveBasis, cube: np.ndarray, axes):
             yield idx, part[np.ix_(inv0[idx] - first, *gather)]
 
 
-def _bloch_phase(axes, rows, ks: np.ndarray) -> np.ndarray:
-    """exp(i k_q.x) on the grid rows `rows` of axis 0 (an index array), shape
-    (len(rows), X_2, ..., Q)."""
-    d = len(axes)
-    phase = 1.0
-    for a, ax in enumerate(axes):
-        x = ax[rows] if a == 0 else ax
-        phase = phase * _phase_matrix(x, ks[:, a]).reshape(
-            (len(x),) + (1,) * (d - 1 - a) + (len(ks),))
+def _bloch_phase(phases, rows) -> np.ndarray:
+    """exp(i k_q.x) on the grid rows `rows` of axis 0 (an index array) from
+    the per-axis _nonperiodic_phase functions, shape (len(rows), X_2, ..., Q)."""
+    d = len(phases)
+    for a, phase_a in enumerate(phases):
+        E = phase_a(rows if a == 0 else slice(None))
+        E = E.reshape((len(E),) + (1,) * (d - 1 - a) + (E.shape[-1],))
+        phase = E if a == 0 else phase * E
     return phase
 
 
@@ -280,8 +296,9 @@ def _eigenvalues_below(S: np.ndarray, B: np.ndarray, sigma: float) -> int:
     determinant (for ?hetrf and ?sytrf alike).
     """
     hetrf, lwork = _lapack("hetrf", S.dtype, len(S))
-    ldu, ipiv, _ = hetrf(S - sigma * B, lower=1, lwork=lwork,
-                         overwrite_a=True)
+    shifted = np.multiply(sigma, B, dtype=np.result_type(S, B))
+    ldu, ipiv, _ = hetrf(np.subtract(S, shifted, out=shifted), lower=1,
+                         lwork=lwork, overwrite_a=True)
     negative_pivots = np.count_nonzero(ldu.diagonal().real[ipiv > 0] < 0.0)
     return int(negative_pivots + np.count_nonzero(ipiv < 0) // 2)
 
@@ -301,15 +318,15 @@ def _resolvent_term(pencil: BlochPencil, omega2: float, k: np.ndarray,
     that raises GapViolation when an eigenvalue lies within DENOM_TOL of
     omega^2 (unequal counts below omega^2 -+ DENOM_TOL), unless -k is in
     gap_checked; adds k there.  A complex rhs on a real pencil is solved as
-    two real columns.
+    two real columns.  S(k) - omega^2 B is formed in the stiffness buffer.
     """
     S = pencil.stiffness(k)
     split = np.iscomplexobj(rhs) and not np.iscomplexobj(S)
     cols = np.stack([rhs.real, rhs.imag], axis=1) if split else rhs
     if _factorization(omega2) == "cholesky":
         posv, _ = _lapack("posv", S.dtype, len(S))
-        _, x, info = posv(S - omega2 * pencil.B, cols, lower=1,
-                          overwrite_a=True)
+        S -= omega2 * pencil.B
+        _, x, info = posv(S, cols, lower=1, overwrite_a=True)
         if info > 0:
             raise GapViolation(
                 f"S - omega^2 B not positive definite at k = {k}: an "
@@ -324,8 +341,8 @@ def _resolvent_term(pencil: BlochPencil, omega2: float, k: np.ndarray,
                 f"omega^2 = {omega2:.12g} at k = {k}")
         gap_checked.add(tuple(k))
     hesv, lwork = _lapack("hesv", S.dtype, len(S))
-    _, _, x, info = hesv(S - omega2 * pencil.B, cols, lower=1, lwork=lwork,
-                         overwrite_a=True)
+    S -= omega2 * pencil.B
+    _, _, x, info = hesv(S, cols, lower=1, lwork=lwork, overwrite_a=True)
     if info > 0:
         raise GapViolation(f"singular resolvent at k = {k}")
     return x[:, 0] + 1j * x[:, 1] if split else x
@@ -445,9 +462,12 @@ def exact_bloch_solution(gamma: GammaPair, freq: FrequencySpec,
 
     weights = pref * wF[inside]
     cube = basis.coeff_cube(coeffs)
+    folds = _fold_axes(axes)
+    bloch = [_nonperiodic_phase(f, ks[:, a]) for a, f in enumerate(folds)]
     out = np.empty(tuple(len(a) for a in axes), dtype=complex)
-    for rows, part in _periodic_blocks(basis, cube, axes):
-        out[rows] = contract(part * _bloch_phase(axes, rows, ks), weights)
+    for rows, part in _periodic_blocks(basis, cube, folds):
+        part *= _bloch_phase(bloch, rows)          # part is a gathered copy
+        out[rows] = contract(part, weights)
     total = np.sum(np.abs(wF))
     label = f"branch {gamma.branch} solution" if branch_only else "exact solution"
     return FieldOnGrid(axes=tuple(axes), values=out, label=label,
@@ -520,7 +540,8 @@ def _envelopes(eff: EffectiveCoefficients, freq: FrequencySpec,
     """The _envelope_cube columns on a separable slow-coordinate grid, one
     envelope phase matrix per axis: shape (X_1, ..., X_d, columns)."""
     return _separable_synth(_envelope_cube(eff, freq, source, quad, stacks),
-                            [_phase_matrix(ax, quad.axis_nodes) for ax in axes])
+                            [_nonperiodic_phase(f, quad.axis_nodes)()
+                             for f in _fold_axes(axes)])
 
 
 def effective_envelope(eff: EffectiveCoefficients, freq: FrequencySpec,
@@ -574,15 +595,17 @@ def homogenized_fields(eff: EffectiveCoefficients, freq: FrequencySpec,
     if 2 in orders:
         stacks.append((2, derivs))
     envelopes = _envelope_cube(eff, freq, source, quad, stacks)
-    # envelope phases on the grid rows of each periodic block: no
-    # (points x nodes) matrix over the whole grid
-    rest = [_phase_matrix(eps * ax, quad.axis_nodes) for ax in axes[1:]]
+    # exp(i eps khat x) on the fast grid, so that m = round(x) is the cell;
+    # axis 0 per block of rows: no (points x nodes) matrix over the grid
+    folds = _fold_axes(axes)
+    first, *rest = [_nonperiodic_phase(f, eps * quad.axis_nodes)
+                    for f in folds]
+    rest = [E() for E in rest]
     cube = basis.coeff_cube(np.stack(cells[:width[orders[-1]]], axis=-1))
     values = {m: np.empty(tuple(len(a) for a in axes), dtype=complex)
               for m in orders}
-    for rows, part in _periodic_blocks(basis, cube, axes):
-        first = _phase_matrix(eps * axes[0][rows], quad.axis_nodes)
-        W = _separable_synth(envelopes, [first] + rest)
+    for rows, part in _periodic_blocks(basis, cube, folds):
+        W = _separable_synth(envelopes, [first(rows)] + rest)
         for m in orders:
             env = W[..., n0:] if m == 2 else W[..., :width[m]]
             values[m][rows] = np.sum(part[..., :width[m]] * env, axis=-1)

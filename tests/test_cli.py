@@ -1,6 +1,7 @@
 import json
 import os
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -380,11 +381,12 @@ def test_readme_syntheses_fold_onto_one_cell(tmp_path, monkeypatch):
     periodic_blocks = fields._periodic_blocks
     periodic_phase = fields._periodic_phase
 
-    def counted_blocks(basis, cube, axes):
-        (x,) = axes
+    def counted_blocks(basis, cube, folds):
+        ((reduced, ir, cells, ic),) = folds
+        x = cells[ic] + reduced[ir]                  # the axis: exact
         syntheses.append({"points": len(x), "phase_rows": 0,
                           "distinct": len(np.unique(x - np.round(x)))})
-        yield from periodic_blocks(basis, cube, axes)
+        yield from periodic_blocks(basis, cube, folds)
 
     def counted_phase(x, cutoff):
         syntheses[-1]["phase_rows"] += len(x)
@@ -398,6 +400,41 @@ def test_readme_syntheses_fold_onto_one_cell(tmp_path, monkeypatch):
     assert len(syntheses) == 6                  # phi_p and cell stack per eps
     for s in syntheses:
         assert s["phase_rows"] == s["distinct"] == 65 < s["points"]
+
+
+def test_readme_nonperiodic_phases_fold_onto_one_cell(tmp_path, monkeypatch):
+    """Every non-periodic phase of the README `converge` run (the envelope
+    phases exp(i eps khat x), one axis per eps) exponentiates one row per
+    distinct cell round(x) and one per distinct x - round(x) of its axis,
+    2 hw + 1 and 65 on the reference grids, not one per grid point."""
+    tables = []
+    nonperiodic_phase = fields._nonperiodic_phase
+    exp = np.exp
+
+    def counted_phase(fold, freqs):
+        reduced, ir, cells, ic = fold
+        x = cells[ic] + reduced[ir]                  # the axis: exact
+        rows = []
+
+        def counted_exp(z, *args, **kwargs):
+            rows.append(len(z))
+            return exp(z, *args, **kwargs)
+
+        with mock.patch.object(np, "exp", counted_exp):
+            phase = nonperiodic_phase(fold, freqs)
+        tables.append({"points": len(x), "exp_rows": sum(rows),
+                       "cells": len(np.unique(np.round(x))),
+                       "reduced": len(np.unique(x - np.round(x)))})
+        return phase
+
+    monkeypatch.setattr(fields, "_nonperiodic_phase", counted_phase)
+    cfg = write_cfg(tmp_path, _readme_config())
+    assert main(["converge", "--config", cfg, "--out",
+                 str(tmp_path / "out")]) == 0
+    assert len(tables) == 3                     # one axis per eps
+    for t in tables:
+        assert t["exp_rows"] == t["cells"] + t["reduced"] < t["points"]
+        assert t["reduced"] == 65
 
 
 def test_converge_above_acoustic_branch_builds_one_diagram(tmp_path, capsys,
