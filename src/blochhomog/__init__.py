@@ -8,7 +8,8 @@ from .medium import (MediumSpec, Inclusion, CoefficientTable, fourier_table,
 from .bloch import (PlaneWaveBasis, BlochPencil, bloch_pencil, solve_bands,
                     assemble_operator, brillouin_path, dispersion_diagram,
                     DispersionDiagram, BandGap, find_band_gaps, fix_phase,
-                    export_diagram_csv, eigenpair_at_gamma, GammaPair)
+                    export_diagram_csv, eigenpair_at_gamma, GammaPair,
+                    ParityBlocks, parity_blocks)
 from .cell import (symmetrize_full, pencil_blocks, ConstrainedSolver,
                    CellFunctions, solve_cell_functions, EffectiveCoefficients,
                    effective_coefficients, extrapolated_coefficients,

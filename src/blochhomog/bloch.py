@@ -18,6 +18,12 @@ exp(-0j)) and complex otherwise.  G and rho are real-valued, so
 S(-k) = P conj(S(k)) P and B = P conj(B) P with P: j -> -j, and the spectra
 at +-k coincide; dispersion_diagram solves each +-k pair once.
 
+At k = 0 a real pencil commutes with P itself, so in P's parity basis it
+splits into an even and an odd block of about M/2 each (ParityBlocks, after
+Cantoni & Butler, Linear Algebra Appl. 13, 275, 1976).  eigenpair_at_gamma
+solves both blocks and the cell problems solve block by block; a complex
+pencil (off-centre media) does not commute with P and is one block.
+
 Every dense product of the package goes through contract, on scipy's BLAS
 ?gemm: scipy also does all of the LAPACK work (eigh, ?posv, ?hesv, LU).
 numpy and scipy may each bundle their own OpenBLAS, each with its own thread
@@ -123,6 +129,15 @@ class PlaneWaveBasis:
         return np.ravel_multi_index(tuple((self.indices + self.cutoff).T),
                                     (2 * self.cutoff + 1,) * self.dimension)
 
+    def reversal(self) -> np.ndarray:
+        """Basis position of -j for every basis function j (P: j -> -j as an
+        index array: (P x)[a] = x[reversal[a]]); reversing every axis of the
+        cube maps flat position f to n^d - 1 - f."""
+        scatter = self.cube_scatter()
+        position = np.empty_like(scatter)      # cube position -> basis index
+        position[scatter] = np.arange(self.size)
+        return position[(2 * self.cutoff + 1) ** self.dimension - 1 - scatter]
+
     def coeff_cube(self, vec: np.ndarray) -> np.ndarray:
         """Rearrange coefficients (M, *extra) into a dense (2N+1)^d cube
         with the trailing `extra` axes kept: shape (2N+1,)*d + extra."""
@@ -136,7 +151,8 @@ class PlaneWaveBasis:
 @dataclass(frozen=True)
 class BlochPencil:
     """G[a, b] = G_hat(j_a - j_b), B[a, b] = rho_hat(j_a - j_b) and tp = 2 pi j
-    of one coefficient table; built per call (bloch_pencil), never cached."""
+    of one coefficient table; built per call that solves at many k
+    (bloch_pencil), and once per GammaPair for its k != 0 solves."""
 
     basis: PlaneWaveBasis
     G: np.ndarray
@@ -158,23 +174,168 @@ class BlochPencil:
         return self.stiffness(0.0), S1, self.G, self.B
 
 
-def bloch_pencil(table: CoefficientTable, basis: PlaneWaveBasis) -> BlochPencil:
-    """Difference matrices of `table` on `basis`; float64 when both tables
-    are exactly real, complex otherwise."""
+def _hermitian_tables(table: CoefficientTable, basis: PlaneWaveBasis):
+    """(G_hat, rho_hat, real): each table replaced by its Hermitian part
+    (q(n) + conj q(-n)) / 2, so every matrix gathered from it is Hermitian;
+    float64 when both tables are exactly real, complex otherwise."""
     if table.dimension != basis.dimension:
         raise ValueError("table/basis dimension mismatch")
     if table.cutoff < 2 * basis.cutoff:
         raise ValueError("coefficient table cutoff must be >= 2 * basis cutoff")
     real = not (np.any(table.G_hat.imag) or np.any(table.rho_hat.imag))
-    off = tuple(j[:, None] - j[None, :] + table.cutoff for j in basis.indices.T)
 
-    def difference_matrix(arr):
-        Q = (arr.real if real else arr)[off]
-        return 0.5 * (Q + Q.conj().T)
+    def hermitian(arr):
+        h = 0.5 * (arr + arr[(slice(None, None, -1),) * arr.ndim].conj())
+        return h.real if real else h
 
-    return BlochPencil(basis=basis, G=difference_matrix(table.G_hat),
-                       B=difference_matrix(table.rho_hat),
+    return hermitian(table.G_hat), hermitian(table.rho_hat), real
+
+
+def _differences(rows: np.ndarray, cols: np.ndarray, cutoff: int):
+    """Table index of j_r - j_c for every row index j_r and column index j_c."""
+    return tuple(r[:, None] - (c - cutoff)[None, :]
+                 for r, c in zip(rows.T, cols.T))
+
+
+def bloch_pencil(table: CoefficientTable, basis: PlaneWaveBasis) -> BlochPencil:
+    """Difference matrices of `table` on `basis`; float64 when both tables
+    are exactly real, complex otherwise."""
+    G_hat, rho_hat, _ = _hermitian_tables(table, basis)
+    off = _differences(basis.indices, basis.indices, table.cutoff)
+    return BlochPencil(basis=basis, G=G_hat[off], B=rho_hat[off],
                        tp=2.0 * np.pi * basis.indices)
+
+
+@dataclass(frozen=True)
+class ParityBlocks:
+    """The k = 0 pencil, S(k) = S0 + sum_a k_a S1[a] + |k|^2 G and B, in the
+    parity basis of P: j -> -j; built once per eigenpair
+    (parity_blocks) and carried by its GammaPair.
+
+    Block i has the orthonormal vectors q = scale (e_u + sign e_ubar), with
+    u in index[i], ubar = partner[i] its -j, and scale 1/sqrt(2) for a pair,
+    1/2 where ubar = u.  Real tables are even (G(-x) = G(x)), so S0, G and B
+    commute with P and each S1[a] anticommutes with it: two blocks, even
+    (sign +1: e_0 and (e_j + e_-j)/sqrt 2) and odd (sign -1:
+    (e_j - e_-j)/sqrt 2), of about M/2 each; S0, G, B are block diagonal and
+    S1[a] maps each block onto the other.  Complex tables (off-centre media)
+    do not commute with P: one block, ubar = u = every position and sign +1,
+    which is the identity change of basis.
+
+    S0[i], G[i], B[i] are the diagonal blocks; S1[a][i] is S1_a from block i
+    to block flip(i).
+    """
+
+    index: tuple
+    partner: tuple
+    sign: tuple
+    scale: tuple
+    S0: tuple
+    S1: tuple
+    G: tuple
+    B: tuple
+
+    def flip(self, i: int) -> int:
+        """The block S1 maps block i onto: the other one, or i itself."""
+        return len(self.index) - 1 - i
+
+    def restrict(self, x: np.ndarray, i: int) -> np.ndarray:
+        """Coordinates of a full-basis x (M, ...) in block i."""
+        x = np.asarray(x)
+        scale = self.scale[i].reshape((-1,) + (1,) * (x.ndim - 1))
+        return scale * (x[self.index[i]] + self.sign[i] * x[self.partner[i]])
+
+    def lift(self, y: np.ndarray, i: int) -> np.ndarray:
+        """The full-basis vector(s) (M, ...) with block-i coordinates y."""
+        y = np.asarray(y)
+        part = self.scale[i].reshape((-1,) + (1,) * (y.ndim - 1)) * y
+        size = sum(len(u) for u in self.index)
+        x = np.zeros((size,) + y.shape[1:], dtype=y.dtype)
+        x[self.index[i]] = part
+        x[self.partner[i]] += self.sign[i] * part
+        return x
+
+    def mass(self, x: np.ndarray) -> np.ndarray:
+        """B x in the full basis, one block product per block."""
+        return sum(self.lift(contract(B, self.restrict(x, i)), i)
+                   for i, B in enumerate(self.B))
+
+
+def _parity_layout(basis: PlaneWaveBasis, real: bool) -> list:
+    """Per block (index, partner, sign, multiplicity m): m = 2 where
+    partner = index, 1 for a pair."""
+    every = np.arange(basis.size)
+    if not real:
+        return [(every, every, 1, np.full(basis.size, 2.0))]
+    partner = basis.reversal()
+    pairs = np.flatnonzero(every < partner)           # j = 0 is its own -j
+    even = (np.concatenate([[0], pairs]), np.concatenate([[0], partner[pairs]]),
+            1, np.concatenate([[2.0], np.ones(len(pairs))]))
+    return [even, (pairs, partner[pairs], -1, np.ones(len(pairs)))]
+
+
+def parity_blocks(table: CoefficientTable, basis: PlaneWaveBasis) -> ParityBlocks:
+    """The k = 0 blocks of `table` on `basis` (ParityBlocks), two when the
+    tables are real, one otherwise, gathered straight from the tables.
+
+    For a matrix A that commutes (or anticommutes) with P, the block between
+    row vectors u and column vectors (v, vbar, t) is
+    (A[u, v] + t A[u, vbar]) / sqrt(m_u m_v): each entry is two table
+    gathers, and no M x M matrix is formed.
+    """
+    G_hat, rho_hat, real = _hermitian_tables(table, basis)
+    layout = _parity_layout(basis, real)
+    j, tp = basis.indices, 2.0 * np.pi * basis.indices
+
+    def pair(r, c):
+        """Gatherer of the (r, c) blocks: rows of block r, columns of c."""
+        (u, _, _, m_r), (v, vbar, t, m_c) = layout[r], layout[c]
+        near, far = (_differences(j[u], j[cols], table.cutoff)
+                     for cols in (v, vbar))
+        norm = np.sqrt(np.multiply.outer(m_r, m_c))
+        np.divide(1.0, norm, out=norm)
+
+        def blocks(arr, *weights):
+            """Blocks of arr's difference matrix times each weight(rows,
+            cols) entrywise (None: unweighted), from one gather pair."""
+            A, Abar = arr[near], arr[far]
+            out = []
+            for w in weights:
+                if w is None:
+                    x = A + Abar if t > 0 else A - Abar
+                else:
+                    x, y = A * w(u, v), Abar * w(u, vbar)
+                    x += y if t > 0 else -y
+                x *= norm
+                out.append(x)
+            return out
+        return blocks
+
+    def s0(rows, cols):                    # tp_r . tp_c, as in stiffness
+        out = np.multiply.outer(tp[rows, 0], tp[cols, 0])
+        for a in range(1, basis.dimension):
+            out += np.multiply.outer(tp[rows, a], tp[cols, a])
+        return out
+
+    def s1(a):                             # tp_r[a] + tp_c[a]
+        return lambda rows, cols: tp[rows, a][:, None] + tp[cols, a][None, :]
+
+    S0, G, B = [], [], []
+    for i in range(len(layout)):
+        blocks = pair(i, i)
+        g, s = blocks(G_hat, None, s0)
+        S0.append(s)
+        G.append(g)
+        B += blocks(rho_hat, None)
+    # S1_a from block 0 to the last; the way back is its (real) transpose
+    S1 = pair(len(layout) - 1, 0)(G_hat, *map(s1, range(basis.dimension)))
+    return ParityBlocks(
+        index=tuple(u for u, *_ in layout),
+        partner=tuple(ubar for _, ubar, *_ in layout),
+        sign=tuple(t for *_, t, _ in layout),
+        scale=tuple(1.0 / np.sqrt(2.0 * m) for *_, m in layout),
+        S0=tuple(S0), G=tuple(G), B=tuple(B),
+        S1=tuple((x,) if len(layout) == 1 else (x, x.T) for x in S1))
 
 
 def _wavevector(k, basis: PlaneWaveBasis) -> np.ndarray:
@@ -210,13 +371,17 @@ def solve_bands(table, basis, k, count, pencil: BlochPencil | None = None
     k = _wavevector(k, basis)
     if pencil is None:
         pencil = bloch_pencil(table, basis)
+    vals, vecs = _eigh(pencil.stiffness(k), pencil.B, count, overwrite_a=True)
+    return BandSolution(k=k, omega2=vals, vectors=vecs, basis=basis)
+
+
+def _eigh(S: np.ndarray, B: np.ndarray, count: int, overwrite_a=False):
+    """Lowest `count` eigenpairs of the pencil (S, B), B-orthonormal."""
     try:
-        vals, vecs = scipy.linalg.eigh(pencil.stiffness(k), pencil.B,
-                                       subset_by_index=(0, count - 1),
-                                       overwrite_a=True)
+        return scipy.linalg.eigh(S, B, subset_by_index=(0, count - 1),
+                                 overwrite_a=overwrite_a)
     except scipy.linalg.LinAlgError as exc:  # mass not positive definite
         raise ValueError(f"mass matrix not positive definite: {exc}") from exc
-    return BandSolution(k=k, omega2=vals, vectors=vecs, basis=basis)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +517,12 @@ def export_diagram_csv(diagram: DispersionDiagram, path: str,
 
 @dataclass
 class GammaPair:
-    """Phase-fixed branch-p eigenpair at k = 0, plus simplicity info."""
+    """Phase-fixed branch-p eigenpair at k = 0, plus simplicity info.
+
+    blocks are the k = 0 blocks the pair was solved from, for the cell
+    problems; pencil is the full pencil for the k != 0 solves of the exact
+    and branch fields, built on first use, once per pair.
+    """
 
     spec: MediumSpec
     basis: PlaneWaveBasis
@@ -362,33 +532,51 @@ class GammaPair:
     coeffs: np.ndarray        # (M,), B-orthonormal: c^H B c = 1
     simple: bool
     separation: float         # min relative distance to neighbor eigenvalues
+    blocks: ParityBlocks = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def pencil(self) -> BlochPencil:
+        return bloch_pencil(self.table, self.basis)
 
 
 def fix_phase(coeffs: np.ndarray) -> np.ndarray:
     """Rotate a coefficient vector so its cell average (j=0 entry) is real > 0.
 
-    Falls back to the largest-magnitude coefficient when the average is
-    numerically zero.
+    When the average is numerically zero, the pivot is the first coefficient
+    in basis order whose magnitude is within PHASE_FALLBACK_TOL of the
+    largest: a tie decided by roundoff (the j = +-1 pair of an odd
+    eigenfunction) always picks the same member.
     """
     pivot = coeffs[0]
     if abs(pivot) < PHASE_FALLBACK_TOL * np.linalg.norm(coeffs):
-        pivot = coeffs[np.argmax(np.abs(coeffs))]
+        mag = np.abs(coeffs)
+        pivot = coeffs[np.argmax(mag >= (1.0 - PHASE_FALLBACK_TOL) * mag.max())]
     return coeffs * (pivot.conjugate() / abs(pivot))
 
 
 def eigenpair_at_gamma(spec: MediumSpec, branch: int, cutoff: int) -> GammaPair:
-    """Solve at k = 0 and return the branch-p eigenpair with fixed phase."""
+    """Solve at k = 0 and return the branch-p eigenpair with fixed phase.
+
+    Each parity block gives its lowest branch + 2 pairs; a stable sort
+    merges them, and the chosen vector is lifted back to the full basis.
+    """
     basis = PlaneWaveBasis(spec.dimension, cutoff)
     table = fourier_table(spec, 2 * cutoff)
+    blocks = parity_blocks(table, basis)
     count = min(branch + 2, basis.size)
-    sol = solve_bands(table, basis, np.zeros(spec.dimension), count)
-    if branch >= len(sol.omega2):
+    found = []                                # (omega^2, block, vector)
+    for i, (S0, B) in enumerate(zip(blocks.S0, blocks.B)):
+        vals, vecs = _eigh(S0, B, min(count, len(S0)))
+        found += [(w, i, vecs[:, n]) for n, w in enumerate(vals)]
+    found = sorted(found, key=lambda f: f[0])[:count]
+    if branch >= len(found):
         raise ValueError(f"branch {branch} not available with cutoff {cutoff}")
-    lam = sol.omega2[branch]
-    # omega2 holds branches 0..branch+1: the nearest others are the neighbours
-    near = np.abs(np.delete(sol.omega2, branch) - lam)
+    lam, i, vec = found[branch]
+    # found holds branches 0..branch+1: the nearest others are the neighbours
+    near = np.abs(np.delete([f[0] for f in found], branch) - lam)
     separation = near.min() / max(abs(lam), 1.0) if near.size else np.inf
-    coeffs = fix_phase(sol.vectors[:, branch])
+    coeffs = fix_phase(blocks.lift(vec, i))
     return GammaPair(spec=spec, basis=basis, table=table, branch=branch,
                      omega2=lam, coeffs=coeffs,
-                     simple=separation > SIMPLE_REL_TOL, separation=separation)
+                     simple=separation > SIMPLE_REL_TOL, separation=separation,
+                     blocks=blocks)

@@ -22,12 +22,12 @@ import numpy as np
 import scipy.linalg
 
 from . import __version__
-from .bloch import (bloch_pencil, contract, dispersion_diagram,
-                    eigenpair_at_gamma, export_diagram_csv, find_band_gaps,
-                    GammaPair, PlaneWaveBasis)
-from .cell import (CompatibilityViolation, SingularSystem, CellFunctions,
-                   effective_coefficients, extrapolated_coefficients,
-                   solve_cell_functions)
+from .bloch import (contract, dispersion_diagram, eigenpair_at_gamma,
+                    export_diagram_csv, find_band_gaps, GammaPair,
+                    PlaneWaveBasis, parity_blocks)
+from .cell import (DIAGNOSTIC_TOL, CompatibilityViolation, SingularSystem,
+                   CellFunctions, effective_coefficients,
+                   extrapolated_coefficients, solve_cell_functions)
 from .convergence import (DecayCheckFailed, ReferenceConfig,
                           convergence_study)
 from .fields import (EnvelopeSingularity, FieldOnGrid, GapViolation,
@@ -41,6 +41,10 @@ from .source import (GaussianEnvelope, NotInGap, SourceSpec, drive_frequency,
 
 class AcceptanceViolation(Exception):
     """A configured acceptance band or ordering requirement failed."""
+
+
+class DiagnosticsFailed(Exception):
+    """Effective tensors whose dropped parts do not vanish."""
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +172,13 @@ def cached_gamma(cfg: dict, cache_dir: str | None) -> GammaPair:
         basis = PlaneWaveBasis(spec.dimension, cutoff)
         table = fourier_table(spec, 2 * cutoff)
         _require(c0.shape == (basis.size,), path, f"coeffs shape {c0.shape}")
-        norm = contract(c0.conj(), contract(bloch_pencil(table, basis).B, c0))
+        blocks = parity_blocks(table, basis)
+        norm = contract(c0.conj(), blocks.mass(c0))
         _require(abs(norm - 1.0) <= CACHE_NORM_TOL, path,
                  f"c0^H B c0 = {norm.real:.12g}")
         return GammaPair(spec=spec, basis=basis, table=table, branch=branch,
                          omega2=omega2, coeffs=c0, simple=simple,
-                         separation=separation)
+                         separation=separation, blocks=blocks)
     gamma = eigenpair_at_gamma(spec, branch, cutoff)
     os.makedirs(cache_dir, exist_ok=True)
     np.savez(path, omega2=gamma.omega2, coeffs=gamma.coeffs,
@@ -216,6 +221,19 @@ def _effective(cfg: dict, cache_dir: str | None):
         eff_c = effective_coefficients(cached_cell(coarse, gamma_c, cache_dir))
         eff = extrapolated_coefficients(eff, eff_c)
     return gamma, eff
+
+
+def _require_diagnostics(eff):
+    """converge and fields build on the real tensors: an imaginary part of
+    mu0/mu2, or a rho1/mu1/rho2 that does not vanish, which the tensors drop
+    (diagnostics_ok False), makes the run a numerical failure."""
+    if not eff.diagnostics_ok:
+        raise DiagnosticsFailed(
+            f"effective tensors fail their diagnostics: |rho1| = "
+            f"{np.linalg.norm(eff.rho1):.3e}, |mu1| = "
+            f"{np.linalg.norm(eff.mu1):.3e}, |rho2| = "
+            f"{np.linalg.norm(eff.rho2):.3e}, or an imaginary part of mu0/mu2 "
+            f"above {DIAGNOSTIC_TOL:.0e} relative was dropped")
 
 
 def _diagram(cfg: dict):
@@ -298,8 +316,7 @@ def cmd_gaps(cfg, out, args):
 def cmd_cell(cfg, out, args):
     gamma = cached_gamma(cfg, _cache_dir(out))
     cell = cached_cell(cfg, gamma, _cache_dir(out))
-    B = bloch_pencil(gamma.table, gamma.basis).B
-    bc0h = contract(B, gamma.coeffs).conj()
+    bc0h = gamma.blocks.mass(gamma.coeffs).conj()
 
     def zero_mean(chi):
         return float(np.max(np.abs(contract(bc0h, chi))))
@@ -355,6 +372,7 @@ def cmd_fields(cfg, out, args):
         raise ValueError("--line extracts transects of 2D fields; "
                          "the medium is 1D")
     gamma, eff = _effective(cfg, _cache_dir(out))
+    _require_diagnostics(eff)
     d = gamma.spec.dimension
     quad = _quad_from(cfg, d)
     source = _source_from(cfg, d)
@@ -403,6 +421,7 @@ def cmd_fields(cfg, out, args):
 def cmd_converge(cfg, out, args):
     ccfg = cfg.get("converge", {})
     gamma, eff = _effective(cfg, _cache_dir(out))
+    _require_diagnostics(eff)
     d = gamma.spec.dimension
     quad = _quad_from(cfg, d)
     source = _source_from(cfg, d)
@@ -510,7 +529,7 @@ def main(argv=None) -> int:
         print(f"acceptance violation: {exc}", file=sys.stderr)
         return 4
     except (NotInGap, GapViolation, EnvelopeSingularity, DecayCheckFailed,
-            CompatibilityViolation, SingularSystem,
+            CompatibilityViolation, SingularSystem, DiagnosticsFailed,
             scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -56,8 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .bloch import (BlochPencil, GammaPair, PlaneWaveBasis, bloch_pencil,
-                    contract, solve_bands)
+from .bloch import (BlochPencil, GammaPair, PlaneWaveBasis, contract,
+                    solve_bands)
 from .cell import EffectiveCoefficients
 from .source import FrequencySpec, SourceSpec
 
@@ -371,11 +371,7 @@ def _time_reversal(basis: PlaneWaveBasis, B: np.ndarray, c0: np.ndarray):
     a B-isometry, so |e^{i theta}|^2 = 1 - residual^2: |e^{i theta}| within
     1e-12 of 1 still allows a residual of 1.4e-6.
     """
-    n = 2 * basis.cutoff + 1
-    scatter = basis.cube_scatter()
-    position = np.empty_like(scatter)      # cube position -> basis index
-    position[scatter] = np.arange(basis.size)
-    P = position[n ** basis.dimension - 1 - scatter]   # -j: reversed cube
+    P = basis.reversal()
     mirrored = c0[P].conj()
     phase = contract(c0.conj(), contract(B, mirrored))
     r = mirrored - phase * c0
@@ -438,7 +434,7 @@ def exact_bloch_solution(gamma: GammaPair, freq: FrequencySpec,
     basis = gamma.basis
     d = basis.dimension
     eps = freq.eps
-    pencil = bloch_pencil(gamma.table, basis)
+    pencil = gamma.pencil
     bc0 = contract(pencil.B, gamma.coeffs)
 
     # (eps^d from dk = eps^d dkhat cancels the eps^{-d} in the projection)

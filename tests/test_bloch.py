@@ -8,7 +8,8 @@ from blochhomog import (DispersionDiagram, Inclusion, MediumSpec,
                         PlaneWaveBasis, assemble_operator, bloch_pencil,
                         dispersion_diagram, eigenpair_at_gamma,
                         export_diagram_csv, find_band_gaps, fix_phase,
-                        fourier_table, solve_bands, two_phase_1d)
+                        fourier_table, parity_blocks, pencil_blocks,
+                        solve_bands, two_phase_1d, disk_2d)
 from blochhomog import bloch as bloch_module
 from blochhomog.bloch import brillouin_path
 
@@ -204,6 +205,75 @@ def test_fix_phase():
     w = fix_phase(v)
     assert abs(np.linalg.norm(w) - np.linalg.norm(v)) < 1e-12
     assert w[0].imag < 1e-12 and w[0].real > 0
+
+
+def test_fix_phase_fallback_takes_first_of_a_tie():
+    """A zero-mean vector is pivoted on the first coefficient within
+    PHASE_FALLBACK_TOL of the largest, not on whichever roundoff favours."""
+    v = np.array([1e-17, -0.6, 0.6 * (1 + 1e-13), 0.1])
+    assert fix_phase(v)[1] == 0.6
+    assert fix_phase(-v)[1] == 0.6
+
+
+def test_branch1_gauge_does_not_depend_on_cutoff(med1d):
+    """Branch 1 of the two-phase medium is odd: c0[0] is roundoff, and
+    j = -1 and j = +1 tie in magnitude.  Its low modes must agree across
+    cutoffs, not flip sign with the roundoff that breaks the tie."""
+    low = {}
+    for cutoff in (16, 32, 64, 128, 256):
+        gamma = eigenpair_at_gamma(med1d, 1, cutoff)
+        mask = np.abs(gamma.basis.indices[:, 0]) <= 3
+        low[cutoff] = (gamma.basis.indices[mask, 0], gamma.coeffs[mask])
+    j_ref, c_ref = low[256]
+    for cutoff, (j, c) in low.items():
+        assert np.array_equal(j, j_ref)
+        assert np.linalg.norm(c - c_ref) < 0.1 * np.linalg.norm(c_ref), cutoff
+
+
+def _parity_cases():
+    return [(two_phase_1d(), PlaneWaveBasis(1, 5)),
+            (_offcentre_1d(6.0, 20.0, 0.2, 0.1), PlaneWaveBasis(1, 5)),
+            (disk_2d(), PlaneWaveBasis(2, 3)),
+            (MediumSpec(dimension=2, background_G=1.0, background_rho=1.0,
+                        inclusions=(Inclusion((0.1, -0.2), 0.2, 3.0, 2.0),)),
+             PlaneWaveBasis(2, 2))]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_parity_blocks_are_the_pencil_in_the_parity_basis(case):
+    """The lifted block coordinates are an orthonormal basis Q; Q_r^T A Q_c
+    is block (r, c) of S0, G, B and each S1_a, and zero off the structure;
+    a real table gives an even and an odd block, a complex one a single
+    block, which is the full pencil."""
+    spec, basis = _parity_cases()[case]
+    table = fourier_table(spec, 2 * basis.cutoff)
+    z = parity_blocks(table, basis)
+    S0, S1, G, B = pencil_blocks(table, basis)
+    n = len(z.index)
+    assert n == (2 if np.isrealobj(G) else 1)
+    Q = [z.lift(np.eye(len(u)), i) for i, u in enumerate(z.index)]
+    full = np.concatenate(Q, axis=1)
+    assert full.shape == (basis.size,) * 2
+    assert np.allclose(full.conj().T @ full, np.eye(basis.size), atol=1e-15)
+    scale = np.abs(S0).max()
+
+    def block(A, r, c):
+        return Q[r].conj().T @ A @ Q[c]
+
+    for r in range(n):
+        for c in range(n):
+            for A, blocks, diagonal in ((S0, z.S0, True), (G, z.G, True),
+                                        (B, z.B, True)):
+                want = blocks[r] if r == c else 0.0
+                assert np.allclose(block(A, r, c), want, atol=1e-13 * scale)
+            for a, A in enumerate(S1):
+                want = z.S1[a][c] if r == z.flip(c) else 0.0
+                assert np.allclose(block(A, r, c), want, atol=1e-13 * scale)
+    x = np.random.default_rng(case).standard_normal(basis.size)
+    assert np.allclose(z.mass(x), B @ x, atol=1e-13)
+    if n == 1:                     # the identity change of basis, exactly
+        assert np.array_equal(z.S0[0], S0) and np.array_equal(z.B[0], B)
+        assert np.array_equal(z.restrict(x, 0), x)
 
 
 def test_gamma_pair_normalization(gamma1d_32):

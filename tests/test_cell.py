@@ -1,17 +1,24 @@
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+import scipy.linalg
+from hypothesis import assume, example, given, settings, strategies as st
 
+import blochhomog.bloch as bloch_module
 import blochhomog.cell as cell_module
-from blochhomog import (CompatibilityViolation, ConstrainedSolver, Inclusion,
+import blochhomog.cli as cli_module
+from blochhomog import (CellFunctions, CompatibilityViolation,
+                        ConstrainedSolver, FrequencySpec, Inclusion,
                         MediumSpec, SingularSystem, assemble_operator,
-                        effective_coefficients, eigenpair_at_gamma,
+                        branch_solution, effective_coefficients,
+                        eigenpair_at_gamma, exact_bloch_solution,
                         extrapolated_coefficients, pencil_blocks, solve_bands,
                         solve_cell_functions, symmetrize_full, two_phase_1d,
                         disk_2d)
+from blochhomog.bloch import contract
 from blochhomog.cell import DIAGNOSTIC_TOL
 
 
@@ -252,15 +259,30 @@ def test_residual_bound(factor, raises):
         assert np.allclose(solver.solve(rhs), [0.0, 3.0, 2.0])
 
 
-def test_pencil_built_once_per_eigenpair(gamma1d_32, monkeypatch):
-    """The cell solve builds the pencil blocks; effective_coefficients only
-    takes inner products with the vectors the solve hands over."""
-    blocks = cell_module.pencil_blocks
-    calls = []
-    monkeypatch.setattr(cell_module, "pencil_blocks",
-                        lambda *args: calls.append(args) or blocks(*args))
-    effective_coefficients(solve_cell_functions(gamma1d_32))
-    assert len(calls) == 1
+def test_pencil_built_once_per_eigenpair(med1d, source1d, quad1d,
+                                        monkeypatch):
+    """An eigenpair gathers its k = 0 parity blocks once, in
+    eigenpair_at_gamma; the cell solve and effective_coefficients reuse
+    them.  Its full pencil (bloch_pencil) is built once, on the first k != 0
+    solve, and the exact and branch fields share it."""
+    builds = {"bloch_pencil": 0, "parity_blocks": 0}
+    for name in builds:
+        build = getattr(bloch_module, name)
+
+        def counted(*args, _build=build, _name=name):
+            builds[_name] += 1
+            return _build(*args)
+        for module in (bloch_module, cell_module, cli_module):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    gamma = eigenpair_at_gamma(med1d, 0, 16)
+    effective_coefficients(solve_cell_functions(gamma))
+    freq = FrequencySpec(branch=0, sigma=-1, omega_hat=1.0, eps=0.25,
+                         omega2=gamma.omega2 - 0.0625)
+    axes = (np.linspace(-1.0, 1.0, 5),)
+    exact_bloch_solution(gamma, freq, source1d, quad1d, axes)
+    branch_solution(gamma, freq, source1d, quad1d, axes)
+    assert builds == {"bloch_pencil": 1, "parity_blocks": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -433,3 +455,106 @@ def test_odd_and_cross_tensors_vanish(dim, data):
     assert np.abs(eff.rho2).max() < DIAGNOSTIC_TOL * scale
     assert np.abs(eff.mu1).max() < DIAGNOSTIC_TOL * np.abs(eff.mu0).max()
     assert eff.diagnostics_ok is True
+
+
+# ---------------------------------------------------------------------------
+# The zone-center stage in parity blocks against the full pencil
+# ---------------------------------------------------------------------------
+
+def _full_cell(gamma) -> CellFunctions:
+    """The cell hierarchy on the full pencil (pencil_blocks) with one
+    bordered ConstrainedSolver for every corrector, products through the
+    package's contract: the reference for the blocked solve."""
+    d = gamma.basis.dimension
+    S0, S1, Gm, B = pencil_blocks(gamma.table, gamma.basis)
+    c0 = gamma.coeffs
+    c0 = c0 / np.sqrt(np.real(contract(c0.conj(), contract(B, c0))))
+    solver = ConstrainedSolver(S0, B, gamma.omega2, c0)
+    gc0, bc0 = contract(Gm, c0), contract(B, c0)
+    s1c0 = np.stack([contract(S, c0) for S in S1], axis=1)
+    chi1 = np.stack([solver.solve(1j * v) for v in s1c0.T], axis=1)
+    A2 = 1j * contract(s1c0.conj().T, chi1)
+    A2 = 0.5 * (A2 + A2.T) + np.eye(d) * contract(c0.conj(), gc0)
+    chi2 = np.zeros((len(c0), d, d), dtype=complex)
+    for a, b in itertools.combinations_with_replacement(range(d), 2):
+        rhs = 0.5j * (contract(S1[a], chi1[:, b]) + contract(S1[b], chi1[:, a]))
+        chi2[:, a, b] = chi2[:, b, a] = solver.solve(
+            rhs + (a == b) * gc0 - A2[a, b] * bc0)
+    gchi1, bchi1 = contract(Gm, chi1), contract(B, chi1)
+    chi3 = np.zeros((len(c0), d, d, d), dtype=complex)
+    for key in itertools.combinations_with_replacement(range(d), 3):
+        perms = set(itertools.permutations(key))
+        rhs = sum(1j * contract(S1[i], chi2[:, j, l]) + (i == j) * gchi1[:, l]
+                  - A2[i, j] * bchi1[:, l] for i, j, l in perms)
+        x = solver.solve(rhs / len(perms))
+        for p in perms:
+            chi3[(slice(None),) + p] = x
+    return CellFunctions(gamma=gamma, chi1=chi1, chi2=chi2, chi3=chi3, A2=A2,
+                         s1c0=s1c0, gc0=gc0, bc0=bc0, bchi1=bchi1)
+
+
+def _gauge_distance(c, v, B):
+    """B-norm distance of c from v turned onto it by one phase."""
+    overlap = np.vdot(v, B @ c)
+    r = c - overlap / abs(overlap) * v
+    return np.sqrt(abs(np.vdot(r, B @ r)))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), branch=st.integers(0, 2))
+def test_blocked_zone_center_stage_equals_full_solve(dim, data, branch):
+    """Over random sharp media, centred (two parity blocks) and off-centre
+    (one), branches 0-2: the block eigenvalues are those of the full pencil
+    (solve_bands at k = 0) to roundoff of max(|lambda|, 1), c0 is the full
+    eigenvector up to its phase, and chi1-chi3, mu0 and mu2 equal those of
+    one bordered solver on the full S0 - omega^2 B."""
+    spec = data.draw(_sharp_media(dim))
+    gamma = eigenpair_at_gamma(spec, branch, _CUTOFF[dim])
+    count = branch + 2
+    full = solve_bands(gamma.table, gamma.basis, np.zeros(dim), count)
+    z = gamma.blocks
+    blocked = np.sort(np.concatenate([
+        scipy.linalg.eigh(S0, B, eigvals_only=True)
+        for S0, B in zip(z.S0, z.B)]))[:count]
+    # S0 reaches ~1e5 (G up to 20 times (2 pi N)^2) over B >= 0.2: the
+    # roundoff of either eigensolve is ~1e-11 relative
+    roundoff = 1e-10 * np.maximum(np.abs(full.omega2), 1.0)
+    assert np.all(np.abs(blocked - full.omega2) <= roundoff)
+    assert abs(gamma.omega2 - full.omega2[branch]) <= roundoff[branch]
+    assume(gamma.separation > 1e-3)        # a well-determined eigenvector
+    _, B = assemble_operator(gamma.table, gamma.basis, np.zeros(dim))
+    assert _gauge_distance(gamma.coeffs, full.vectors[:, branch], B) < 1e-9
+    cell, ref = solve_cell_functions(gamma), _full_cell(gamma)
+    for name in ("chi1", "chi2", "chi3"):
+        a, b = getattr(cell, name), getattr(ref, name)
+        assert np.linalg.norm(a - b) <= 1e-9 * max(np.linalg.norm(b), 1.0), name
+    eff, eff_ref = effective_coefficients(cell), effective_coefficients(ref)
+    assert np.max(np.abs(eff.mu0 - eff_ref.mu0)) <= 1e-10 * np.abs(eff_ref.mu0).max()
+    assert np.max(np.abs(eff.mu2 - eff_ref.mu2)) <= 1e-9 * _flux_scale(eff_ref)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_degenerate_branch_is_not_simple_in_blocks(dim):
+    """The homogeneous medium's branch 1 is cos/sin (1D) or cos/sin along
+    both axes (2D): its copies fall in different parity blocks, and the
+    merged spectrum still reports them as one non-simple eigenvalue."""
+    homog = MediumSpec(dimension=dim, background_G=1.0, background_rho=1.0)
+    gamma = eigenpair_at_gamma(homog, 1, 4)
+    assert len(gamma.blocks.index) == 2
+    assert not gamma.simple and gamma.separation < 1e-12
+    assert np.isclose(gamma.omega2, (2 * np.pi) ** 2)
+
+
+def test_offcentre_medium_takes_one_block_exactly_as_the_full_solve():
+    """A complex table has one block, the full pencil: the blocked cell
+    solve is the full bordered solve, bit for bit."""
+    spec = MediumSpec(dimension=1, background_G=1.0, background_rho=1.0,
+                      inclusions=(Inclusion((0.15,), 0.2, 6.0, 20.0),))
+    gamma = eigenpair_at_gamma(spec, 1, 12)
+    assert len(gamma.blocks.index) == 1
+    assert np.iscomplexobj(gamma.blocks.S0[0])
+    cell, ref = solve_cell_functions(gamma), _full_cell(gamma)
+    for name in _CELL_ARRAYS:
+        np.testing.assert_array_equal(getattr(cell, name), getattr(ref, name),
+                                      err_msg=name)

@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from blochhomog import cli, fields
+from blochhomog import bloch, cell, cli, fields
 from blochhomog.cli import config_hash, load_config, main
 
 
@@ -330,14 +330,24 @@ def _readme_config():
 
 @pytest.fixture
 def work_counts(monkeypatch):
-    """Count dispersion diagrams built by the CLI, and periodic syntheses on
-    a grid (fields._periodic_blocks passes): those of the source's phi_p
-    (fields.synthesize_periodic, one pass each) apart from the rest, which
-    here are cell stacks."""
-    counts = {"diagrams": 0, "cell_stacks": 0, "sources": 0}
+    """Count dispersion diagrams built by the CLI, pencils gathered from a
+    coefficient table (bloch_pencil or parity_blocks, wherever called), and
+    periodic syntheses on a grid (fields._periodic_blocks passes): those of
+    the source's phi_p (fields.synthesize_periodic, one pass each) apart
+    from the rest, which here are cell stacks."""
+    counts = {"diagrams": 0, "pencils": 0, "cell_stacks": 0, "sources": 0}
     diagram = cli.dispersion_diagram
     periodic_blocks = fields._periodic_blocks
     synthesize = fields.synthesize_periodic
+    for name in ("bloch_pencil", "parity_blocks"):
+        build = getattr(bloch, name)
+
+        def counted_pencil(*args, _build=build):
+            counts["pencils"] += 1
+            return _build(*args)
+        for module in (bloch, cell, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted_pencil)
 
     def counted_diagram(*args, **kwargs):
         counts["diagrams"] += 1
@@ -363,13 +373,16 @@ def test_readme_example_config_converges(tmp_path, work_counts):
     slopes sit inside its slope_bands and e2 < e1 < e0 at every eps.  It
     drives branch 0 at omega^2 < 0, below every Bloch eigenvalue: no diagram
     is built, and each eps synthesizes the cell functions once for all three
-    orders and the source's phi_p once for the reference."""
+    orders and the source's phi_p once for the reference.  Each of the two
+    eigenpairs (cutoff 256 and the coarse 128) gathers its k = 0 blocks
+    once, for the eigensolve and the cell solve alike."""
     cfg = write_cfg(tmp_path, _readme_config())
     out = str(tmp_path / "out")
     assert main(["converge", "--config", cfg, "--out", out]) == 0
     rep = json.load(open(os.path.join(out, "converge.json")))
     assert set(rep["slopes"]) == {"0", "1", "2"}
-    assert work_counts == {"diagrams": 0, "cell_stacks": 3, "sources": 3}
+    assert work_counts == {"diagrams": 0, "pencils": 2, "cell_stacks": 3,
+                           "sources": 3}
 
 
 def test_readme_syntheses_fold_onto_one_cell(tmp_path, monkeypatch):
@@ -448,7 +461,8 @@ def test_converge_above_acoustic_branch_builds_one_diagram(tmp_path, capsys,
     assert main(["converge", "--config", cfg,
                  "--out", str(tmp_path / "out")]) == 3
     assert "intersects branch 0" in capsys.readouterr().err
-    assert work_counts == {"diagrams": 1, "cell_stacks": 0, "sources": 0}
+    assert work_counts == {"diagrams": 1, "pencils": 3, "cell_stacks": 0,
+                           "sources": 0}
 
 
 def test_fields_orders_share_one_synthesis(tmp_path, work_counts):
@@ -458,6 +472,33 @@ def test_fields_orders_share_one_synthesis(tmp_path, work_counts):
     out = str(tmp_path / "out")
     assert main(["fields", "--config", write_cfg(tmp_path, body),
                  "--out", out]) == 0
-    assert work_counts == {"diagrams": 0, "cell_stacks": 1, "sources": 0}
+    assert work_counts == {"diagrams": 0, "pencils": 1, "cell_stacks": 1,
+                           "sources": 0}
     for name in ("order0", "order1", "order2"):
         assert os.path.exists(os.path.join(out, f"field_{name}.csv"))
+
+
+@pytest.mark.parametrize("command", ["converge", "fields"])
+def test_failed_tensor_diagnostics_exit_3(tmp_path, monkeypatch, capsys,
+                                          command):
+    """chi1 turned by a non-real phase gives mu0 an imaginary part, which
+    the real tensors drop: converge and fields, which use them, stop with a
+    numerical failure; effective reports tolerances_met = false."""
+    solve = cell.ConstrainedSolver.solve
+    calls = []
+
+    def rotated(self, rhs):                   # the 1D chi1 is the first solve
+        calls.append(rhs)
+        x = solve(self, rhs)
+        return np.exp(0.3j) * x if len(calls) == 1 else x
+
+    monkeypatch.setattr(cell.ConstrainedSolver, "solve", rotated)
+    cfg = write_cfg(tmp_path, base_cfg())
+    assert main([command, "--config", cfg,
+                 "--out", str(tmp_path / command)]) == 3
+    assert "diagnostics" in capsys.readouterr().err
+    calls.clear()
+    out = str(tmp_path / "effective")
+    assert main(["effective", "--config", cfg, "--out", out]) == 0
+    with open(os.path.join(out, "effective.json")) as fh:
+        assert json.load(fh)["diagnostics"]["tolerances_met"] is False

@@ -553,19 +553,18 @@ def test_cholesky_path_starts_strictly_below_minus_denom_tol():
 
 
 def test_indefinite_pencil_below_spectrum_raises(gamma1d_32, source1d,
-                                                 quad1d, monkeypatch):
+                                                 quad1d):
     """A failed Cholesky factorization is a GapViolation, for a hand-built
     pencil and for the exact solver given one (S negated): no field."""
     k = np.array([0.5])
     with pytest.raises(GapViolation, match="not positive definite"):
         _resolvent_term(_diagonal_pencil(-1.0, k), -0.5, k, np.ones(3), set())
-    negated = lambda table, basis: dataclasses.replace(
-        bloch_pencil(table, basis), G=-bloch_pencil(table, basis).G)
-    monkeypatch.setattr(fields, "bloch_pencil", negated)
+    gamma = dataclasses.replace(gamma1d_32)      # its own pencil
+    gamma.pencil = dataclasses.replace(gamma.pencil, G=-gamma.pencil.G)
     freq = FrequencySpec(branch=0, sigma=-1, omega_hat=1.0, eps=0.25,
                          omega2=-0.0625)
     with pytest.raises(GapViolation, match="not positive definite"):
-        exact_bloch_solution(gamma1d_32, freq, source1d, quad1d,
+        exact_bloch_solution(gamma, freq, source1d, quad1d,
                              (np.linspace(-1.0, 1.0, 5),))
 
 
