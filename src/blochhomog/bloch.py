@@ -24,6 +24,10 @@ Cantoni & Butler, Linear Algebra Appl. 13, 275, 1976).  eigenpair_at_gamma
 solves both blocks and the cell problems solve block by block; a complex
 pencil (off-centre media) does not commute with P and is one block.
 
+_eigenvalues_below counts the pencil's eigenvalues below a shift by
+Sylvester inertia, with no eigensolve: source.make_frequency validates
+drives with it, and the exact solver checks its gap condition.
+
 Every dense product of the package goes through contract, on scipy's BLAS
 ?gemm: scipy also does all of the LAPACK work (eigh, ?posv, ?hesv, LU).
 numpy and scipy may each bundle their own OpenBLAS, each with its own thread
@@ -384,6 +388,37 @@ def _eigh(S: np.ndarray, B: np.ndarray, count: int, overwrite_a=False):
         raise ValueError(f"mass matrix not positive definite: {exc}") from exc
 
 
+@functools.lru_cache(maxsize=32)
+def _lapack(name: str, dtype: np.dtype, n: int):
+    """LAPACK routine ?<name> for `dtype` and its optimal work size at order
+    n (0 for routines without one); the Hermitian ?he* routines are ?sy* for
+    real dtypes.  Cached, so a loop over nodes queries each size once."""
+    if not np.issubdtype(dtype, np.complexfloating):
+        name = name.replace("he", "sy", 1)
+    if name.endswith("posv"):
+        return scipy.linalg.get_lapack_funcs((name,), dtype=dtype)[0], 0
+    fn, query = scipy.linalg.get_lapack_funcs(
+        (name, name + "_lwork"), dtype=dtype)
+    return fn, int(np.real(query(n, lower=1)[0]))
+
+
+def _eigenvalues_below(S: np.ndarray, B: np.ndarray, sigma: float) -> int:
+    """Number of pencil eigenvalues below sigma.
+
+    With B positive definite this is the negative inertia of S - sigma B
+    (Sylvester), read from its Bunch-Kaufman factors L D L^H: one per
+    negative 1x1 pivot (ipiv > 0) and one per 2x2 block (a pair of rows with
+    ipiv < 0), since the pivot rule only picks 2x2 blocks with a negative
+    determinant (for ?hetrf and ?sytrf alike).
+    """
+    hetrf, lwork = _lapack("hetrf", S.dtype, len(S))
+    shifted = np.multiply(sigma, B, dtype=np.result_type(S, B))
+    ldu, ipiv, _ = hetrf(np.subtract(S, shifted, out=shifted), lower=1,
+                         lwork=lwork, overwrite_a=True)
+    negative_pivots = np.count_nonzero(ldu.diagonal().real[ipiv > 0] < 0.0)
+    return int(negative_pivots + np.count_nonzero(ipiv < 0) // 2)
+
+
 # ---------------------------------------------------------------------------
 # Dispersion diagrams and band gaps
 # ---------------------------------------------------------------------------
@@ -467,9 +502,6 @@ class BandGap:
     @property
     def width(self) -> float:
         return self.omega2_high - self.omega2_low
-
-    def contains(self, omega2: float) -> bool:
-        return self.omega2_low < omega2 < self.omega2_high
 
 
 def find_band_gaps(diagram: DispersionDiagram) -> list[BandGap]:

@@ -242,22 +242,12 @@ def _diagram(cfg: dict):
     return dispersion_diagram(spec,
                               cutoff=int(cfg.get("cutoff", 32)),
                               count=int(disp.get("count", 14)),
-                              samples_per_segment=int(
-                                  disp.get("samples_per_segment", 30)))
+                              samples_per_segment=_samples_per_segment(cfg))
 
 
-def _gap_data(cfg: dict, gamma: GammaPair, sigma: int, omega_hat: float,
-              eps_list):
-    """What make_frequency validates the drives at eps_list against.
-
-    Every Bloch eigenvalue is >= 0, so a drive with omega^2 < 0 needs no
-    spectrum: when all drives are below it, an empty gap list (which admits
-    exactly those) replaces the dispersion diagram and its eigensolves.
-    """
-    if all(drive_frequency(gamma, sigma, omega_hat, eps).omega2 < 0
-           for eps in eps_list):
-        return []
-    return _diagram(cfg)
+def _samples_per_segment(cfg: dict) -> int:
+    """The Brillouin-path sampling of diagrams and drive validation."""
+    return int(cfg.get("dispersion", {}).get("samples_per_segment", 30))
 
 
 def _write_json(path: str, payload: dict, cfg: dict):
@@ -380,10 +370,9 @@ def cmd_fields(cfg, out, args):
     sigma = int(cfg.get("sigma", -1))
     omega_hat = float(cfg.get("omega_hat", 1.0))
     if fcfg.get("validate_gap", True):
-        freq = make_frequency(gamma,
-                              _gap_data(cfg, gamma, sigma, omega_hat, [eps]),
-                              sigma, omega_hat, eps,
-                              k_window=eps * source.k_max)
+        freq = make_frequency(gamma, sigma, omega_hat, eps,
+                              k_window=eps * source.k_max,
+                              samples_per_segment=_samples_per_segment(cfg))
     else:
         freq = drive_frequency(gamma, sigma, omega_hat, eps)
     ax = _field_axes(fcfg)
@@ -437,11 +426,11 @@ def cmd_converge(cfg, out, args):
     else:
         ref_cfgs = _ref_config(ref_block)
 
-    diagram = (_gap_data(cfg, gamma, sigma, omega_hat, eps_list)
-               if ccfg.get("validate_gap", True) else None)
+    samples = (_samples_per_segment(cfg) if ccfg.get("validate_gap", True)
+               else None)
     report = convergence_study(gamma, eff, source, quad, sigma, omega_hat,
-                               eps_list, ref_cfgs, eval_hw,
-                               orders=orders, diagram=diagram)
+                               eps_list, ref_cfgs, eval_hw, orders=orders,
+                               samples_per_segment=samples)
 
     json_path = os.path.join(out, "converge.json")
     _write_json(json_path, report.to_dict(), cfg)

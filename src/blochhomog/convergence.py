@@ -163,23 +163,24 @@ class ErrorReport:
 def convergence_study(gamma: GammaPair, eff, source: SourceSpec,
                       quad, sigma: int, omega_hat: float, eps_list,
                       ref_cfgs, eval_half_width: float,
-                      orders=(0, 1, 2), diagram=None) -> ErrorReport:
+                      orders=(0, 1, 2), samples_per_segment=None
+                      ) -> ErrorReport:
     """Full harness: reference vs homogenized orders over a list of eps.
 
     ref_cfgs: one ReferenceConfig or a dict eps -> ReferenceConfig.
-    diagram: what make_frequency validates each drive against (a
-    DispersionDiagram or a gap list); None skips the validation.  All orders
-    at one eps come from one homogenized_fields call, so the cell functions
-    are synthesized once per eps on the reference grid.
+    samples_per_segment: the path sampling make_frequency validates each
+    drive on, within k_window = eps * k_max; None skips the validation.  All
+    orders at one eps come from one homogenized_fields call, so the cell
+    functions are synthesized once per eps on the reference grid.
     """
     errors = {m: [] for m in orders}
     boundary = {}
     for eps in eps_list:
         cfg = ref_cfgs[eps] if isinstance(ref_cfgs, dict) else ref_cfgs
-        freq = make_frequency(gamma, diagram, sigma, omega_hat, eps,
-                              k_window=eps * source.k_max) \
-            if diagram is not None else drive_frequency(gamma, sigma,
-                                                        omega_hat, eps)
+        freq = drive_frequency(gamma, sigma, omega_hat, eps) \
+            if samples_per_segment is None else make_frequency(
+                gamma, sigma, omega_hat, eps, k_window=eps * source.k_max,
+                samples_per_segment=samples_per_segment)
         ref = reference_solution(gamma, freq, source, cfg)
         boundary[eps] = ref.meta["boundary_ratio"]
         fields = homogenized_fields(eff, freq, source, quad, orders, ref.axes)

@@ -19,7 +19,8 @@ spectrum (omega^2 < -DENOM_TOL) the solve is one Cholesky ?posv, and a
 failed factorization is a GapViolation.  Otherwise it is a Bunch-Kaufman
 ?hesv, and the gap condition (no eigenvalue within DENOM_TOL of omega^2) is
 checked exactly by Sylvester inertia: the LDL^H factors of S - (omega^2 -+
-DENOM_TOL) B must have equally many negative pivots, once per +-k pair.  A
+DENOM_TOL) B must have equally many negative pivots, once per +-k pair
+(bloch._eigenvalues_below, the count make_frequency's gap test uses).  A
 real pencil (centred media) uses the real LAPACK routines (?posv, ?sytrf,
 ?sysv), a complex one the Hermitian ones.
 
@@ -49,15 +50,13 @@ fold (the envelope is not periodic), gathered per block of grid rows.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
-from .bloch import (BlochPencil, GammaPair, PlaneWaveBasis, contract,
-                    solve_bands)
+from .bloch import (BlochPencil, GammaPair, PlaneWaveBasis, _eigenvalues_below,
+                    _lapack, contract, solve_bands)
 from .cell import EffectiveCoefficients
 from .source import FrequencySpec, SourceSpec
 
@@ -266,41 +265,11 @@ def _bloch_phase(phases, rows) -> np.ndarray:
 # Exact Bloch solution and branch restriction
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=32)
-def _lapack(name: str, dtype: np.dtype, n: int):
-    """LAPACK routine ?<name> for `dtype` and its optimal work size at order
-    n (0 for routines without one); the Hermitian ?he* routines are ?sy* for
-    real dtypes.  Cached, so a loop over nodes queries each size once."""
-    if not np.issubdtype(dtype, np.complexfloating):
-        name = name.replace("he", "sy", 1)
-    if name.endswith("posv"):
-        return get_lapack_funcs((name,), dtype=dtype)[0], 0
-    fn, query = get_lapack_funcs((name, name + "_lwork"), dtype=dtype)
-    return fn, int(np.real(query(n, lower=1)[0]))
-
-
 def _factorization(omega2: float) -> str:
     """"cholesky" below the spectrum (omega^2 < -DENOM_TOL, where S(k) -
     omega^2 B is positive definite and no eigenvalue >= 0 lies within
     DENOM_TOL), "ldl" (Bunch-Kaufman with the inertia check) otherwise."""
     return "cholesky" if omega2 < -DENOM_TOL else "ldl"
-
-
-def _eigenvalues_below(S: np.ndarray, B: np.ndarray, sigma: float) -> int:
-    """Number of pencil eigenvalues below sigma.
-
-    With B positive definite this is the negative inertia of S - sigma B
-    (Sylvester), read from its Bunch-Kaufman factors L D L^H: one per
-    negative 1x1 pivot (ipiv > 0) and one per 2x2 block (a pair of rows with
-    ipiv < 0), since the pivot rule only picks 2x2 blocks with a negative
-    determinant (for ?hetrf and ?sytrf alike).
-    """
-    hetrf, lwork = _lapack("hetrf", S.dtype, len(S))
-    shifted = np.multiply(sigma, B, dtype=np.result_type(S, B))
-    ldu, ipiv, _ = hetrf(np.subtract(S, shifted, out=shifted), lower=1,
-                         lwork=lwork, overwrite_a=True)
-    negative_pivots = np.count_nonzero(ldu.diagonal().real[ipiv > 0] < 0.0)
-    return int(negative_pivots + np.count_nonzero(ipiv < 0) // 2)
 
 
 def _resolvent_term(pencil: BlochPencil, omega2: float, k: np.ndarray,

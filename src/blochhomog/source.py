@@ -15,7 +15,13 @@ The driving frequency is omega^2 = omega_p^2(0) + eps^2 sigma Omega_hat^2
 and must sit strictly inside a band gap or below the whole spectrum.  The
 pencil S(k) - omega^2 B has S(k) positive semidefinite and B positive
 definite, so every Bloch eigenvalue omega_m^2(k) is >= 0 and any omega^2 < 0
-(p = 0, sigma = -1) lies below the spectrum: that needs no eigensolve.
+(p = 0, sigma = -1) lies below the spectrum: that needs no factorization.
+Otherwise make_frequency counts the eigenvalues below omega^2 by Sylvester
+inertia (bloch._eigenvalues_below, one LDL^H factorization of the
+eigenpair's own pencil per k) along the Brillouin path: omega^2 is in a gap
+exactly when that count is the same at every sample, since a branch that
+crosses omega^2 changes it.  No eigenvalue is computed, and no number of
+branches has to be chosen.
 """
 
 from __future__ import annotations
@@ -24,12 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BandGap, DispersionDiagram, GammaPair
+from .bloch import GammaPair, _eigenvalues_below, brillouin_path
 from .medium import _as_points, evaluate_coefficient
 
 
 class NotInGap(Exception):
-    """Requested frequency intersects a sampled dispersion branch."""
+    """Requested frequency intersects a dispersion branch between two
+    sampled wavevectors."""
 
 
 @dataclass(frozen=True)
@@ -101,47 +108,43 @@ def drive_frequency(gamma: GammaPair, sigma: int, omega_hat: float,
                          omega_hat=omega_hat, eps=eps, omega2=omega2)
 
 
-def make_frequency(gamma: GammaPair, gaps: list[BandGap] | DispersionDiagram,
-                   sigma: int, omega_hat: float, eps: float,
-                   k_window: float | None = None) -> FrequencySpec:
+def make_frequency(gamma: GammaPair, sigma: int, omega_hat: float,
+                   eps: float, k_window: float | None = None,
+                   samples_per_segment: int = 30) -> FrequencySpec:
     """Build omega^2 = omega_p^2(0) + eps^2 sigma Omega_hat^2 and validate it.
 
     omega^2 < 0 lies below the whole spectrum (every omega_m^2(k) >= 0, see
-    the module docstring) and is accepted without looking at `gaps`; an
-    empty gap list therefore admits exactly those drives.  Otherwise
-    omega^2 must lie in a gap: `gaps` may be a DispersionDiagram (preferred:
-    branch ranges are checked directly) or a precomputed gap list.
+    the module docstring) and is accepted at once.  Otherwise, at every
+    brillouin_path(d, samples_per_segment) sample (each +-k pair once, since
+    the spectra coincide), the eigenvalues of gamma.pencil below omega^2 are
+    counted by inertia; omega^2 is in a gap when every count is the same,
+    and NotInGap names branch min(count) otherwise.
 
-    With `k_window` set (only meaningful for the diagram path), the branch
-    ranges are taken over |k|_inf <= k_window.  This admits frequencies that
-    sit in a local gap around the zone center -- the regime a long-wavelength
-    source actually probes -- even when a distant part of some branch crosses
-    omega^2.  Pass eps * K_max of the source to match the synthesis window.
+    With `k_window` set, only the samples with |k|_inf <= k_window count.
+    This admits frequencies that sit in a local gap around the zone center
+    -- the regime a long-wavelength source actually probes -- even when a
+    distant part of some branch crosses omega^2.  Pass eps * K_max of the
+    source to match the synthesis window.
     """
     freq = drive_frequency(gamma, sigma, omega_hat, eps)
-    omega2 = freq.omega2
-
-    if omega2 < 0:
-        pass                           # below the whole spectrum: sub-acoustic
-    elif isinstance(gaps, DispersionDiagram):
-        omega2_table = gaps.omega2
-        if k_window is not None:
-            mask = np.max(np.abs(gaps.k_points), axis=1) <= k_window
-            if not mask.any():
-                raise ValueError("k_window excludes every diagram sample")
-            omega2_table = omega2_table[mask]
-        lows = omega2_table.min(axis=0)
-        highs = omega2_table.max(axis=0)
-        for m in range(len(lows)):
-            if lows[m] <= omega2 <= highs[m]:
-                raise NotInGap(
-                    f"omega^2 = {omega2:.6g} intersects branch {m} "
-                    f"range [{lows[m]:.6g}, {highs[m]:.6g}]")
-        if omega2 > highs[-1]:
-            raise NotInGap(
-                f"omega^2 = {omega2:.6g} above the last computed branch")
-    elif not any(g.contains(omega2) for g in gaps):
-        raise NotInGap(f"omega^2 = {omega2:.6g} not inside any gap")
+    if freq.omega2 < 0:
+        return freq                    # below the whole spectrum: sub-acoustic
+    ks = brillouin_path(gamma.spec.dimension, samples_per_segment)[0]
+    if k_window is not None:
+        ks = ks[np.max(np.abs(ks), axis=1) <= k_window]
+        if not len(ks):
+            raise ValueError("k_window excludes every path sample")
+    pencil = gamma.pencil
+    counts = {}                        # +-k -> eigenvalues below omega^2
+    for k in ks:
+        if tuple(-k) not in counts:
+            counts[tuple(k)] = _eigenvalues_below(pencil.stiffness(k),
+                                                  pencil.B, freq.omega2)
+    low, high = min(counts.values()), max(counts.values())
+    if low != high:
+        raise NotInGap(
+            f"omega^2 = {freq.omega2:.6g} intersects branch {low}: "
+            f"{low} to {high} eigenvalues lie below it along the path")
     return freq
 
 

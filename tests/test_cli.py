@@ -305,6 +305,52 @@ def test_cell_cache_reused_when_valid(tmp_path):
     assert open(os.path.join(out, "effective.json"), "rb").read() == first
 
 
+def test_cache_from_before_the_odd_branch_gauge_is_not_read(tmp_path,
+                                                            monkeypatch):
+    """0.2.0 cache files may hold an odd branch in the gauge fix_phase used
+    before its tie rule: the opposite sign.  Such a file (written under the
+    0.2.0 key, then negated) is not read, so a warm `cell` run writes the
+    coeffs of a cold one."""
+    body = base_cfg()
+    body["branch"] = 1
+    cfg = write_cfg(tmp_path, body)
+    cold, warm = str(tmp_path / "cold"), str(tmp_path / "warm")
+    assert main(["cell", "--config", cfg, "--out", cold]) == 0
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "__version__", "0.2.0")
+        assert main(["cell", "--config", cfg, "--out", warm]) == 0
+    cache = os.path.join(warm, ".cache")
+    linear_in_c0 = ("coeffs", "chi1", "chi2", "chi3", "s1c0", "gc0", "bc0",
+                    "bchi1")
+    for name in os.listdir(cache):
+        path = os.path.join(cache, name)
+        data = dict(np.load(path))
+        np.savez(path, **{k: -v if k in linear_in_c0 else v
+                          for k, v in data.items()})
+    assert main(["cell", "--config", cfg, "--out", warm]) == 0
+    coeffs = [np.load(os.path.join(out, "cell.npz"))["coeffs"]
+              for out in (cold, warm)]
+    assert np.array_equal(*coeffs)
+
+
+def test_fields_drive_above_the_diagram_branches_is_in_gap(tmp_path, capsys):
+    """The gap test does not depend on dispersion.count: branch 1 driven
+    sigma = +1 lies in the gap above it, beyond the two branches a diagram
+    of count 2 holds, and passes; sigma = -1 lies on branch 1 and fails."""
+    body = base_cfg()
+    body.update(branch=1, sigma=+1)
+    body["dispersion"]["count"] = 2
+    body["fields"] = {"eps": 0.25, "half_width": 4, "points_per_cell": 8,
+                      "outputs": ["order0"]}
+    assert main(["fields", "--config", write_cfg(tmp_path, body),
+                 "--out", str(tmp_path / "above")]) == 0
+    body["sigma"] = -1
+    capsys.readouterr()
+    assert main(["fields", "--config", write_cfg(tmp_path, body),
+                 "--out", str(tmp_path / "on")]) == 3
+    assert "intersects branch 1" in capsys.readouterr().err
+
+
 def test_cell_cache_without_pencil_vectors_rejected(tmp_path, capsys):
     """A cell cache file with the correctors only (no A2 or pencil vectors
     for the effective averages) is a validation error naming the file."""
@@ -450,10 +496,11 @@ def test_readme_nonperiodic_phases_fold_onto_one_cell(tmp_path, monkeypatch):
         assert t["reduced"] == 65
 
 
-def test_converge_above_acoustic_branch_builds_one_diagram(tmp_path, capsys,
-                                                           work_counts):
-    """sigma = +1 puts omega^2 on the acoustic branch: the one diagram for
-    all eps is built and the drive is rejected (exit 3)."""
+def test_converge_above_acoustic_branch_builds_no_diagram(tmp_path, capsys,
+                                                          work_counts):
+    """sigma = +1 puts omega^2 on the acoustic branch: the inertia scan on
+    the eigenpair's own pencil (its one full pencil) rejects the drive
+    (exit 3), and no dispersion diagram is built."""
     body = _readme_config()
     body["sigma"] = +1
     body["cutoff"] = 32          # the rejection does not depend on the size
@@ -461,7 +508,7 @@ def test_converge_above_acoustic_branch_builds_one_diagram(tmp_path, capsys,
     assert main(["converge", "--config", cfg,
                  "--out", str(tmp_path / "out")]) == 3
     assert "intersects branch 0" in capsys.readouterr().err
-    assert work_counts == {"diagrams": 1, "pencils": 3, "cell_stacks": 0,
+    assert work_counts == {"diagrams": 0, "pencils": 3, "cell_stacks": 0,
                            "sources": 0}
 
 

@@ -24,8 +24,9 @@ from blochhomog import (BlochPencil, EnvelopeSingularity, FieldOnGrid,
                         solve_cell_functions, synthesize_periodic,
                         two_phase_1d, wavenumber_quadrature)
 from blochhomog import fields
-from blochhomog.fields import (SYNTH_BLOCK, _eigenvalues_below, _envelopes,
-                               _fold_axes, _grid_points, _nonperiodic_phase,
+from blochhomog.bloch import _eigenvalues_below
+from blochhomog.fields import (SYNTH_BLOCK, _envelopes, _fold_axes,
+                               _grid_points, _nonperiodic_phase,
                                _periodic_phase, _resolvent_term)
 from blochhomog.source import FrequencySpec
 

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
-from blochhomog import (GaussianEnvelope, NotInGap, SourceSpec, bloch_pencil,
+from blochhomog import (GaussianEnvelope, Inclusion, MediumSpec, NotInGap,
+                        SourceSpec, bloch_pencil, brillouin_path, disk_2d,
                         dispersion_diagram, drive_frequency,
-                        eigenpair_at_gamma,
-                        find_band_gaps, make_frequency, sample_source,
+                        eigenpair_at_gamma, make_frequency, sample_source,
                         synthesize_periodic, wavenumber_quadrature)
+from blochhomog import source as source_module
+from blochhomog.bloch import _eigenvalues_below
 from blochhomog.fields import _grid_points
 
 
@@ -54,43 +57,25 @@ def test_source_spec_validation():
 # Frequency validation
 # ---------------------------------------------------------------------------
 
-def test_make_frequency_sub_acoustic(med1d, gamma1d_32):
-    diagram = dispersion_diagram(med1d, cutoff=16, count=4,
-                                 samples_per_segment=20)
-    freq = make_frequency(gamma1d_32, diagram, -1, 1.0, 0.25)
+def test_make_frequency_sub_acoustic(gamma1d_32):
+    freq = make_frequency(gamma1d_32, -1, 1.0, 0.25, samples_per_segment=20)
     assert abs(freq.omega2 - (-0.0625)) < 1e-14
-    with pytest.raises(NotInGap):
-        make_frequency(gamma1d_32, diagram, +1, 1.0, 0.25)
+    with pytest.raises(NotInGap, match="intersects branch 0"):
+        make_frequency(gamma1d_32, +1, 1.0, 0.25, samples_per_segment=20)
 
 
-def test_make_frequency_below_spectrum_needs_no_diagram(med1d, gamma1d_32):
-    """Every Bloch eigenvalue is >= 0, so omega^2 < 0 is accepted whatever
-    the spectrum data, and an empty gap list admits exactly such drives."""
-    diagram = dispersion_diagram(med1d, cutoff=16, count=4,
-                                 samples_per_segment=20)
-    for gaps in ([], find_band_gaps(diagram), diagram):
-        assert make_frequency(gamma1d_32, gaps, -1, 1.0, 0.25) == \
-            make_frequency(gamma1d_32, diagram, -1, 1.0, 0.25)
-    # a window without any sample cannot validate omega^2 >= 0, but
-    # omega^2 < 0 needs no sample
-    far = make_frequency(gamma1d_32, diagram, -1, 1.0, 0.25, k_window=-1.0)
-    assert far.omega2 < 0
+def test_make_frequency_below_spectrum_needs_no_diagram(gamma1d_32,
+                                                        monkeypatch):
+    """Every Bloch eigenvalue is >= 0, so omega^2 < 0 is accepted without
+    one factorization, whatever the sampling; a window without any sample
+    cannot validate omega^2 >= 0, but omega^2 < 0 needs no sample."""
+    monkeypatch.setattr(source_module, "_eigenvalues_below", None)
+    freq = make_frequency(gamma1d_32, -1, 1.0, 0.25)
+    assert freq == drive_frequency(gamma1d_32, -1, 1.0, 0.25)
+    far = make_frequency(gamma1d_32, -1, 1.0, 0.25, k_window=-1.0)
+    assert far == freq and far.omega2 < 0
     with pytest.raises(ValueError, match="k_window"):
-        make_frequency(gamma1d_32, diagram, +1, 1.0, 0.25, k_window=-1.0)
-    with pytest.raises(NotInGap):
-        make_frequency(gamma1d_32, [], +1, 1.0, 0.25)
-
-
-def test_make_frequency_gap_list_path(med1d):
-    diagram = dispersion_diagram(med1d, cutoff=16, count=4,
-                                 samples_per_segment=20)
-    gaps = find_band_gaps(diagram)
-    gamma1 = eigenpair_at_gamma(med1d, 1, 16)
-    # branch 1 tops out at k = 0; sigma = +1 lands in the next gap
-    freq = make_frequency(gamma1, gaps, +1, 1.0, 0.25)
-    assert any(g.contains(freq.omega2) for g in gaps)
-    with pytest.raises(NotInGap):
-        make_frequency(gamma1, gaps, -1, 1.0, 0.25)
+        make_frequency(gamma1d_32, +1, 1.0, 0.25, k_window=-1.0)
 
 
 def test_make_frequency_2d_p3(med2d, gamma2d_p3):
@@ -99,18 +84,68 @@ def test_make_frequency_2d_p3(med2d, gamma2d_p3):
     # branch 3 dips below omega_3^2(0) far from the zone center, so the
     # frequency sits in a local (not complete) gap: the global check rejects
     # it while the window matched to the source support accepts it
-    with pytest.raises(NotInGap):
-        make_frequency(gamma2d_p3, diagram, -1, 1.0, 0.25)
-    freq = make_frequency(gamma2d_p3, diagram, -1, 1.0, 0.25, k_window=2.0)
+    with pytest.raises(NotInGap, match="intersects branch 3"):
+        make_frequency(gamma2d_p3, -1, 1.0, 0.25, samples_per_segment=12)
+    freq = make_frequency(gamma2d_p3, -1, 1.0, 0.25, k_window=2.0,
+                          samples_per_segment=12)
     mask = np.max(np.abs(diagram.k_points), axis=1) <= 2.0
     assert diagram.omega2[mask, 2].max() < freq.omega2 < diagram.omega2[mask, 3].min()
 
 
+@st.composite
+def _drives(draw):
+    """A medium (1D centred, 1D off-centre, or disk_2d) with its cutoff, a
+    branch 0-2, sigma = +-1, eps and an optional k_window."""
+    kind = draw(st.sampled_from(["centred", "offcentre", "disk"]))
+    if kind == "disk":
+        spec, cutoff = disk_2d(), 4
+    else:
+        centre = 0.0 if kind == "centred" else draw(st.floats(-0.25, 0.25))
+        spec, cutoff = MediumSpec(
+            dimension=1, background_G=draw(st.floats(0.2, 5.0)),
+            background_rho=draw(st.floats(0.2, 5.0)),
+            inclusions=(Inclusion(center=(centre,),
+                                  radius=draw(st.floats(0.05, 0.2)),
+                                  G=draw(st.floats(0.2, 20.0)),
+                                  rho=draw(st.floats(0.2, 30.0))),)), 12
+    return (spec, cutoff, draw(st.integers(0, 2)),
+            draw(st.sampled_from([-1, 1])), draw(st.floats(0.05, 1.0)),
+            draw(st.one_of(st.none(), st.floats(0.5, np.pi))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(drive=_drives())
+def test_inertia_verdict_equals_branch_ranges(drive):
+    """make_frequency's inertia scan accepts a drive exactly when no branch
+    range of a diagram on the same samples holds omega^2; the diagram holds
+    every band up to one above omega^2 (count from the largest inertia)."""
+    spec, cutoff, branch, sigma, eps, k_window = drive
+    gamma = eigenpair_at_gamma(spec, branch, cutoff)
+    omega2 = drive_frequency(gamma, sigma, 1.0, eps).omega2
+    ks = brillouin_path(spec.dimension, 6)[0]
+    if k_window is not None:
+        ks = ks[np.max(np.abs(ks), axis=1) <= k_window]
+    below = max(_eigenvalues_below(gamma.pencil.stiffness(k), gamma.pencil.B,
+                                   omega2) for k in ks)
+    diagram = dispersion_diagram(spec, cutoff, min(below + 1, gamma.basis.size),
+                                 k_points=ks)
+    assume(np.min(np.abs(diagram.omega2 - omega2)) > 1e-9 * abs(omega2))
+    lows, highs = diagram.omega2.min(axis=0), diagram.omega2.max(axis=0)
+    in_gap = not np.any((lows <= omega2) & (omega2 <= highs))
+    try:
+        make_frequency(gamma, sigma, 1.0, eps, k_window=k_window,
+                       samples_per_segment=6)
+    except NotInGap:
+        assert not in_gap
+    else:
+        assert in_gap
+
+
 def test_make_frequency_input_validation(gamma1d_32):
     with pytest.raises(ValueError):
-        make_frequency(gamma1d_32, [], 0, 1.0, 0.25)
+        make_frequency(gamma1d_32, 0, 1.0, 0.25)
     with pytest.raises(ValueError):
-        make_frequency(gamma1d_32, [], -1, -1.0, 0.25)
+        make_frequency(gamma1d_32, -1, -1.0, 0.25)
     # the unvalidated-spectrum path checks the same inputs
     for sigma, omega_hat, eps in ((0, 1.0, 0.25), (-1, -1.0, 0.25),
                                   (-1, 1.0, 0.0)):
