@@ -100,6 +100,12 @@ def contract(a, b) -> np.ndarray:
     return out.reshape(shape)[()]
 
 
+def norm(x) -> float:
+    """The Euclidean (Frobenius) norm of all entries of x, with no BLAS
+    call: numpy.linalg.norm runs numpy's own BLAS."""
+    return math.sqrt(float(np.sum(np.square(np.abs(x)))))
+
+
 @dataclass(frozen=True)
 class PlaneWaveBasis:
     """Truncated Fourier basis exp(i 2 pi j.x), |j|_inf <= cutoff.
@@ -163,11 +169,13 @@ class BlochPencil:
     B: np.ndarray
     tp: np.ndarray
 
-    def stiffness(self, k) -> np.ndarray:
+    def stiffness(self, k, out=None) -> np.ndarray:
         """S(k) = G o sum_a outer(kpg_a, kpg_a), kpg = 2 pi j + k: d <= 2
-        outer products, no BLAS call, in one new buffer of G's dtype."""
+        outer products, no BLAS call, in `out` (C-contiguous, G's shape and
+        dtype) or a new buffer."""
         kpg = (self.tp + k).T
-        S = np.multiply.outer(kpg[0], kpg[0], out=np.empty_like(self.G))
+        out = np.empty_like(self.G) if out is None else out
+        S = np.multiply.outer(kpg[0], kpg[0], out=out)
         for t in kpg[1:]:
             S += np.multiply.outer(t, t)
         return np.multiply(self.G, S, out=S)
@@ -213,21 +221,17 @@ def bloch_pencil(table: CoefficientTable, basis: PlaneWaveBasis) -> BlochPencil:
 @dataclass(frozen=True)
 class ParityBlocks:
     """The k = 0 pencil, S(k) = S0 + sum_a k_a S1[a] + |k|^2 G and B, in the
-    parity basis of P: j -> -j; built once per eigenpair
-    (parity_blocks) and carried by its GammaPair.
+    parity basis of P: j -> -j; built once per eigenpair (parity_blocks)
+    and carried by its GammaPair.
 
-    Block i has the orthonormal vectors q = scale (e_u + sign e_ubar), with
-    u in index[i], ubar = partner[i] its -j, and scale 1/sqrt(2) for a pair,
-    1/2 where ubar = u.  Real tables are even (G(-x) = G(x)), so S0, G and B
-    commute with P and each S1[a] anticommutes with it: two blocks, even
-    (sign +1: e_0 and (e_j + e_-j)/sqrt 2) and odd (sign -1:
-    (e_j - e_-j)/sqrt 2), of about M/2 each; S0, G, B are block diagonal and
-    S1[a] maps each block onto the other.  Complex tables (off-centre media)
-    do not commute with P: one block, ubar = u = every position and sign +1,
-    which is the identity change of basis.
-
-    S0[i], G[i], B[i] are the diagonal blocks; S1[a][i] is S1_a from block i
-    to block flip(i).
+    Block i has the orthonormal vectors q = scale (e_u + sign e_ubar), u in
+    index[i], ubar = partner[i] its -j, scale 1/sqrt(2) for a pair and 1/2
+    where ubar = u.  Real tables are even, so S0, G and B commute with P and
+    each S1[a] anticommutes with it: an even block (sign +1: e_0 and (e_j +
+    e_-j)/sqrt 2) and an odd one (sign -1), of about M/2 each.  Complex
+    tables do not commute with P: one block, ubar = u = every position,
+    sign +1, the identity change of basis.  S0[i], G[i], B[i] are the
+    diagonal blocks; S1[a][i] is S1_a from block i to block flip(i).
     """
 
     index: tuple
@@ -265,81 +269,63 @@ class ParityBlocks:
                    for i, B in enumerate(self.B))
 
 
-def _parity_layout(basis: PlaneWaveBasis, real: bool) -> list:
-    """Per block (index, partner, sign, multiplicity m): m = 2 where
-    partner = index, 1 for a pair."""
-    every = np.arange(basis.size)
-    if not real:
-        return [(every, every, 1, np.full(basis.size, 2.0))]
-    partner = basis.reversal()
-    pairs = np.flatnonzero(every < partner)           # j = 0 is its own -j
-    even = (np.concatenate([[0], pairs]), np.concatenate([[0], partner[pairs]]),
-            1, np.concatenate([[2.0], np.ones(len(pairs))]))
-    return [even, (pairs, partner[pairs], -1, np.ones(len(pairs)))]
-
-
 def parity_blocks(table: CoefficientTable, basis: PlaneWaveBasis) -> ParityBlocks:
-    """The k = 0 blocks of `table` on `basis` (ParityBlocks), two when the
-    tables are real, one otherwise, gathered straight from the tables.
+    """The k = 0 blocks of `table` on `basis` (ParityBlocks): the full
+    pencil (BlochPencil.blocks) for complex tables; for real ones, two
+    blocks from one gather of each table on the even rows u (j = 0 and one
+    j of each +-j pair) against the columns u (A) and their -j (Abar).
 
-    For a matrix A that commutes (or anticommutes) with P, the block between
-    row vectors u and column vectors (v, vbar, t) is
-    (A[u, v] + t A[u, vbar]) / sqrt(m_u m_v): each entry is two table
-    gathers, and no M x M matrix is formed.
+    A matrix that commutes (or anticommutes) with P has the block (A[u, v]
+    + t A[u, vbar]) / sqrt(m_u m_v) between rows u and columns (v, vbar, t),
+    so with row and column 0 (e_0, m = 2) scaled by 1/sqrt 2, A + Abar and
+    A - Abar are G's and B's even block and, from row and column 1 on,
+    their odd block.  As 2 pi j_ubar = -2 pi j_u, S0 = sum_a diag(tp_a)
+    (A -+ Abar) diag(tp_a) and S1_a (even to odd) = diag(tp_a) (A + Abar) +
+    (A - Abar) diag(tp_a) are scalings of the same two.  No M x M matrix is
+    formed.
     """
     G_hat, rho_hat, real = _hermitian_tables(table, basis)
-    layout = _parity_layout(basis, real)
-    j, tp = basis.indices, 2.0 * np.pi * basis.indices
+    j, size = basis.indices, basis.size
+    if not real:            # one block, the identity change of basis
+        every = np.arange(size)
+        off = _differences(j, j, table.cutoff)
+        S0, S1, G, B = BlochPencil(basis=basis, G=G_hat[off], B=rho_hat[off],
+                                   tp=2.0 * np.pi * j).blocks()
+        return ParityBlocks(index=(every,), partner=(every,), sign=(1,),
+                            scale=(np.full(size, 0.5),), S0=(S0,),
+                            S1=tuple((x,) for x in S1), G=(G,), B=(B,))
+    partner = basis.reversal()
+    pairs = np.flatnonzero(np.arange(size) < partner)  # j = 0 is its own -j
+    u = np.concatenate([[0], pairs])
+    near, far = (_differences(j[u], j[v], table.cutoff)
+                 for v in (u, partner[u]))
+    tp = 2.0 * np.pi * j[u]                            # tp[0] = 0
+    root = 1.0 / math.sqrt(2.0)
 
-    def pair(r, c):
-        """Gatherer of the (r, c) blocks: rows of block r, columns of c."""
-        (u, _, _, m_r), (v, vbar, t, m_c) = layout[r], layout[c]
-        near, far = (_differences(j[u], j[cols], table.cutoff)
-                     for cols in (v, vbar))
-        norm = np.sqrt(np.multiply.outer(m_r, m_c))
-        np.divide(1.0, norm, out=norm)
+    def combinations(arr):
+        """(A + Abar, A - Abar) of arr, row and column 0 scaled by root."""
+        plus, far_part = arr[near], arr[far]
+        minus = plus - far_part
+        plus += far_part
+        for x in (plus, minus):
+            x[0] *= root
+            x[:, 0] *= root
+        return plus, minus
 
-        def blocks(arr, *weights):
-            """Blocks of arr's difference matrix times each weight(rows,
-            cols) entrywise (None: unweighted), from one gather pair."""
-            A, Abar = arr[near], arr[far]
-            out = []
-            for w in weights:
-                if w is None:
-                    x = A + Abar if t > 0 else A - Abar
-                else:
-                    x, y = A * w(u, v), Abar * w(u, vbar)
-                    x += y if t > 0 else -y
-                x *= norm
-                out.append(x)
-            return out
-        return blocks
+    def gram(x, t):                        # sum_a diag(t_a) x diag(t_a)
+        return sum(t[:, a, None] * x * t[:, a] for a in range(t.shape[1]))
 
-    def s0(rows, cols):                    # tp_r . tp_c, as in stiffness
-        out = np.multiply.outer(tp[rows, 0], tp[cols, 0])
-        for a in range(1, basis.dimension):
-            out += np.multiply.outer(tp[rows, a], tp[cols, a])
-        return out
-
-    def s1(a):                             # tp_r[a] + tp_c[a]
-        return lambda rows, cols: tp[rows, a][:, None] + tp[cols, a][None, :]
-
-    S0, G, B = [], [], []
-    for i in range(len(layout)):
-        blocks = pair(i, i)
-        g, s = blocks(G_hat, None, s0)
-        S0.append(s)
-        G.append(g)
-        B += blocks(rho_hat, None)
-    # S1_a from block 0 to the last; the way back is its (real) transpose
-    S1 = pair(len(layout) - 1, 0)(G_hat, *map(s1, range(basis.dimension)))
+    (Gp, Gm), (Bp, Bm) = combinations(G_hat), combinations(rho_hat)
+    S1 = [tp[1:, a, None] * Gp[1:] + Gm[1:] * tp[:, a]
+          for a in range(basis.dimension)]
+    half = np.full(len(pairs), root)
     return ParityBlocks(
-        index=tuple(u for u, *_ in layout),
-        partner=tuple(ubar for _, ubar, *_ in layout),
-        sign=tuple(t for *_, t, _ in layout),
-        scale=tuple(1.0 / np.sqrt(2.0 * m) for *_, m in layout),
-        S0=tuple(S0), G=tuple(G), B=tuple(B),
-        S1=tuple((x,) if len(layout) == 1 else (x, x.T) for x in S1))
+        index=(u, pairs), partner=(partner[u], partner[pairs]), sign=(1, -1),
+        scale=(np.concatenate([[0.5], half]), half),
+        S0=(gram(Gm, tp), gram(Gp[1:, 1:], tp[1:])),
+        G=(Gp, np.ascontiguousarray(Gm[1:, 1:])),
+        B=(Bp, np.ascontiguousarray(Bm[1:, 1:])),
+        S1=tuple((x, x.T) for x in S1))
 
 
 def _wavevector(k, basis: PlaneWaveBasis) -> np.ndarray:
@@ -409,11 +395,13 @@ def _eigenvalues_below(S: np.ndarray, B: np.ndarray, sigma: float) -> int:
     (Sylvester), read from its Bunch-Kaufman factors L D L^H: one per
     negative 1x1 pivot (ipiv > 0) and one per 2x2 block (a pair of rows with
     ipiv < 0), since the pivot rule only picks 2x2 blocks with a negative
-    determinant (for ?hetrf and ?sytrf alike).
+    determinant (for ?hetrf and ?sytrf alike).  The factorization runs on
+    the F-contiguous transpose conj(S - sigma B), which has the same
+    inertia, so f2py makes no copy.
     """
     hetrf, lwork = _lapack("hetrf", S.dtype, len(S))
     shifted = np.multiply(sigma, B, dtype=np.result_type(S, B))
-    ldu, ipiv, _ = hetrf(np.subtract(S, shifted, out=shifted), lower=1,
+    ldu, ipiv, _ = hetrf(np.subtract(S, shifted, out=shifted).T, lower=1,
                          lwork=lwork, overwrite_a=True)
     negative_pivots = np.count_nonzero(ldu.diagonal().real[ipiv > 0] < 0.0)
     return int(negative_pivots + np.count_nonzero(ipiv < 0) // 2)
@@ -444,8 +432,8 @@ def brillouin_path(dimension: int, samples_per_segment: int = 30):
     for a, b in zip(nodes[:-1], nodes[1:]):
         ts = np.linspace(0.0, 1.0, samples_per_segment, endpoint=False)
         pts.append(a[None, :] + ts[:, None] * (b - a)[None, :])
-        dist.append(offset + ts * np.linalg.norm(b - a))
-        offset += np.linalg.norm(b - a)
+        dist.append(offset + ts * math.dist(a, b))
+        offset += math.dist(a, b)
     pts.append(gamma[None, :])
     dist.append(np.array([offset]))
     ticks = [0.0, np.pi, 2 * np.pi, 2 * np.pi + np.pi * np.sqrt(2.0)]
@@ -580,7 +568,7 @@ def fix_phase(coeffs: np.ndarray) -> np.ndarray:
     eigenfunction) always picks the same member.
     """
     pivot = coeffs[0]
-    if abs(pivot) < PHASE_FALLBACK_TOL * np.linalg.norm(coeffs):
+    if abs(pivot) < PHASE_FALLBACK_TOL * norm(coeffs):
         mag = np.abs(coeffs)
         pivot = coeffs[np.argmax(mag >= (1.0 - PHASE_FALLBACK_TOL) * mag.max())]
     return coeffs * (pivot.conjugate() / abs(pivot))

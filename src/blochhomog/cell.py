@@ -39,7 +39,7 @@ import numpy as np
 import scipy.linalg
 
 from .bloch import (GammaPair, ParityBlocks, PlaneWaveBasis, bloch_pencil,
-                    contract)
+                    contract, norm)
 from .medium import CoefficientTable, MediumSpec
 
 COMPAT_TOL = 1e-9
@@ -117,7 +117,7 @@ class ConstrainedSolver:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for one right-hand side; checks compatibility and residual."""
-        scale = np.linalg.norm(rhs)
+        scale = norm(rhs)
         if scale < self._floor:
             return np.zeros(self._n, dtype=complex)
         if self._c0 is not None:
@@ -137,12 +137,12 @@ class ConstrainedSolver:
         residual = contract(self._A, x) - rhs
         if self._b is not None:
             residual += sol[self._n] * self._b
-        res = np.linalg.norm(residual)
+        res = norm(residual)
         if scale > 0 and res > RESIDUAL_BOUND * max(scale, 1.0):
             raise SingularSystem(f"bordered solve residual {res:.3e}")
         if self._b is not None:
             constraint = abs(contract(self._b.conj(), x))
-            if constraint > CONSTRAINT_TOL * max(np.linalg.norm(x), 1.0):
+            if constraint > CONSTRAINT_TOL * max(norm(x), 1.0):
                 raise SingularSystem(
                     f"zero-mean constraint violated: {constraint:.3e}")
         return x
@@ -176,7 +176,7 @@ class CellFunctions:
 def _parity_of(blocks: ParityBlocks, coeffs: np.ndarray) -> int:
     """The parity block a zone-center vector lies in: the eigenvector of a
     simple eigenvalue has one parity, to CONSTRAINT_TOL here."""
-    norms = [np.linalg.norm(blocks.restrict(coeffs, i))
+    norms = [norm(blocks.restrict(coeffs, i))
              for i in range(len(blocks.index))]
     s = int(np.argmax(norms))
     if sum(norms) - norms[s] > CONSTRAINT_TOL * norms[s]:

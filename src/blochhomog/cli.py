@@ -24,7 +24,7 @@ import scipy.linalg
 from . import __version__
 from .bloch import (contract, dispersion_diagram, eigenpair_at_gamma,
                     export_diagram_csv, find_band_gaps, GammaPair,
-                    PlaneWaveBasis, parity_blocks)
+                    PlaneWaveBasis, norm, parity_blocks)
 from .cell import (DIAGNOSTIC_TOL, CompatibilityViolation, SingularSystem,
                    CellFunctions, effective_coefficients,
                    extrapolated_coefficients, solve_cell_functions)
@@ -230,9 +230,9 @@ def _require_diagnostics(eff):
     if not eff.diagnostics_ok:
         raise DiagnosticsFailed(
             f"effective tensors fail their diagnostics: |rho1| = "
-            f"{np.linalg.norm(eff.rho1):.3e}, |mu1| = "
-            f"{np.linalg.norm(eff.mu1):.3e}, |rho2| = "
-            f"{np.linalg.norm(eff.rho2):.3e}, or an imaginary part of mu0/mu2 "
+            f"{norm(eff.rho1):.3e}, |mu1| = "
+            f"{norm(eff.mu1):.3e}, |rho2| = "
+            f"{norm(eff.rho2):.3e}, or an imaginary part of mu0/mu2 "
             f"above {DIAGNOSTIC_TOL:.0e} relative was dropped")
 
 
@@ -320,9 +320,9 @@ def cmd_cell(cfg, out, args):
         "omega2": float(gamma.omega2),
         "simple": bool(gamma.simple),
         "separation": float(gamma.separation),
-        "norms": {"chi1": float(np.linalg.norm(cell.chi1)),
-                  "chi2": float(np.linalg.norm(cell.chi2)),
-                  "chi3": float(np.linalg.norm(cell.chi3))},
+        "norms": {"chi1": norm(cell.chi1),
+                  "chi2": norm(cell.chi2),
+                  "chi3": norm(cell.chi3)},
         "zero_mean_residual": {"chi1": zero_mean(cell.chi1),
                                "chi2": zero_mean(cell.chi2),
                                "chi3": zero_mean(cell.chi3)},
@@ -343,9 +343,9 @@ def cmd_effective(cfg, out, args):
         "mu0": _tensor_list(eff.mu0),
         "mu2": _tensor_list(eff.mu2),
         "corrector_cov": _tensor_list(eff.corrector_cov),
-        "diagnostics": {"rho1": float(np.linalg.norm(eff.rho1)),
-                        "mu1": float(np.linalg.norm(eff.mu1)),
-                        "rho2": float(np.linalg.norm(eff.rho2)),
+        "diagnostics": {"rho1": norm(eff.rho1),
+                        "mu1": norm(eff.mu1),
+                        "rho2": norm(eff.rho2),
                         "tolerances_met": bool(eff.diagnostics_ok)},
     }, cfg)
     if args.verbose:

@@ -10,42 +10,39 @@ source mass they carried.  Envelope derivatives are taken spectrally
 
 The exact solution sums every Galerkin mode at each node through the
 resolvent (S(k) - omega^2 B)^{-1} B c0 on one BlochPencil, with no mode
-truncation.  Time reversal of the real medium pairs the nodes: x(-k) =
-e^{-i theta} P conj(x(k)) with P: j -> -j and e^{i theta} = c0^H B P
-conj(c0), so only the first node of each +-k pair is solved.  The pairing is
-guarded by the residual ||P conj(c0) - e^{i theta} c0||_B <= PAIR_TOL; a
-degenerate omega_p^2(0) fails it, and then every node is solved.  Below the
-spectrum (omega^2 < -DENOM_TOL) the solve is one Cholesky ?posv, and a
-failed factorization is a GapViolation.  Otherwise it is a Bunch-Kaufman
-?hesv, and the gap condition (no eigenvalue within DENOM_TOL of omega^2) is
-checked exactly by Sylvester inertia: the LDL^H factors of S - (omega^2 -+
-DENOM_TOL) B must have equally many negative pivots, once per +-k pair
-(bloch._eigenvalues_below, the count make_frequency's gap test uses).  A
-real pencil (centred media) uses the real LAPACK routines (?posv, ?sytrf,
-?sysv), a complex one the Hermitian ones.
+truncation (_resolvent_term: Cholesky ?posv below the spectrum, otherwise
+Bunch-Kaufman ?hesv after an exact Sylvester-inertia gap check, the count
+make_frequency's gap test uses; ?sy* for real pencils).  Time reversal of
+the real medium pairs the nodes, x(-k) = e^{-i theta} P conj(x(k)) with
+P: j -> -j, so only the first node of each +-k pair is solved
+(_time_reversal, guarded by PAIR_TOL).
 
-Synthesis is factored, exp(i (2 pi n + k) x) = exp(i k x) exp(i 2 pi n x):
-one periodic phase matrix per axis serves every node (and every cell
-function of the homogenized fields, and the source's phi_p).  Its rows
-depend on x only through r = x - round(x), so _periodic_blocks, the one
-grid synthesizer, folds each axis onto one cell (_fold_axes): it
-synthesizes each distinct r once, in slabs of at most SYNTH_BLOCK, and
-yields the grid back as row-index blocks of at most SYNTH_BLOCK points (a
-reference grid of 57 cells at 64 points per cell synthesizes 65 rows, not
-3649).  The matrix is a product of two tables of ~sqrt(2N+1) exponentials
-at r, ~1e-14 accurate.  The non-periodic phases exp(i f x) (Bloch f = k,
-envelope f = eps khat) share the fold: exp(i f round(x)) exp(i f r) from a
-table over the distinct cells and one over the distinct r (57 + 65 rows
-of exponentials, not 3649).  The contractions, like every dense product
-here, are bloch.contract on scipy's BLAS, the library of the node solves,
-so one BLAS thread pool serves the whole loop.
+Every field is a sum over nodes q of a periodic cell part times a phase
+exp(i f_q x) (Bloch f = k, envelope f = eps khat).  With x = m + r,
+m = round(x), r = x - round(x) (exact), the cell part depends on r alone
+and exp(i f x) = exp(i f m) exp(i f r), so _fold_axes splits each axis into
+its C distinct cells and R distinct reduced rows; every field is built on
+that lattice, C R per axis, and gathered onto the grid once (_on_grid).  A
+uniform_axis of half extent H at ppc points per cell has C R <=
+(2 H + 2)(ppc + 1), within (1 + 1/ppc)(1 + 1/H) of its points (criterion
+7: 57 x 129 for 7297; README's window: 21 x 65 for 1217); an axis without
+repeats has R = its length.  _periodic_blocks, the one grid synthesizer,
+synthesizes the cell parts on the distinct r alone, in slabs of at most
+SYNTH_BLOCK folded points, with one phase matrix exp(i 2 pi n r) per axis
+(two tables of ~sqrt(2N+1) exponentials, ~1e-14 accurate).  The exact and
+branch fields contract their nodes in one GEMM per slab, the weighted cell
+phases w_q exp(i k_q.m) (C x Q) times the row side phi_q(r) exp(i k_q.r);
+each envelope axis is one GEMM too, row phases by cell side
+(_lattice_synth).  The phase tables take C + R exponentials per node and
+axis, accurate to the rounding of f m.  Every product is bloch.contract on
+scipy's BLAS, the library of the node solves: one BLAS thread pool.
 
 The homogenized fields of every requested order come from one pass
 (homogenized_fields): the order-2 cell stack [phi_p, eps chi1, eps^2 (cov
-phi_p + chi2)] is synthesized once, and each order contracts its leading
-columns with [W0, grad W0] or all of them with [W2, grad W2, grad^2 W2];
-the W0 and W2 stacks share one envelope phase per axis, on the fast grid's
-fold (the envelope is not periodic), gathered per block of grid rows.
+phi_p + chi2)] is synthesized once on the folded rows, and each order
+contracts its leading columns with the lattice envelopes [W0, grad W0] or
+all of them with [W2, grad W2, grad^2 W2], W0 and W2 sharing the phase
+tables.
 """
 
 from __future__ import annotations
@@ -54,6 +51,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import roots_legendre
 
 from .bloch import (BlochPencil, GammaPair, PlaneWaveBasis, _eigenvalues_below,
                     _lapack, contract, solve_bands)
@@ -63,7 +61,7 @@ from .source import FrequencySpec, SourceSpec
 DENOM_TOL = 1e-8
 PAIR_TOL = 1e-10        # time-reversal guard, B-norm residual
 ENVELOPE_DENOM_TOL = 1e-10
-SYNTH_BLOCK = 512      # points per synthesis slab and per yielded block
+SYNTH_BLOCK = 512      # folded points per synthesis slab (one row at least)
 
 
 class GapViolation(Exception):
@@ -99,7 +97,7 @@ def wavenumber_quadrature(dimension: int, k_max: float = 8.0,
                           points_per_axis: int = 64,
                           rule: str = "gauss") -> WavenumberQuadrature:
     if rule == "gauss":
-        x, w = np.polynomial.legendre.leggauss(points_per_axis)
+        x, w = roots_legendre(points_per_axis)    # scipy's: one BLAS
         x = x * k_max
         w = w * k_max
     elif rule == "trapezoid":
@@ -146,13 +144,14 @@ class FieldOnGrid:
 
 
 def synthesize_periodic(basis: PlaneWaveBasis, coeffs: np.ndarray, axes):
-    """sum_j c_j exp(i 2 pi j.x) on the separable grid `axes`: the
-    coefficients go through _periodic_blocks as a one-column cube."""
+    """sum_j c_j exp(i 2 pi j.x) on the separable grid `axes`: one column
+    through _periodic_blocks, its folded rows gathered onto the grid."""
     cube = basis.coeff_cube(np.asarray(coeffs)[:, None])
-    out = np.empty(tuple(len(ax) for ax in axes), dtype=complex)
-    for rows, part in _periodic_blocks(basis, cube, _fold_axes(axes)):
-        out[rows] = part[..., 0]
-    return out
+    folds = _fold_axes(axes)
+    rows = np.empty(tuple(len(f[0]) for f in folds), dtype=complex)
+    for sl, part in _periodic_blocks(basis, cube, folds):
+        rows[sl] = part[..., 0]
+    return rows[np.ix_(*(f[1] for f in folds))]
 
 
 def _grid_points(axes):
@@ -167,18 +166,41 @@ def _fold_axes(axes) -> list:
              *np.unique(np.round(ax), return_inverse=True)) for ax in axes]
 
 
-def _nonperiodic_phase(fold, freqs):
-    """exp(i x f), f not multiples of 2 pi, on a folded axis: a function of
-    point indices (default all) gathering rows exp(i m f) exp(i r f) from
-    tables over the distinct m and r, accurate to the rounding of m f."""
-    reduced, ir, cells, ic = fold
-    cell, row = (np.exp(1j * np.outer(v, freqs)) for v in (cells, reduced))
+def uniform_axis(half_extent: float, points_per_cell: int) -> np.ndarray:
+    """The points -H, -H + h, ..., H, h = 1/ppc (2 H ppc an integer), each
+    m + s with s = j / (2 ppc) rounded to a multiple of 2^-45: exact for
+    |x| < 128, so x - round(x) takes at most ppc + 1 values however many
+    cells (_fold_axes).  A power-of-two ppc gives linspace's points."""
+    n = int(round(2 * half_extent * points_per_cell))
+    m, j = np.divmod(2 * np.arange(n + 1) - n, 2 * points_per_cell)
+    return m + np.round(j / (2 * points_per_cell) * 2.0 ** 45) / 2.0 ** 45
 
-    def phase(idx=slice(None)):
-        E = cell[ic[idx]]
-        E *= row[ir[idx]]
-        return E
-    return phase
+
+def _lattice(folds) -> np.ndarray:
+    """An empty field on the fold lattice, (C_1, ..., C_d, R_1, ..., R_d)."""
+    return np.empty([len(f[2]) for f in folds] + [len(f[0]) for f in folds],
+                    dtype=complex)
+
+
+def _on_grid(lattice: np.ndarray, folds) -> np.ndarray:
+    """Grid values of a lattice field: x = m + r reads cell m, row r."""
+    return lattice[np.ix_(*(f[3] for f in folds))
+                   + np.ix_(*(f[1] for f in folds))]
+
+
+def _nonperiodic_phase(fold, freqs):
+    """exp(i x f) on a folded axis as (exp(i m f) over the distinct cells m,
+    exp(i r f) over the distinct reduced rows r); the phase at x = m + r is
+    their product, accurate to the rounding of m f."""
+    reduced, _, cells, _ = fold
+    return tuple(np.exp(1j * np.outer(v, freqs)) for v in (cells, reduced))
+
+
+def _node_product(tables) -> np.ndarray:
+    """prod_a tables[a][i_a, q] (tables[a]: n_a x Q), shape (n_1, ..., n_d,
+    Q)."""
+    return math.prod(t.reshape((len(t),) + (1,) * (len(tables) - 1 - a)
+                               + t.shape[1:]) for a, t in enumerate(tables))
 
 
 def _periodic_phase(x, cutoff: int) -> np.ndarray:
@@ -204,61 +226,39 @@ def _periodic_phase(x, cutoff: int) -> np.ndarray:
     return out
 
 
-def _separable_synth(cube: np.ndarray, phases) -> np.ndarray:
-    """Contract the leading d axes of `cube` with per-axis phase matrices.
-
-    cube has shape (n_1, ..., n_d, *extra) and phases[a] shape (X_a, n_a);
-    the result has shape (X_1, ..., X_d, *extra).  In 1D this is one GEMM.
-    """
+def _lattice_synth(cube: np.ndarray, tables) -> np.ndarray:
+    """Contract the leading d axes of `cube` (Q_1, ..., Q_d, *extra) with
+    exp(i f_q x), tables[a] = (cell, row) of _nonperiodic_phase: per axis one
+    GEMM of the row table (R_a x Q_a) with the cell side cell[m, q] cube[q,
+    ...], giving the lattice field (C_1, ..., C_d, R_1, ..., R_d, *extra)."""
+    d = len(tables)
     out = cube
-    for a, E in enumerate(phases):
-        out = np.moveaxis(contract(E, np.moveaxis(out, a, 0)), 0, a)
+    for a, (cell, row) in enumerate(tables):
+        t = np.moveaxis(out, a, 0)
+        t = cell.T.reshape(cell.shape[::-1] + (1,) * (t.ndim - 1)) * t[:, None]
+        out = np.moveaxis(contract(row, t), (0, 1), (d + a, a))
     return out
 
 
 def _periodic_blocks(basis: PlaneWaveBasis, cube: np.ndarray, folds):
-    """Evaluate sum_j cube[j, ...] exp(i 2 pi j.x) on the grid of the folded
-    axes `folds` (_fold_axes), folded onto one cell.
-
-    The sum depends on each coordinate only through x - round(x), which is
-    exact, so every axis is folded to its distinct reduced coordinates and
-    the synthesis runs on those alone: a grid of whole cells at 2^m points
-    per cell folds to 2^m + 1 per axis, however many cells.  Axis 0 is
-    synthesized in folded slabs of at most SYNTH_BLOCK distinct points; each
-    slab's grid rows are gathered back, in blocks of at most SYNTH_BLOCK
-    grid points (one row at least).
-
-    Yields (row indices of axis 0, values of shape (rows, X_2, ..., *extra));
-    the blocks cover every row once, and an empty axis yields none.
+    """sum_j cube[j, ...] exp(i 2 pi j.r) at the distinct reduced
+    coordinates r of the folded axes `folds` (_fold_axes), one phase matrix
+    per axis, axis 0 in slabs of rows of at most SYNTH_BLOCK folded points
+    (one row at least).  Yields (slice of axis 0's distinct r, values of
+    shape (rows, R_2, ..., R_d, *extra)); the slabs cover every row once,
+    and an empty axis yields none.
     """
     if not all(len(f[1]) for f in folds):
         return
-    (u0, inv0, _, _), *rest = folds
+    (u0, *_), *rest = folds
     phases = [_periodic_phase(f[0], basis.cutoff) for f in rest]
-    gather = [f[1] for f in rest]
     slab = max(1, SYNTH_BLOCK // math.prod(len(f[0]) for f in rest))
-    block = max(1, SYNTH_BLOCK // math.prod(len(inv) for inv in gather))
-    order = np.argsort(inv0, kind="stable")      # grid rows by folded row
-    ends = np.searchsorted(inv0[order], np.arange(0, len(u0) + slab, slab))
-    for s, (lo, hi) in enumerate(zip(ends[:-1], ends[1:])):
-        first = s * slab
-        # the slab's phase matrix dies here: the next reuses its pages
-        part = _separable_synth(cube, [_periodic_phase(
-            u0[first:first + slab], basis.cutoff)] + phases)
-        for start in range(lo, hi, block):
-            idx = order[start:min(start + block, hi)]
-            yield idx, part[np.ix_(inv0[idx] - first, *gather)]
-
-
-def _bloch_phase(phases, rows) -> np.ndarray:
-    """exp(i k_q.x) on the grid rows `rows` of axis 0 (an index array) from
-    the per-axis _nonperiodic_phase functions, shape (len(rows), X_2, ..., Q)."""
-    d = len(phases)
-    for a, phase_a in enumerate(phases):
-        E = phase_a(rows if a == 0 else slice(None))
-        E = E.reshape((len(E),) + (1,) * (d - 1 - a) + (E.shape[-1],))
-        phase = E if a == 0 else phase * E
-    return phase
+    for first in range(0, len(u0), slab):
+        sl, part = slice(first, first + slab), cube
+        for a, E in enumerate([_periodic_phase(u0[sl], basis.cutoff)]
+                              + phases):     # axis a of the cube -> rows
+            part = np.moveaxis(contract(E, np.moveaxis(part, a, 0)), 0, a)
+        yield sl, part
 
 
 # ---------------------------------------------------------------------------
@@ -273,48 +273,54 @@ def _factorization(omega2: float) -> str:
 
 
 def _resolvent_term(pencil: BlochPencil, omega2: float, k: np.ndarray,
-                    rhs: np.ndarray, gap_checked: set) -> np.ndarray:
+                    rhs: np.ndarray, gap_checked: set,
+                    work=None) -> np.ndarray:
     """The sum over all M Galerkin modes,
         sum_m phi_m(k) phi_m(k)^H rhs / (omega_m^2(k) - omega^2)
             = (S(k) - omega^2 B)^{-1} rhs,
     since the B-orthonormal eigenvectors diagonalize the pencil.
 
-    Below the spectrum (_factorization: omega^2 < -DENOM_TOL) this is one
-    Cholesky solve ?posv: S(k) is positive semidefinite, so S - omega^2 B is
-    definite and every eigenvalue lies more than DENOM_TOL above omega^2; a
-    failed factorization (a pencil that is not) raises GapViolation.
-    Otherwise it is one Bunch-Kaufman solve ?hesv, after an inertia check
-    that raises GapViolation when an eigenvalue lies within DENOM_TOL of
-    omega^2 (unequal counts below omega^2 -+ DENOM_TOL), unless -k is in
-    gap_checked; adds k there.  A complex rhs on a real pencil is solved as
-    two real columns.  S(k) - omega^2 B is formed in the stiffness buffer.
+    Below the spectrum (_factorization) this is one Cholesky ?posv: S(k) is
+    positive semidefinite, so a failed factorization raises GapViolation.
+    Otherwise it is one Bunch-Kaufman ?hesv, after an inertia check that
+    raises GapViolation when an eigenvalue lies within DENOM_TOL of omega^2,
+    unless -k is in gap_checked; adds k there.  A complex rhs on a real
+    pencil is two real columns.  S - omega^2 B is formed in work[0], with
+    work = (stiffness buffer, omega^2 B) shared by one call's nodes; LAPACK
+    gets its F-contiguous transpose, conj(S - omega^2 B) (exactly
+    Hermitian), with no copy, so a complex pencil solves conj(rhs).
     """
-    S = pencil.stiffness(k)
-    split = np.iscomplexobj(rhs) and not np.iscomplexobj(S)
-    cols = np.stack([rhs.real, rhs.imag], axis=1) if split else rhs
-    if _factorization(omega2) == "cholesky":
-        posv, _ = _lapack("posv", S.dtype, len(S))
-        S -= omega2 * pencil.B
-        _, x, info = posv(S, cols, lower=1, overwrite_a=True)
-        if info > 0:
-            raise GapViolation(
-                f"S - omega^2 B not positive definite at k = {k}: an "
-                f"eigenvalue lies at or below omega^2 = {omega2:.12g}")
-        return x[:, 0] + 1j * x[:, 1] if split else x
-    if tuple(-k) not in gap_checked:
-        lo, hi = (_eigenvalues_below(S, pencil.B, omega2 + t)
-                  for t in (-DENOM_TOL, DENOM_TOL))
-        if lo != hi:
-            raise GapViolation(
-                f"{hi - lo} eigenvalue(s) within {DENOM_TOL:.0e} of "
-                f"omega^2 = {omega2:.12g} at k = {k}")
-        gap_checked.add(tuple(k))
-    hesv, lwork = _lapack("hesv", S.dtype, len(S))
-    S -= omega2 * pencil.B
-    _, _, x, info = hesv(S, cols, lower=1, lwork=lwork, overwrite_a=True)
+    S, shift = work if work is not None else (np.empty_like(pencil.G),
+                                              omega2 * pencil.B)
+    pencil.stiffness(k, out=S)
+    conj = np.iscomplexobj(S)
+    split = np.iscomplexobj(rhs) and not conj
+    cols = np.stack([rhs.real, rhs.imag], axis=1) if split else \
+        (rhs.conj() if conj else rhs)
+    cholesky = _factorization(omega2) == "cholesky"
+    if cholesky:
+        solver, options = _lapack("posv", S.dtype, len(S))[0], {}
+    else:
+        if tuple(-k) not in gap_checked:
+            lo, hi = (_eigenvalues_below(S, pencil.B, omega2 + t)
+                      for t in (-DENOM_TOL, DENOM_TOL))
+            if lo != hi:
+                raise GapViolation(
+                    f"{hi - lo} eigenvalue(s) within {DENOM_TOL:.0e} of "
+                    f"omega^2 = {omega2:.12g} at k = {k}")
+            gap_checked.add(tuple(k))
+        solver, lwork = _lapack("hesv", S.dtype, len(S))
+        options = {"lwork": lwork}
+    S -= shift
+    *_, x, info = solver(S.T, cols, lower=1, overwrite_a=True, **options)
     if info > 0:
-        raise GapViolation(f"singular resolvent at k = {k}")
-    return x[:, 0] + 1j * x[:, 1] if split else x
+        raise GapViolation(
+            f"S - omega^2 B not positive definite at k = {k}: an eigenvalue "
+            f"lies at or below omega^2 = {omega2:.12g}" if cholesky else
+            f"singular resolvent at k = {k}")
+    if split:
+        return x[:, 0] + 1j * x[:, 1]
+    return x.conj() if conj else x
 
 
 def _branch_term(gamma: GammaPair, pencil: BlochPencil, omega2: float,
@@ -381,16 +387,11 @@ def exact_bloch_solution(gamma: GammaPair, freq: FrequencySpec,
            F(khat) / (omega_m^2 - omega^2) e^{i eps khat.x} phi_m(x) dkhat
 
     The mode sum at each node is one resolvent solve (_resolvent_term), so
-    there is no mode truncation: a Cholesky solve below the spectrum
-    (omega^2 < -DENOM_TOL), otherwise a Bunch-Kaufman solve after an exact
-    inertia check.  GapViolation is raised when any Galerkin eigenvalue at a
-    node lies within DENOM_TOL of omega^2.  With branch_only=True the sum
-    keeps only m = p (one eigenpair per node, and the check covers branches
-    0..p).
-
-    By time reversal only the first node of each +-k pair is solved; its
-    partner is e^{-i theta} P conj of it (_time_reversal), guarded by
-    ||P conj(c0) - e^{i theta} c0||_B <= PAIR_TOL.  When the guard fails (a
+    there is no mode truncation; GapViolation is raised when any Galerkin
+    eigenvalue at a node lies within DENOM_TOL of omega^2.  With
+    branch_only=True the sum keeps only m = p (one eigenpair per node, and
+    the check covers branches 0..p).  By time reversal only the first node
+    of each +-k pair is solved (_time_reversal); when its guard fails (a
     degenerate omega_p^2(0)) every node is solved, and the inertia check
     still runs once per pair.
 
@@ -420,22 +421,25 @@ def exact_bloch_solution(gamma: GammaPair, freq: FrequencySpec,
     else:
         factorization = _factorization(freq.omega2)
         gap_checked = set()   # nodes whose gap check also covers their -k
+        work = (np.empty_like(pencil.G), freq.omega2 * pencil.B)
         solve = lambda k: _resolvent_term(pencil, freq.omega2, k, bc0,
-                                          gap_checked)
+                                          gap_checked, work)
     coeffs, solves = _paired_solves(
         ks, basis.size, solve, (P, phase) if residual <= PAIR_TOL else None)
 
-    weights = pref * wF[inside]
-    cube = basis.coeff_cube(coeffs)
+    # (w_q exp(i k_q.m)) x (exp(i k_q.r) phi_q(r)): one GEMM per slab
     folds = _fold_axes(axes)
-    bloch = [_nonperiodic_phase(f, ks[:, a]) for a, f in enumerate(folds)]
-    out = np.empty(tuple(len(a) for a in axes), dtype=complex)
-    for rows, part in _periodic_blocks(basis, cube, folds):
-        part *= _bloch_phase(bloch, rows)          # part is a gathered copy
-        out[rows] = contract(part, weights)
+    tables = [_nonperiodic_phase(f, ks[:, a]) for a, f in enumerate(folds)]
+    cell = _node_product([c for c, _ in tables]) * (pref * wF[inside])
+    lattice = _lattice(folds)
+    for sl, part in _periodic_blocks(basis, basis.coeff_cube(coeffs), folds):
+        part *= _node_product([tables[0][1][sl]] + [r for _, r in tables[1:]])
+        lattice[(slice(None),) * d + (sl,)] = contract(
+            cell, np.moveaxis(part, -1, 0))
     total = np.sum(np.abs(wF))
-    label = f"branch {gamma.branch} solution" if branch_only else "exact solution"
-    return FieldOnGrid(axes=tuple(axes), values=out, label=label,
+    return FieldOnGrid(axes=tuple(axes), values=_on_grid(lattice, folds),
+                       label=(f"branch {gamma.branch} solution" if branch_only
+                              else "exact solution"),
                        meta={"eps": eps,
                              "dropped_nodes": int(np.count_nonzero(~inside)),
                              "dropped_mass": float(
@@ -499,16 +503,6 @@ def _envelope_cube(eff: EffectiveCoefficients, freq: FrequencySpec,
     return cols.reshape((len(quad.axis_nodes),) * d + (cols.shape[1],))
 
 
-def _envelopes(eff: EffectiveCoefficients, freq: FrequencySpec,
-               source: SourceSpec, quad: WavenumberQuadrature, axes,
-               stacks) -> np.ndarray:
-    """The _envelope_cube columns on a separable slow-coordinate grid, one
-    envelope phase matrix per axis: shape (X_1, ..., X_d, columns)."""
-    return _separable_synth(_envelope_cube(eff, freq, source, quad, stacks),
-                            [_nonperiodic_phase(f, quad.axis_nodes)()
-                             for f in _fold_axes(axes)])
-
-
 def effective_envelope(eff: EffectiveCoefficients, freq: FrequencySpec,
                        source: SourceSpec, quad: WavenumberQuadrature,
                        order: int, axes, derivative: tuple = ()) -> np.ndarray:
@@ -517,8 +511,10 @@ def effective_envelope(eff: EffectiveCoefficients, freq: FrequencySpec,
     derivative is a tuple of axis indices; each entry multiplies the
     integrand by i khat_axis.
     """
-    return _envelopes(eff, freq, source, quad, axes,
-                      [(order, [derivative])])[..., 0]
+    folds = _fold_axes(axes)
+    cube = _envelope_cube(eff, freq, source, quad, [(order, [derivative])])
+    tables = [_nonperiodic_phase(f, quad.axis_nodes) for f in folds]
+    return _on_grid(_lattice_synth(cube, tables), folds)[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -537,9 +533,9 @@ def homogenized_fields(eff: EffectiveCoefficients, freq: FrequencySpec,
 
     Order m contracts the first 1, 1 + d or 1 + d + d^2 columns of the cell
     stack [phi_p, eps chi1, eps^2 (corrector_cov phi_p + chi2)], synthesized
-    once for all orders, with [W0, grad W0] (m < 2) or [W2, grad W2,
-    grad^2 W2]; the W0 and W2 columns share one envelope phase matrix per
-    axis and grid block.  Returns {m: FieldOnGrid}.
+    once for all orders on the folded rows, with [W0, grad W0] (m < 2) or
+    [W2, grad W2, grad^2 W2] on the fold lattice; every order is gathered
+    onto the grid once.  Returns {m: FieldOnGrid}.
     """
     orders = sorted(set(orders))
     if not orders or not set(orders) <= {0, 1, 2}:
@@ -560,21 +556,20 @@ def homogenized_fields(eff: EffectiveCoefficients, freq: FrequencySpec,
     if 2 in orders:
         stacks.append((2, derivs))
     envelopes = _envelope_cube(eff, freq, source, quad, stacks)
-    # exp(i eps khat x) on the fast grid, so that m = round(x) is the cell;
-    # axis 0 per block of rows: no (points x nodes) matrix over the grid
+    # exp(i eps khat x) on the fast grid, so that m = round(x) is the cell
     folds = _fold_axes(axes)
-    first, *rest = [_nonperiodic_phase(f, eps * quad.axis_nodes)
-                    for f in folds]
-    rest = [E() for E in rest]
+    (cell0, row0), *rest = [_nonperiodic_phase(f, eps * quad.axis_nodes)
+                            for f in folds]
     cube = basis.coeff_cube(np.stack(cells[:width[orders[-1]]], axis=-1))
-    values = {m: np.empty(tuple(len(a) for a in axes), dtype=complex)
-              for m in orders}
-    for rows, part in _periodic_blocks(basis, cube, folds):
-        W = _separable_synth(envelopes, [first(rows)] + rest)
+    lattices = {m: _lattice(folds) for m in orders}
+    for sl, part in _periodic_blocks(basis, cube, folds):
+        W = _lattice_synth(envelopes, [(cell0, row0[sl])] + rest)
         for m in orders:
             env = W[..., n0:] if m == 2 else W[..., :width[m]]
-            values[m][rows] = np.sum(part[..., :width[m]] * env, axis=-1)
-    return {m: FieldOnGrid(axes=tuple(axes), values=values[m],
+            lattices[m][(slice(None),) * d + (sl,)] = np.einsum(
+                "...c,...c->...", part[..., :width[m]], env)
+    return {m: FieldOnGrid(axes=tuple(axes),
+                           values=_on_grid(lattices[m], folds),
                            label=f"order-{m} approximation",
                            meta={"eps": eps, "order": m}) for m in orders}
 

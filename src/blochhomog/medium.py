@@ -14,6 +14,7 @@ Conventions:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,7 +61,7 @@ class MediumSpec:
         # pairwise non-overlap (conservative: bounding distance of centers)
         for i, a in enumerate(self.inclusions):
             for b in self.inclusions[i + 1:]:
-                dist = np.linalg.norm(np.subtract(a.center, b.center))
+                dist = math.dist(a.center, b.center)
                 if dist < a.radius + b.radius:
                     raise ValueError("inclusions overlap")
 
@@ -150,7 +151,8 @@ def evaluate_coefficient(spec: MediumSpec, which: str, x) -> np.ndarray:
     out = np.full(x.shape[:-1], bg, dtype=float)
     for inc in spec.inclusions:
         val = inc.G if which == "G" else inc.rho
-        dist = np.linalg.norm(x - np.asarray(inc.center), axis=-1)
+        offset = x - np.asarray(inc.center)
+        dist = np.sqrt(np.sum(offset * offset, axis=-1))
         inside = dist < inc.radius - _BOUNDARY_TOL
         boundary = np.abs(dist - inc.radius) <= _BOUNDARY_TOL
         out[inside] = val

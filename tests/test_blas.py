@@ -1,8 +1,10 @@
 """One BLAS for the package: every dense product goes through
-bloch.contract, on scipy's ?gemm (see the bloch module docstring)."""
+bloch.contract, on scipy's ?gemm (see the bloch module docstring), and no
+numpy.linalg routine runs on numpy's own BLAS."""
 
 import ast
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from blochhomog.source import FrequencySpec
 PACKAGE = pathlib.Path(blochhomog.__file__).parent
 # numpy functions and array methods that run numpy's own BLAS
 NUMPY_PRODUCTS = {"dot", "vdot", "tensordot", "matmul", "inner", "multi_dot"}
+# numpy calls that run numpy.linalg (np.polyfit: its lstsq)
+NUMPY_LINALG = re.compile(r"(np|numpy)\.(linalg\.|polynomial\.|polyfit$)")
 # (module, function) -> reason, for a product kept on numpy's BLAS on purpose
 ALLOWED = {}
 
@@ -25,8 +29,10 @@ ALLOWED = {}
 def _products(source: str) -> list[tuple[str, str]]:
     """(enclosing function, what) for each dense product that does not go
     through contract: a matrix @ or @=, a call of a NUMPY_PRODUCTS name, and
-    an einsum given `optimize` (which may hand it to tensordot).  Comments,
-    docstrings and decorators are no expressions, so they never match."""
+    an einsum given `optimize` (which may hand it to tensordot); and for
+    each call of a numpy.linalg or numpy.polynomial routine or np.polyfit
+    (NUMPY_LINALG).  Comments, docstrings and decorators are no
+    expressions, and an exception class is no call, so they never match."""
     found = []
 
     def visit(node, where):
@@ -41,6 +47,8 @@ def _products(source: str) -> list[tuple[str, str]]:
                     name == "einsum"
                     and any(kw.arg == "optimize" for kw in node.keywords)):
                 found.append((where, name))
+            elif NUMPY_LINALG.match(ast.unparse(node.func)):
+                found.append((where, ast.unparse(node.func)))
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
@@ -56,11 +64,18 @@ def f(a, b):
     # np.tensordot(a, b, 1) in a comment
     c = a @ b
     c @= b
+    try:
+        c += np.linalg.norm(a) + numpy.polynomial.legendre.leggauss(4)[0]
+    except np.linalg.LinAlgError:
+        c += np.polyfit(a, b, 1) + np.polyval(a, b) + np.linalg.multi_dot(a)
     return (np.tensordot(a, b, 1) + a.dot(b) + vdot(a, b)
             + np.einsum("ij,jk", a, b, optimize=True) + np.einsum("ii", a))
 '''
-    assert _products(source) == [("f", "@"), ("f", "@"), ("f", "tensordot"),
-                                 ("f", "dot"), ("f", "vdot"), ("f", "einsum")]
+    assert _products(source) == [
+        ("f", "@"), ("f", "@"), ("f", "np.linalg.norm"),
+        ("f", "numpy.polynomial.legendre.leggauss"), ("f", "np.polyfit"),
+        ("f", "multi_dot"), ("f", "tensordot"), ("f", "dot"), ("f", "vdot"),
+        ("f", "einsum")]
 
 
 def test_every_dense_product_goes_through_contract():

@@ -380,11 +380,15 @@ def work_counts(monkeypatch):
     coefficient table (bloch_pencil or parity_blocks, wherever called), and
     periodic syntheses on a grid (fields._periodic_blocks passes): those of
     the source's phi_p (fields.synthesize_periodic, one pass each) apart
-    from the rest, which here are cell stacks."""
-    counts = {"diagrams": 0, "pencils": 0, "cell_stacks": 0, "sources": 0}
+    from the rest, which here are cell stacks.  lattices lists the shape of
+    every field synthesized on a fold lattice (fields._lattice), one per
+    homogenized order."""
+    counts = {"diagrams": 0, "pencils": 0, "cell_stacks": 0, "sources": 0,
+              "lattices": []}
     diagram = cli.dispersion_diagram
     periodic_blocks = fields._periodic_blocks
     synthesize = fields.synthesize_periodic
+    lattice = fields._lattice
     for name in ("bloch_pencil", "parity_blocks"):
         build = getattr(bloch, name)
 
@@ -408,9 +412,15 @@ def work_counts(monkeypatch):
         counts["cell_stacks"] -= 1          # its own pass through the blocks
         return synthesize(*args)
 
+    def counted_lattice(folds):
+        out = lattice(folds)
+        counts["lattices"].append(out.shape)
+        return out
+
     monkeypatch.setattr(cli, "dispersion_diagram", counted_diagram)
     monkeypatch.setattr(fields, "_periodic_blocks", counted_blocks)
     monkeypatch.setattr(fields, "synthesize_periodic", counted_source)
+    monkeypatch.setattr(fields, "_lattice", counted_lattice)
     return counts
 
 
@@ -421,21 +431,26 @@ def test_readme_example_config_converges(tmp_path, work_counts):
     is built, and each eps synthesizes the cell functions once for all three
     orders and the source's phi_p once for the reference.  Each of the two
     eigenpairs (cutoff 256 and the coarse 128) gathers its k = 0 blocks
-    once, for the eigensolve and the cell solve alike."""
+    once, for the eigensolve and the cell solve alike.  Each order is
+    synthesized on the lattice of the evaluation window only, |x| <= 9.5 at
+    64 points per cell: 21 cells by 65 reduced rows, whatever the reference
+    grid's half width."""
     cfg = write_cfg(tmp_path, _readme_config())
     out = str(tmp_path / "out")
     assert main(["converge", "--config", cfg, "--out", out]) == 0
     rep = json.load(open(os.path.join(out, "converge.json")))
     assert set(rep["slopes"]) == {"0", "1", "2"}
     assert work_counts == {"diagrams": 0, "pencils": 2, "cell_stacks": 3,
-                           "sources": 3}
+                           "sources": 3, "lattices": [(21, 65)] * 9}
 
 
 def test_readme_syntheses_fold_onto_one_cell(tmp_path, monkeypatch):
-    """Every grid synthesis of the README `converge` run (the source's phi_p
-    and the cell stack, at each eps) passes _periodic_phase one row per
-    distinct x - round(x), 65 on the 64-points-per-cell reference grids,
-    not one per grid point."""
+    """Every grid synthesis of the README `converge` run passes
+    _periodic_phase one row per distinct x - round(x), 65 at 64 points per
+    cell, not one per grid point: the source's phi_p on each reference
+    interior (hw 14, 18, 28) and the cell stack on the evaluation window
+    |x| <= 9.5 (1217 points) alone.  The window's lattice, 21 cells by 65
+    rows, is within (1 + 1/64)(1 + 1/9.5) of its points."""
     syntheses = []
     periodic_blocks = fields._periodic_blocks
     periodic_phase = fields._periodic_phase
@@ -444,7 +459,8 @@ def test_readme_syntheses_fold_onto_one_cell(tmp_path, monkeypatch):
         ((reduced, ir, cells, ic),) = folds
         x = cells[ic] + reduced[ir]                  # the axis: exact
         syntheses.append({"points": len(x), "phase_rows": 0,
-                          "distinct": len(np.unique(x - np.round(x)))})
+                          "distinct": len(np.unique(x - np.round(x))),
+                          "cells": len(np.unique(np.round(x)))})
         yield from periodic_blocks(basis, cube, folds)
 
     def counted_phase(x, cutoff):
@@ -456,16 +472,21 @@ def test_readme_syntheses_fold_onto_one_cell(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, _readme_config())
     assert main(["converge", "--config", cfg, "--out",
                  str(tmp_path / "out")]) == 0
-    assert len(syntheses) == 6                  # phi_p and cell stack per eps
+    # phi_p on the reference interior, then the cell stack, per eps
+    assert [s["points"] for s in syntheses] == [1855, 1217, 2367, 1217,
+                                                3647, 1217]
     for s in syntheses:
-        assert s["phase_rows"] == s["distinct"] == 65 < s["points"]
+        assert s["phase_rows"] == s["distinct"] == 65
+    for s in syntheses[1::2]:
+        assert s["cells"] == 21
+        assert 21 * 65 <= (1 + 1 / 64) * (1 + 1 / 9.5) * s["points"]
 
 
 def test_readme_nonperiodic_phases_fold_onto_one_cell(tmp_path, monkeypatch):
     """Every non-periodic phase of the README `converge` run (the envelope
     phases exp(i eps khat x), one axis per eps) exponentiates one row per
-    distinct cell round(x) and one per distinct x - round(x) of its axis,
-    2 hw + 1 and 65 on the reference grids, not one per grid point."""
+    distinct cell round(x) and one per distinct x - round(x) of the
+    evaluation window, 21 and 65, not one per grid point."""
     tables = []
     nonperiodic_phase = fields._nonperiodic_phase
     exp = np.exp
@@ -490,10 +511,8 @@ def test_readme_nonperiodic_phases_fold_onto_one_cell(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, _readme_config())
     assert main(["converge", "--config", cfg, "--out",
                  str(tmp_path / "out")]) == 0
-    assert len(tables) == 3                     # one axis per eps
-    for t in tables:
-        assert t["exp_rows"] == t["cells"] + t["reduced"] < t["points"]
-        assert t["reduced"] == 65
+    assert tables == [{"points": 1217, "exp_rows": 21 + 65, "cells": 21,
+                       "reduced": 65}] * 3            # one axis per eps
 
 
 def test_converge_above_acoustic_branch_builds_no_diagram(tmp_path, capsys,
@@ -509,10 +528,12 @@ def test_converge_above_acoustic_branch_builds_no_diagram(tmp_path, capsys,
                  "--out", str(tmp_path / "out")]) == 3
     assert "intersects branch 0" in capsys.readouterr().err
     assert work_counts == {"diagrams": 0, "pencils": 3, "cell_stacks": 0,
-                           "sources": 0}
+                           "sources": 0, "lattices": []}
 
 
 def test_fields_orders_share_one_synthesis(tmp_path, work_counts):
+    """The three orders share one cell synthesis, each on the lattice of
+    the 65-point axis |x| <= 4 at 8 points per cell: 9 cells by 9 rows."""
     body = base_cfg()
     body["fields"] = {"eps": 0.5, "half_width": 4, "points_per_cell": 8,
                       "outputs": ["order0", "order1", "order2"]}
@@ -520,7 +541,7 @@ def test_fields_orders_share_one_synthesis(tmp_path, work_counts):
     assert main(["fields", "--config", write_cfg(tmp_path, body),
                  "--out", out]) == 0
     assert work_counts == {"diagrams": 0, "pencils": 1, "cell_stacks": 1,
-                           "sources": 0}
+                           "sources": 0, "lattices": [(9, 9)] * 3}
     for name in ("order0", "order1", "order2"):
         assert os.path.exists(os.path.join(out, f"field_{name}.csv"))
 

@@ -162,3 +162,31 @@ def test_convergence_study_scalar_config(med1d, source1d):
                             ReferenceConfig(12, 16, 1e-3), 8.0, orders=(0, 2))
     assert rep.orders == [0, 2]
     assert rep.errors[2][0] < rep.errors[0][0]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_study_errors_equal_full_grid_errors(med1d, med2d, source1d,
+                                             source2d, d):
+    """The study synthesizes the homogenized fields on the evaluation
+    window alone; its errors equal relative_error of the fields synthesized
+    on the whole reference grid, to 1e-13 relative, in 1D and 2D."""
+    from blochhomog import (drive_frequency, effective_coefficients,
+                            homogenized_fields, solve_cell_functions)
+    medium, source = (med1d, source1d) if d == 1 else (med2d, source2d)
+    gamma = eigenpair_at_gamma(medium, 0, 32 if d == 1 else 4)
+    eff = effective_coefficients(solve_cell_functions(gamma))
+    quad_ = wavenumber_quadrature(d, 8.0, 64 if d == 1 else 12)
+    cfg = ReferenceConfig(12, 16, 1e-3) if d == 1 else \
+        ReferenceConfig(6, 8, 1e-1)
+    eval_hw = 8.0 if d == 1 else 4.0
+    eps_list = [0.5, 0.375]
+    rep = convergence_study(gamma, eff, source, quad_, -1, 1.0, eps_list,
+                            cfg, eval_hw)
+    for i, eps in enumerate(eps_list):
+        freq = drive_frequency(gamma, -1, 1.0, eps)
+        ref = reference_solution(gamma, freq, source, cfg)
+        full = homogenized_fields(eff, freq, source, quad_, (0, 1, 2),
+                                  ref.axes)
+        for m in (0, 1, 2):
+            e = relative_error(ref, full[m], eval_hw)
+            assert abs(rep.errors[m][i] - e) <= 1e-13 * e

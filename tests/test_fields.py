@@ -25,9 +25,10 @@ from blochhomog import (BlochPencil, EnvelopeSingularity, FieldOnGrid,
                         two_phase_1d, wavenumber_quadrature)
 from blochhomog import fields
 from blochhomog.bloch import _eigenvalues_below
-from blochhomog.fields import (SYNTH_BLOCK, _envelopes, _fold_axes,
+from blochhomog.fields import (SYNTH_BLOCK, _fold_axes,
                                _grid_points, _nonperiodic_phase,
-                               _periodic_phase, _resolvent_term)
+                               _periodic_phase, _resolvent_term,
+                               uniform_axis)
 from blochhomog.source import FrequencySpec
 
 
@@ -605,7 +606,8 @@ def envelope_pde_residual(eff, freq, source, quad_, axes):
     with g the inverse transform of F, all evaluated spectrally."""
     d = quad_.dimension
     second = [(a, b) for a in range(d) for b in range(d)]
-    W = _envelopes(eff, freq, source, quad_, axes, [(0, second + [()])])
+    W = np.stack([effective_envelope(eff, freq, source, quad_, 0, axes, deriv)
+                  for deriv in second + [()]], axis=-1)
     W0 = W[..., -1]
     g = source.envelope.modulation(_grid_points(axes))
     res = (W[..., :-1] @ eff.mu0.ravel()
@@ -769,27 +771,24 @@ def test_periodic_phase_accuracy_on_criterion7_grid():
 @settings(max_examples=25, deadline=None)
 @given(x=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8),
        freqs=st.lists(st.floats(-2.0 * np.pi, 2.0 * np.pi).filter(
-           lambda f: f != round(f)), min_size=1, max_size=6),
-       data=st.data())
-def test_nonperiodic_phase_matches_exp(x, freqs, data):
-    """exp(i x f) from the per-cell and folded-row tables against mpmath at
-    50 digits.  The error is the rounding of m f (m = round(x)), half an
-    ulp of |m f|, as a direct exp's is that of x f, plus a few ulps of the
-    exponentials and their product.  Any index array gathers the rows of
-    the full matrix (to an ulp: numpy's complex product may round
-    differently on arrays of different lengths)."""
+           lambda f: f != round(f)), min_size=1, max_size=6))
+def test_nonperiodic_phase_matches_exp(x, freqs):
+    """exp(i x f) as the product of the per-cell and folded-row tables,
+    against mpmath at 50 digits.  The error is the rounding of m f
+    (m = round(x)), half an ulp of |m f|, as a direct exp's is that of x f,
+    plus a few ulps of the exponentials and their product.  The tables have
+    one row per distinct cell and one per distinct reduced coordinate."""
     x, freqs = np.array(x), np.array(freqs)
-    phase = _nonperiodic_phase(_fold_axes([x])[0], freqs)
-    got = phase()
-    assert got.shape == (len(x), len(freqs))
+    (fold,) = _fold_axes([x])
+    cell, row = _nonperiodic_phase(fold, freqs)
+    assert cell.shape == (len(np.unique(np.round(x))), len(freqs))
+    assert row.shape == (len(np.unique(x - np.round(x))), len(freqs))
+    got = cell[fold[3]] * row[fold[1]]
     with mpmath.workdps(50):
         exact = np.array([[complex(mpmath.expj(mpmath.mpf(v) * mpmath.mpf(f)))
                            for f in freqs] for v in x])
     bound = 1e-14 + 2.0 ** -53 * np.abs(np.outer(np.abs(x) + 0.5, freqs))
     assert np.all(np.abs(got - exact) <= bound)
-    idx = np.array(data.draw(st.lists(st.integers(0, len(x) - 1),
-                                      max_size=10)), dtype=int)
-    assert np.max(np.abs(phase(idx) - got[idx]), initial=0.0) <= 1e-15
 
 
 def test_synthesize_periodic_2d_direct_sum():
@@ -891,14 +890,13 @@ def test_folded_synthesis_equals_direct_sums(fold_setup, dim, data):
     """On axes whose reduced coordinates repeat out of order, the folded
     synthesis gives the per-point sums: synthesize_periodic, the exact field
     (against the mode sum over every node) and the homogenized fields of
-    orders 0, 1, 2.  The blocks cover every grid row once, hold at most
-    max(SYNTH_BLOCK, one row) points, and each slab passes _periodic_phase
-    at most SYNTH_BLOCK distinct reduced coordinates (one row at least)."""
+    orders 0, 1, 2.  The slabs cover every distinct reduced coordinate of
+    axis 0 once, each holds at most max(SYNTH_BLOCK, one row) folded points,
+    and each passes _periodic_phase at most SYNTH_BLOCK distinct reduced
+    coordinates (one row at least)."""
     axes, block = data.draw(_folded_grid(dim))
     gamma, eff, source, quad_, freq, spectra = fold_setup[dim]
     basis = gamma.basis
-    shape = tuple(len(ax) for ax in axes)
-    row = math.prod(shape[1:])
     distinct = [len(np.unique(ax - np.round(ax))) for ax in axes]
     phase_rows = []
 
@@ -915,12 +913,14 @@ def test_folded_synthesis_equals_direct_sums(fold_setup, dim, data):
         u = exact_bloch_solution(gamma, freq, source, quad_, axes)
         homogenized = homogenized_fields(eff, freq, source, quad_, (0, 1, 2),
                                          axes)
-    rows = np.concatenate([r for r, _ in blocks])
-    assert np.array_equal(np.sort(rows), np.arange(shape[0]))
+    rows = np.concatenate([np.arange(distinct[0])[r] for r, _ in blocks])
+    assert np.array_equal(rows, np.arange(distinct[0]))
+    row = math.prod(distinct[1:])
     for r, part in blocks:
-        assert part.shape == (len(r),) + shape[1:] + (1,)
-        assert len(r) * row <= max(block, row)
-    slab = max(1, block // math.prod(distinct[1:]))
+        n = len(np.arange(distinct[0])[r])
+        assert part.shape == (n,) + tuple(distinct[1:]) + (1,)
+        assert n * row <= max(block, row)
+    slab = max(1, block // row)
     assert max(phase_rows) <= max([slab] + distinct[1:])
     assert sum(phase_rows) == 4 * sum(distinct)     # four syntheses
 
@@ -931,6 +931,25 @@ def test_folded_synthesis_equals_direct_sums(fold_setup, dim, data):
     direct = _direct_homogenized(eff, freq, source, quad_, axes)
     for m in (0, 1, 2):
         assert _rel(homogenized[m].values, direct[m]) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(half=st.integers(0, 40).map(lambda n: n / 2),
+       ppc=st.integers(1, 64) | st.sampled_from([24, 128]))
+def test_uniform_axis_folds_exactly(half, ppc):
+    """uniform_axis(H, ppc) lies within 2^-46 of -H + k/ppc point by point,
+    is linspace's axis when ppc is a power of two, and folds onto at most
+    ppc + 1 reduced rows, a lattice of at most (2 H + 2)(ppc + 1) points."""
+    x = uniform_axis(half, ppc)
+    n = int(round(2 * half * ppc))
+    assert len(x) == n + 1
+    assert all(abs(Fraction(v) - Fraction(2 * k - n, 2 * ppc)) <= 2.0 ** -46
+               for k, v in enumerate(x))
+    if ppc & (ppc - 1) == 0:
+        assert np.array_equal(x, np.linspace(-half, half, n + 1))
+    ((reduced, _, cells, _),) = _fold_axes([x])
+    assert len(reduced) <= ppc + 1
+    assert len(reduced) * len(cells) <= (2 * half + 2) * (ppc + 1)
 
 
 def test_empty_axes_give_empty_fields(fold_setup):
@@ -953,6 +972,124 @@ def test_empty_axes_give_empty_fields(fold_setup):
             for field in homogenized_fields(eff, freq, source, quad_,
                                             (0, 1, 2), axes).values():
                 assert field.values.shape == shape
+
+
+def _direct_node_sum(basis, axes, freqs, columns):
+    """sum_q exp(i f_q.x) sum_j columns[j, q] exp(i 2 pi j.x) at every grid
+    point, both phases built per point: exp(i f_q.x) directly, and
+    exp(i 2 pi j.x) as the product of each axis's reduced per-point phase
+    (_periodic_phase, no folding)."""
+    pts = _grid_points(axes).reshape(-1, basis.dimension)
+    periodic = np.ones((len(pts), basis.size), dtype=complex)
+    for a, ax in enumerate(axes):
+        phase = _periodic_phase(ax, basis.cutoff)
+        idx = np.meshgrid(*[np.arange(len(x)) for x in axes],
+                          indexing="ij")[a].ravel()
+        periodic *= phase[np.ix_(idx, basis.indices[:, a] + basis.cutoff)]
+    values = np.exp(1j * (pts @ np.asarray(freqs).T)) * (periodic @ columns)
+    return values.sum(axis=1).reshape(tuple(len(ax) for ax in axes))
+
+
+def _direct_orders(eff, freq, source, quad_, axes):
+    """U0, U1, U2 as per-point sums over the nodes of each cell function
+    times each envelope column (fields._envelope_cube) at the fast
+    coordinate, exp(i eps khat.x) built directly."""
+    gamma, d, eps = eff.gamma, eff.gamma.basis.dimension, freq.eps
+    second = [(a, b) for a in range(d) for b in range(d)]
+    derivs = [()] + [(a,) for a in range(d)] + second
+    cells = ([gamma.coeffs] + [eps * eff.cell.chi1[:, a] for a in range(d)]
+             + [eps ** 2 * (eff.corrector_cov[a, b] * gamma.coeffs
+                            + eff.cell.chi2[:, a, b]) for a, b in second])
+    width = {0: 1, 1: 1 + d, 2: len(derivs)}
+    out = {}
+    for m in (0, 1, 2):
+        env = fields._envelope_cube(eff, freq, source, quad_,
+                                    [(2 if m == 2 else 0, derivs[:width[m]])])
+        env = env.reshape(-1, width[m])
+        out[m] = sum(_direct_node_sum(gamma.basis, axes, eps * quad_.nodes,
+                                      np.outer(c, env[:, j]))
+                     for j, c in enumerate(cells[:width[m]]))
+    return out
+
+
+_OFF_CENTRE = {1: MediumSpec(dimension=1, background_G=1.0,
+                             background_rho=1.0,
+                             inclusions=(Inclusion((0.15,), 0.25, 6.0, 20.0),)),
+               2: MediumSpec(dimension=2, background_G=1.0,
+                             background_rho=1.0,
+                             inclusions=(Inclusion((0.1, -0.2), 0.25, 8.0,
+                                                   3.0),))}
+
+
+@pytest.fixture(scope="module")
+def lattice_setup(fold_setup):
+    """Per (dimension, centred): eigenpair, effective coefficients, source,
+    quadrature and drive; fold_setup's centred media and an off-centre
+    (complex-pencil) inclusion of each dimension."""
+    setup = {(d, True): fold_setup[d][:5] for d in (1, 2)}
+    for d in (1, 2):
+        source, quad_ = fold_setup[d][2:4]
+        gamma = eigenpair_at_gamma(_OFF_CENTRE[d], 0, 32 if d == 1 else 4)
+        assert np.iscomplexobj(gamma.pencil.G)
+        freq = FrequencySpec(branch=0, sigma=-1, omega_hat=1.0, eps=0.5,
+                             omega2=gamma.omega2 - 0.25)
+        setup[d, False] = (gamma, effective_coefficients(
+            solve_cell_functions(gamma)), source, quad_, freq)
+    return setup
+
+
+@st.composite
+def _lattice_axis(draw, ragged):
+    """A uniform axis of whole cells, |x| <= hw + 1/2 at ppc points per
+    cell; an offset window of one; or `ragged`."""
+    kind = draw(st.sampled_from(["cells", "window", "ragged"]))
+    if kind == "ragged":
+        return ragged
+    half = draw(st.integers(0, 3)) + 0.5
+    ppc = draw(st.sampled_from([1, 2, 3, 4, 8, 16]))
+    ax = np.linspace(-half, half, int(round(2 * half * ppc)) + 1)
+    if kind == "window":
+        lo = draw(st.integers(0, len(ax) - 1))
+        ax = ax[lo:draw(st.integers(lo + 1, len(ax)))]
+    return ax
+
+
+@pytest.mark.parametrize("centred", [True, False])
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_lattice_fields_equal_direct_node_sums(lattice_setup, ragged_axis,
+                                               dim, centred, data):
+    """The exact and branch fields and the homogenized orders 0, 1, 2,
+    contracted on the fold lattice, equal the per-point sums over the nodes
+    with every phase built per point, to 1e-13 relative: uniform whole-cell
+    axes, offset windows and a ragged axis, 1D and 2D, real and complex
+    pencils.  The exact and branch fields use the node solutions the solver
+    computed (captured from _paired_solves)."""
+    gamma, eff, source, quad_, freq = lattice_setup[dim, centred]
+    ragged = ragged_axis if dim == 1 else ragged_axis[::29]
+    axes = tuple(data.draw(_lattice_axis(ragged)) for _ in range(dim))
+    solutions = []
+    paired = fields._paired_solves
+
+    def captured(*args):
+        out = paired(*args)
+        solutions.append(out[0])
+        return out
+
+    with mock.patch.object(fields, "_paired_solves", captured):
+        solved = [exact_bloch_solution(gamma, freq, source, quad_, axes),
+                  branch_solution(gamma, freq, source, quad_, axes)]
+    ks = freq.eps * quad_.nodes
+    inside = np.max(np.abs(ks), axis=1) <= np.pi
+    weights = ((2.0 * np.pi) ** (-dim / 2.0) * freq.eps ** 2 * quad_.weights
+               * source.envelope.spectrum(quad_.nodes))[inside]
+    for field, coeffs in zip(solved, solutions):
+        ref = _direct_node_sum(gamma.basis, axes, ks[inside], coeffs * weights)
+        assert _rel(field.values, ref) < 1e-13
+    homogenized = homogenized_fields(eff, freq, source, quad_, (0, 1, 2), axes)
+    for m, ref in _direct_orders(eff, freq, source, quad_, axes).items():
+        assert _rel(homogenized[m].values, ref) < 1e-13
 
 
 @pytest.fixture(scope="module")
