@@ -32,7 +32,7 @@ from .convergence import (DecayCheckFailed, ReferenceConfig,
                           convergence_study)
 from .fields import (EnvelopeSingularity, FieldOnGrid, GapViolation,
                      branch_solution, exact_bloch_solution, export_field_csv,
-                     export_field_npz, homogenized_fields,
+                     export_field_npz, homogenized_fields, uniform_axis,
                      wavenumber_quadrature)
 from .medium import fourier_table, spec_from_dict
 from .source import (GaussianEnvelope, NotInGap, SourceSpec, drive_frequency,
@@ -262,8 +262,10 @@ def _write_json(path: str, payload: dict, cfg: dict):
 def _field_axes(block: dict):
     hw = float(block.get("half_width", 8))
     ppc = int(block.get("points_per_cell", 32))
-    n = int(round(2 * hw * ppc)) + 1
-    return np.linspace(-hw, hw, n)
+    if ppc < 1 or hw < 0 or abs(2 * hw * ppc - round(2 * hw * ppc)) > 1e-9:
+        raise ValueError("fields needs points_per_cell >= 1 and half_width "
+                         ">= 0 with 2 half_width points_per_cell whole")
+    return uniform_axis(hw, ppc)
 
 
 def _tensor_list(arr: np.ndarray):
@@ -361,6 +363,7 @@ def cmd_fields(cfg, out, args):
     if args.line is not None and spec_from_dict(cfg["medium"]).dimension != 2:
         raise ValueError("--line extracts transects of 2D fields; "
                          "the medium is 1D")
+    ax = _field_axes(fcfg)
     gamma, eff = _effective(cfg, _cache_dir(out))
     _require_diagnostics(eff)
     d = gamma.spec.dimension
@@ -375,7 +378,6 @@ def cmd_fields(cfg, out, args):
                               samples_per_segment=_samples_per_segment(cfg))
     else:
         freq = drive_frequency(gamma, sigma, omega_hat, eps)
-    ax = _field_axes(fcfg)
     axes = (ax,) * d
     outputs = fcfg.get("outputs", ["exact", "order0", "order1", "order2"])
     orders = [int(name[-1]) for name in outputs if name in _ORDER_OUTPUTS]

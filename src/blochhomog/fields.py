@@ -22,27 +22,21 @@ exp(i f_q x) (Bloch f = k, envelope f = eps khat).  With x = m + r,
 m = round(x), r = x - round(x) (exact), the cell part depends on r alone
 and exp(i f x) = exp(i f m) exp(i f r), so _fold_axes splits each axis into
 its C distinct cells and R distinct reduced rows; every field is built on
-that lattice, C R per axis, and gathered onto the grid once (_on_grid).  A
-uniform_axis of half extent H at ppc points per cell has C R <=
-(2 H + 2)(ppc + 1), within (1 + 1/ppc)(1 + 1/H) of its points (criterion
-7: 57 x 129 for 7297; README's window: 21 x 65 for 1217); an axis without
-repeats has R = its length.  _periodic_blocks, the one grid synthesizer,
-synthesizes the cell parts on the distinct r alone, in slabs of at most
-SYNTH_BLOCK folded points, with one phase matrix exp(i 2 pi n r) per axis
-(two tables of ~sqrt(2N+1) exponentials, ~1e-14 accurate).  The exact and
-branch fields contract their nodes in one GEMM per slab, the weighted cell
-phases w_q exp(i k_q.m) (C x Q) times the row side phi_q(r) exp(i k_q.r);
-each envelope axis is one GEMM too, row phases by cell side
-(_lattice_synth).  The phase tables take C + R exponentials per node and
-axis, accurate to the rounding of f m.  Every product is bloch.contract on
-scipy's BLAS, the library of the node solves: one BLAS thread pool.
-
-The homogenized fields of every requested order come from one pass
-(homogenized_fields): the order-2 cell stack [phi_p, eps chi1, eps^2 (cov
-phi_p + chi2)] is synthesized once on the folded rows, and each order
-contracts its leading columns with the lattice envelopes [W0, grad W0] or
-all of them with [W2, grad W2, grad^2 W2], W0 and W2 sharing the phase
-tables.
+that C R lattice per axis and gathered onto the grid once (_on_grid).  A
+uniform_axis of half extent H at ppc points per cell has C R <= (2 H +
+2)(ppc + 1), within (1 + 1/ppc)(1 + 1/H) of its points (criterion 7: 57 x
+129 for 7297).  An axis whose lattice would exceed FOLD_RATIO times its
+distinct points is left unfolded (C = 1), so no lattice exceeds
+FOLD_RATIO^d times its grid.  _periodic_blocks, the one grid synthesizer,
+synthesizes the cell parts on the distinct r, reduced mod 1, in slabs of
+at most SYNTH_BLOCK folded points, with one phase matrix exp(i 2 pi n r)
+per axis (~1e-14 accurate).  The exact and branch fields contract their
+nodes in one GEMM per slab, the weighted cell phases w_q exp(i k_q.m) (C x
+Q) times the row side phi_q(r) exp(i k_q.r); each envelope axis is one
+GEMM too (_lattice_synth).  The phase tables take C + R exponentials per
+node and axis, accurate to the rounding of f m.  Every product is
+bloch.contract on scipy's BLAS, the library of the node solves.  The
+homogenized orders share one cell-stack synthesis (homogenized_fields).
 """
 
 from __future__ import annotations
@@ -51,7 +45,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .bloch import (BlochPencil, GammaPair, PlaneWaveBasis, _eigenvalues_below,
                     _lapack, contract, solve_bands)
@@ -62,6 +55,7 @@ DENOM_TOL = 1e-8
 PAIR_TOL = 1e-10        # time-reversal guard, B-norm residual
 ENVELOPE_DENOM_TOL = 1e-10
 SYNTH_BLOCK = 512      # folded points per synthesis slab (one row at least)
+FOLD_RATIO = 2         # largest fold lattice per axis, in distinct points
 
 
 class GapViolation(Exception):
@@ -97,7 +91,7 @@ def wavenumber_quadrature(dimension: int, k_max: float = 8.0,
                           points_per_axis: int = 64,
                           rule: str = "gauss") -> WavenumberQuadrature:
     if rule == "gauss":
-        x, w = roots_legendre(points_per_axis)    # scipy's: one BLAS
+        x, w = np.polynomial.legendre.leggauss(points_per_axis)
         x = x * k_max
         w = w * k_max
     elif rule == "trapezoid":
@@ -160,10 +154,18 @@ def _grid_points(axes):
 
 
 def _fold_axes(axes) -> list:
-    """The exact split x = m + r, m = round(x), of each axis: (distinct r,
-    index of each point's r, distinct m, index of each point's m)."""
-    return [(*np.unique(ax - np.round(ax), return_inverse=True),
-             *np.unique(np.round(ax), return_inverse=True)) for ax in axes]
+    """The exact split x = m + r of each axis: (distinct r, index of each
+    point's r, distinct m, index of each point's m); m = round(x), or m = 0
+    where that C x R lattice would exceed FOLD_RATIO times the points."""
+    folds = []
+    for ax in axes:
+        points, where = np.unique(ax, return_inverse=True)
+        fold = (*np.unique(ax - np.round(ax), return_inverse=True),
+                *np.unique(np.round(ax), return_inverse=True))
+        if len(fold[0]) * len(fold[2]) > FOLD_RATIO * len(points):
+            fold = (points, where, np.zeros(1), np.zeros_like(where))
+        folds.append(fold)
+    return folds
 
 
 def uniform_axis(half_extent: float, points_per_cell: int) -> np.ndarray:
@@ -273,8 +275,7 @@ def _factorization(omega2: float) -> str:
 
 
 def _resolvent_term(pencil: BlochPencil, omega2: float, k: np.ndarray,
-                    rhs: np.ndarray, gap_checked: set,
-                    work=None) -> np.ndarray:
+                    rhs: np.ndarray, gap_checked: set, work) -> np.ndarray:
     """The sum over all M Galerkin modes,
         sum_m phi_m(k) phi_m(k)^H rhs / (omega_m^2(k) - omega^2)
             = (S(k) - omega^2 B)^{-1} rhs,
@@ -290,8 +291,7 @@ def _resolvent_term(pencil: BlochPencil, omega2: float, k: np.ndarray,
     gets its F-contiguous transpose, conj(S - omega^2 B) (exactly
     Hermitian), with no copy, so a complex pencil solves conj(rhs).
     """
-    S, shift = work if work is not None else (np.empty_like(pencil.G),
-                                              omega2 * pencil.B)
+    S, shift = work
     pencil.stiffness(k, out=S)
     conj = np.iscomplexobj(S)
     split = np.iscomplexobj(rhs) and not conj
@@ -318,9 +318,7 @@ def _resolvent_term(pencil: BlochPencil, omega2: float, k: np.ndarray,
             f"S - omega^2 B not positive definite at k = {k}: an eigenvalue "
             f"lies at or below omega^2 = {omega2:.12g}" if cholesky else
             f"singular resolvent at k = {k}")
-    if split:
-        return x[:, 0] + 1j * x[:, 1]
-    return x.conj() if conj else x
+    return x[:, 0] + 1j * x[:, 1] if split else (x.conj() if conj else x)
 
 
 def _branch_term(gamma: GammaPair, pencil: BlochPencil, omega2: float,

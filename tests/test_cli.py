@@ -546,6 +546,32 @@ def test_fields_orders_share_one_synthesis(tmp_path, work_counts):
         assert os.path.exists(os.path.join(out, f"field_{name}.csv"))
 
 
+def test_fields_axis_folds_at_any_points_per_cell(tmp_path, work_counts):
+    """The `fields` axis is uniform_axis: |x| <= 2 at 24 points per cell
+    (97 points) folds onto 5 cells by 25 rows, as a power of two would."""
+    body = base_cfg()
+    body["fields"] = {"eps": 0.5, "half_width": 2, "points_per_cell": 24,
+                      "outputs": ["order0"]}
+    assert main(["fields", "--config", write_cfg(tmp_path, body),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert work_counts["lattices"] == [(5, 25)]
+
+
+@pytest.mark.parametrize("block", [{"half_width": 6.3},
+                                   {"points_per_cell": 0},
+                                   {"half_width": -1}])
+def test_fields_axis_needs_whole_points(tmp_path, capsys, block):
+    """A `fields` grid that uniform_axis cannot build (2 half_width
+    points_per_cell not whole, no points per cell, a negative half width)
+    is a validation error, before any solve."""
+    body = base_cfg()
+    body["fields"] = {"eps": 0.5, "half_width": 2, "points_per_cell": 32,
+                      **block}
+    assert main(["fields", "--config", write_cfg(tmp_path, body),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "2 half_width points_per_cell whole" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["converge", "fields"])
 def test_failed_tensor_diagnostics_exit_3(tmp_path, monkeypatch, capsys,
                                           command):

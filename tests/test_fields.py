@@ -284,6 +284,12 @@ def test_eigenvalue_count_matches_eigvalsh_real():
         assert _eigenvalues_below(S, B, sigma) == expected
 
 
+def _resolve(pencil, omega2, k, rhs):
+    """One _resolvent_term solve with its own work buffers."""
+    return _resolvent_term(pencil, omega2, k, rhs, set(),
+                           (np.empty_like(pencil.G), omega2 * pencil.B))
+
+
 def test_complex_rhs_on_real_pencil(gamma1d_32):
     """A complex right-hand side on a real pencil (two real columns of one
     ?sysv factorization) matches the complex ?hesv solve."""
@@ -295,8 +301,8 @@ def test_complex_rhs_on_real_pencil(gamma1d_32):
     rhs = rng.standard_normal(real.B.shape[0]) \
         + 1j * rng.standard_normal(real.B.shape[0])
     k = np.array([0.3])
-    x = _resolvent_term(real, -0.5, k, rhs, set())
-    y = _resolvent_term(cplx, -0.5, k, rhs, set())
+    x = _resolve(real, -0.5, k, rhs)
+    y = _resolve(cplx, -0.5, k, rhs)
     assert np.iscomplexobj(x)
     assert _rel(x, y) < 1e-12
 
@@ -551,7 +557,7 @@ def test_cholesky_path_starts_strictly_below_minus_denom_tol():
     k = np.array([0.5])
     pencil = _diagonal_pencil(-0.5 * fields.DENOM_TOL, k)
     with pytest.raises(GapViolation):
-        _resolvent_term(pencil, -fields.DENOM_TOL, k, np.ones(3), set())
+        _resolve(pencil, -fields.DENOM_TOL, k, np.ones(3))
 
 
 def test_indefinite_pencil_below_spectrum_raises(gamma1d_32, source1d,
@@ -560,7 +566,7 @@ def test_indefinite_pencil_below_spectrum_raises(gamma1d_32, source1d,
     pencil and for the exact solver given one (S negated): no field."""
     k = np.array([0.5])
     with pytest.raises(GapViolation, match="not positive definite"):
-        _resolvent_term(_diagonal_pencil(-1.0, k), -0.5, k, np.ones(3), set())
+        _resolve(_diagonal_pencil(-1.0, k), -0.5, k, np.ones(3))
     gamma = dataclasses.replace(gamma1d_32)      # its own pencil
     gamma.pencil = dataclasses.replace(gamma.pencil, G=-gamma.pencil.G)
     freq = FrequencySpec(branch=0, sigma=-1, omega_hat=1.0, eps=0.25,
@@ -777,12 +783,14 @@ def test_nonperiodic_phase_matches_exp(x, freqs):
     against mpmath at 50 digits.  The error is the rounding of m f
     (m = round(x)), half an ulp of |m f|, as a direct exp's is that of x f,
     plus a few ulps of the exponentials and their product.  The tables have
-    one row per distinct cell and one per distinct reduced coordinate."""
+    one row per cell and one per row of the fold (_fold_rows), at most
+    FOLD_RATIO times the distinct points together."""
     x, freqs = np.array(x), np.array(freqs)
     (fold,) = _fold_axes([x])
     cell, row = _nonperiodic_phase(fold, freqs)
-    assert cell.shape == (len(np.unique(np.round(x))), len(freqs))
-    assert row.shape == (len(np.unique(x - np.round(x))), len(freqs))
+    assert cell.shape == (len(fold[2]), len(freqs))
+    assert row.shape == (_fold_rows(x), len(freqs))
+    assert len(cell) * len(row) <= fields.FOLD_RATIO * len(np.unique(x))
     got = cell[fold[3]] * row[fold[1]]
     with mpmath.workdps(50):
         exact = np.array([[complex(mpmath.expj(mpmath.mpf(v) * mpmath.mpf(f)))
@@ -883,6 +891,15 @@ def _direct_homogenized(eff, freq, source, quad_, axes):
     return {0: u0, 1: u1, 2: u2}
 
 
+def _fold_rows(ax):
+    """The rows of an axis's fold: its distinct x - round(x), or its
+    distinct points where C R would exceed FOLD_RATIO times those."""
+    reduced, cells, points = (len(np.unique(v)) for v in
+                              (ax - np.round(ax), np.round(ax), ax))
+    return reduced if reduced * cells <= fields.FOLD_RATIO * points \
+        else points
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
@@ -897,7 +914,7 @@ def test_folded_synthesis_equals_direct_sums(fold_setup, dim, data):
     axes, block = data.draw(_folded_grid(dim))
     gamma, eff, source, quad_, freq, spectra = fold_setup[dim]
     basis = gamma.basis
-    distinct = [len(np.unique(ax - np.round(ax))) for ax in axes]
+    distinct = [_fold_rows(ax) for ax in axes]
     phase_rows = []
 
     def counted_phase(x, cutoff):
@@ -938,8 +955,9 @@ def test_folded_synthesis_equals_direct_sums(fold_setup, dim, data):
        ppc=st.integers(1, 64) | st.sampled_from([24, 128]))
 def test_uniform_axis_folds_exactly(half, ppc):
     """uniform_axis(H, ppc) lies within 2^-46 of -H + k/ppc point by point,
-    is linspace's axis when ppc is a power of two, and folds onto at most
-    ppc + 1 reduced rows, a lattice of at most (2 H + 2)(ppc + 1) points."""
+    is linspace's axis when ppc is a power of two, and has at most ppc + 1
+    distinct x - round(x), so its fold lattice has at most (2 H + 2)(ppc +
+    1) points, and at most FOLD_RATIO times the axis's."""
     x = uniform_axis(half, ppc)
     n = int(round(2 * half * ppc))
     assert len(x) == n + 1
@@ -947,9 +965,10 @@ def test_uniform_axis_folds_exactly(half, ppc):
                for k, v in enumerate(x))
     if ppc & (ppc - 1) == 0:
         assert np.array_equal(x, np.linspace(-half, half, n + 1))
+    assert len(np.unique(x - np.round(x))) <= ppc + 1
     ((reduced, _, cells, _),) = _fold_axes([x])
-    assert len(reduced) <= ppc + 1
-    assert len(reduced) * len(cells) <= (2 * half + 2) * (ppc + 1)
+    assert len(reduced) * len(cells) <= min((2 * half + 2) * (ppc + 1),
+                                            fields.FOLD_RATIO * (n + 1))
 
 
 def test_empty_axes_give_empty_fields(fold_setup):
@@ -1041,10 +1060,13 @@ def lattice_setup(fold_setup):
 @st.composite
 def _lattice_axis(draw, ragged):
     """A uniform axis of whole cells, |x| <= hw + 1/2 at ppc points per
-    cell; an offset window of one; or `ragged`."""
-    kind = draw(st.sampled_from(["cells", "window", "ragged"]))
+    cell; an offset window of one; `ragged`; or linspace over a non-dyadic
+    half width, whose reduced coordinates barely repeat."""
+    kind = draw(st.sampled_from(["cells", "window", "ragged", "linspace"]))
     if kind == "ragged":
         return ragged
+    if kind == "linspace":
+        return np.linspace(-2.7, 2.7, draw(st.integers(2, 40)))
     half = draw(st.integers(0, 3)) + 0.5
     ppc = draw(st.sampled_from([1, 2, 3, 4, 8, 16]))
     ax = np.linspace(-half, half, int(round(2 * half * ppc)) + 1)
@@ -1065,21 +1087,39 @@ def test_lattice_fields_equal_direct_node_sums(lattice_setup, ragged_axis,
     with every phase built per point, to 1e-13 relative: uniform whole-cell
     axes, offset windows and a ragged axis, 1D and 2D, real and complex
     pencils.  The exact and branch fields use the node solutions the solver
-    computed (captured from _paired_solves)."""
+    computed (captured from _paired_solves).  No lattice exceeds
+    FOLD_RATIO^d times the grid."""
     gamma, eff, source, quad_, freq = lattice_setup[dim, centred]
     ragged = ragged_axis if dim == 1 else ragged_axis[::29]
     axes = tuple(data.draw(_lattice_axis(ragged)) for _ in range(dim))
-    solutions = []
-    paired = fields._paired_solves
+    _check_direct_node_sums(gamma, eff, source, quad_, freq, axes)
+
+
+def _check_direct_node_sums(gamma, eff, source, quad_, freq, axes):
+    """The lattice fields on `axes` against the per-point node sums; returns
+    the size of every lattice they were built on."""
+    dim, solutions, sizes = len(axes), [], []
+    paired, lattice = fields._paired_solves, fields._lattice
 
     def captured(*args):
         out = paired(*args)
         solutions.append(out[0])
         return out
 
-    with mock.patch.object(fields, "_paired_solves", captured):
+    def counted(folds):
+        out = lattice(folds)
+        sizes.append(out.size)
+        return out
+
+    with mock.patch.object(fields, "_paired_solves", captured), \
+            mock.patch.object(fields, "_lattice", counted):
         solved = [exact_bloch_solution(gamma, freq, source, quad_, axes),
                   branch_solution(gamma, freq, source, quad_, axes)]
+        homogenized = homogenized_fields(eff, freq, source, quad_, (0, 1, 2),
+                                         axes)
+    grid = math.prod(len(ax) for ax in axes)
+    assert len(sizes) == 5
+    assert max(sizes) <= fields.FOLD_RATIO ** dim * grid
     ks = freq.eps * quad_.nodes
     inside = np.max(np.abs(ks), axis=1) <= np.pi
     weights = ((2.0 * np.pi) ** (-dim / 2.0) * freq.eps ** 2 * quad_.weights
@@ -1087,9 +1127,24 @@ def test_lattice_fields_equal_direct_node_sums(lattice_setup, ragged_axis,
     for field, coeffs in zip(solved, solutions):
         ref = _direct_node_sum(gamma.basis, axes, ks[inside], coeffs * weights)
         assert _rel(field.values, ref) < 1e-13
-    homogenized = homogenized_fields(eff, freq, source, quad_, (0, 1, 2), axes)
     for m, ref in _direct_orders(eff, freq, source, quad_, axes).items():
         assert _rel(homogenized[m].values, ref) < 1e-13
+    return sizes
+
+
+@pytest.mark.parametrize("centred", [True, False])
+def test_unfolded_axes_keep_lattices_within_the_grid(lattice_setup, centred):
+    """linspace(-6.3, 6.3, 51), 4 points per cell over a half width that is
+    no whole number of cells, has 51 distinct reduced coordinates over 13
+    cells: its fold would be 13 times the axis, so it is left unfolded and
+    every 2D field is built on exactly the grid, equal to the direct sums."""
+    axis = np.linspace(-6.3, 6.3, 51)
+    assert len(np.unique(axis - np.round(axis))) == 51
+    assert len(np.unique(np.round(axis))) == 13
+    gamma, eff, source, quad_, freq = lattice_setup[2, centred]
+    sizes = _check_direct_node_sums(gamma, eff, source, quad_, freq,
+                                    (axis, axis))
+    assert sizes == [51 * 51] * 5
 
 
 @pytest.fixture(scope="module")
@@ -1179,7 +1234,7 @@ def test_exact_solution_matches_direct_phase_sum(gamma1d_32, source1d,
     ref = np.zeros(len(ax), dtype=complex)
     for khat, w in zip(quad1d.nodes, wF):
         k = eps * khat
-        c = _resolvent_term(pencil, freq.omega2, k, bc0, set())
+        c = _resolve(pencil, freq.omega2, k, bc0)
         ref += w * (_direct_phase(ax, pencil.tp[:, 0] + k[0]) @ c)
     ref *= (2.0 * np.pi) ** -0.5 * eps ** 2
     u = exact_bloch_solution(gamma1d_32, freq, source1d, quad1d, (ax,))
