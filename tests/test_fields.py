@@ -284,12 +284,6 @@ def test_eigenvalue_count_matches_eigvalsh_real():
         assert _eigenvalues_below(S, B, sigma) == expected
 
 
-def _resolve(pencil, omega2, k, rhs):
-    """One _resolvent_term solve with its own work buffers."""
-    return _resolvent_term(pencil, omega2, k, rhs, set(),
-                           (np.empty_like(pencil.G), omega2 * pencil.B))
-
-
 def test_complex_rhs_on_real_pencil(gamma1d_32):
     """A complex right-hand side on a real pencil (two real columns of one
     ?sysv factorization) matches the complex ?hesv solve."""
@@ -301,8 +295,8 @@ def test_complex_rhs_on_real_pencil(gamma1d_32):
     rhs = rng.standard_normal(real.B.shape[0]) \
         + 1j * rng.standard_normal(real.B.shape[0])
     k = np.array([0.3])
-    x = _resolve(real, -0.5, k, rhs)
-    y = _resolve(cplx, -0.5, k, rhs)
+    x = _resolvent_term(real, -0.5, k, rhs, set())
+    y = _resolvent_term(cplx, -0.5, k, rhs, set())
     assert np.iscomplexobj(x)
     assert _rel(x, y) < 1e-12
 
@@ -557,7 +551,7 @@ def test_cholesky_path_starts_strictly_below_minus_denom_tol():
     k = np.array([0.5])
     pencil = _diagonal_pencil(-0.5 * fields.DENOM_TOL, k)
     with pytest.raises(GapViolation):
-        _resolve(pencil, -fields.DENOM_TOL, k, np.ones(3))
+        _resolvent_term(pencil, -fields.DENOM_TOL, k, np.ones(3), set())
 
 
 def test_indefinite_pencil_below_spectrum_raises(gamma1d_32, source1d,
@@ -566,7 +560,7 @@ def test_indefinite_pencil_below_spectrum_raises(gamma1d_32, source1d,
     pencil and for the exact solver given one (S negated): no field."""
     k = np.array([0.5])
     with pytest.raises(GapViolation, match="not positive definite"):
-        _resolve(_diagonal_pencil(-1.0, k), -0.5, k, np.ones(3))
+        _resolvent_term(_diagonal_pencil(-1.0, k), -0.5, k, np.ones(3), set())
     gamma = dataclasses.replace(gamma1d_32)      # its own pencil
     gamma.pencil = dataclasses.replace(gamma.pencil, G=-gamma.pencil.G)
     freq = FrequencySpec(branch=0, sigma=-1, omega_hat=1.0, eps=0.25,
@@ -1234,7 +1228,7 @@ def test_exact_solution_matches_direct_phase_sum(gamma1d_32, source1d,
     ref = np.zeros(len(ax), dtype=complex)
     for khat, w in zip(quad1d.nodes, wF):
         k = eps * khat
-        c = _resolve(pencil, freq.omega2, k, bc0)
+        c = _resolvent_term(pencil, freq.omega2, k, bc0, set())
         ref += w * (_direct_phase(ax, pencil.tp[:, 0] + k[0]) @ c)
     ref *= (2.0 * np.pi) ** -0.5 * eps ** 2
     u = exact_bloch_solution(gamma1d_32, freq, source1d, quad1d, (ax,))
