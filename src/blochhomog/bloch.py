@@ -301,13 +301,15 @@ def parity_blocks(table: CoefficientTable, basis: PlaneWaveBasis) -> ParityBlock
     root = 1.0 / math.sqrt(2.0)
 
     def combinations(arr):
-        """(A + Abar, A - Abar) of arr, row and column 0 scaled by root."""
+        """(A + Abar, A - Abar) of arr, row and column 0 scaled by root
+        (the corner by 1/2 exactly: root * root is an ulp below)."""
         plus, far_part = arr[near], arr[far]
         minus = plus - far_part
         plus += far_part
         for x in (plus, minus):
-            x[0] *= root
-            x[:, 0] *= root
+            x[0, 1:] *= root
+            x[1:, 0] *= root
+            x[0, 0] *= 0.5
         return plus, minus
 
     def gram(x, t):                        # sum_a diag(t_a) x diag(t_a)

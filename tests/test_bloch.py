@@ -242,7 +242,8 @@ def test_parity_blocks_are_the_pencil_in_the_parity_basis(case):
     """The lifted block coordinates are an orthonormal basis Q; Q_r^T A Q_c
     is block (r, c) of S0, G, B and each S1_a, and zero off the structure;
     a real table gives an even and an odd block, a complex one a single
-    block, which is the full pencil."""
+    block, which is the full pencil.  The even block's e_0 corner is the
+    pencil's (0, 0) entry exactly, as (e_0 A e_0) is."""
     spec, basis = _parity_cases()[case]
     table = fourier_table(spec, 2 * basis.cutoff)
     z = parity_blocks(table, basis)
@@ -272,6 +273,8 @@ def test_parity_blocks_are_the_pencil_in_the_parity_basis(case):
     if n == 1:                     # the identity change of basis, exactly
         assert np.array_equal(z.S0[0], S0) and np.array_equal(z.B[0], B)
         assert np.array_equal(z.restrict(x, 0), x)
+    else:
+        assert z.G[0][0, 0] == G[0, 0] and z.B[0][0, 0] == B[0, 0]
 
 
 def test_gamma_pair_normalization(gamma1d_32):
