@@ -169,11 +169,13 @@ class BlochPencil:
     B: np.ndarray
     tp: np.ndarray
 
-    def stiffness(self, k) -> np.ndarray:
+    def stiffness(self, k, out=None) -> np.ndarray:
         """S(k) = G o sum_a outer(kpg_a, kpg_a), kpg = 2 pi j + k: d <= 2
-        outer products, no BLAS call, in one new buffer of G's dtype."""
+        outer products, no BLAS call, in `out` (C-contiguous, G's shape and
+        dtype) or a new buffer."""
         kpg = (self.tp + k).T
-        S = np.multiply.outer(kpg[0], kpg[0], out=np.empty_like(self.G))
+        out = np.empty_like(self.G) if out is None else out
+        S = np.multiply.outer(kpg[0], kpg[0], out=out)
         for t in kpg[1:]:
             S += np.multiply.outer(t, t)
         return np.multiply(self.G, S, out=S)
@@ -395,11 +397,13 @@ def _eigenvalues_below(S: np.ndarray, B: np.ndarray, sigma: float) -> int:
     (Sylvester), read from its Bunch-Kaufman factors L D L^H: one per
     negative 1x1 pivot (ipiv > 0) and one per 2x2 block (a pair of rows with
     ipiv < 0), since the pivot rule only picks 2x2 blocks with a negative
-    determinant (for ?hetrf and ?sytrf alike).
+    determinant (for ?hetrf and ?sytrf alike).  The factorization runs on
+    the F-contiguous transpose conj(S - sigma B), which has the same
+    inertia, so f2py makes no copy.
     """
     hetrf, lwork = _lapack("hetrf", S.dtype, len(S))
     shifted = np.multiply(sigma, B, dtype=np.result_type(S, B))
-    ldu, ipiv, _ = hetrf(np.subtract(S, shifted, out=shifted), lower=1,
+    ldu, ipiv, _ = hetrf(np.subtract(S, shifted, out=shifted).T, lower=1,
                          lwork=lwork, overwrite_a=True)
     negative_pivots = np.count_nonzero(ldu.diagonal().real[ipiv > 0] < 0.0)
     return int(negative_pivots + np.count_nonzero(ipiv < 0) // 2)

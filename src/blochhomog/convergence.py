@@ -13,8 +13,17 @@ w = G_f / h^2 the conservative second-order stencil is
 
 stride_a = n_i^(d-1-a) for n_i interior nodes per axis (C order), with no
 coupling past the last node along an axis.  A is real, so the complex
-right-hand side is solved as two real columns of one sparse LU.  The nodes
-are fields.uniform_axis, so the grid folds onto one cell exactly.
+right-hand side is solved as two real columns of one factorization.  The
+nodes are fields.uniform_axis, so the grid folds onto one cell exactly.
+
+The factorization follows the structure of A.  In 1D A is tridiagonal and
+goes to LAPACK ?gtsv (Gaussian elimination with partial pivoting, so one
+path serves drives below the spectrum, where A is positive definite, and
+in-gap drives, where it is indefinite): O(n) work and no workspace beyond
+its bands, against 10x that time for SuperLU on the same matrix.  For
+d >= 2 the half-bandwidth is n_i (about 289 on the 2D smoke grid), so a
+banded factorization would cost about n n_i^2 flops (8e9) where SuperLU,
+ordering by minimum degree on A^T + A, takes well under a second.
 
 convergence_study compares every requested homogenized order with one
 reference per eps, on the window relative_error reads: the reference is
@@ -28,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.integrate import trapezoid
+from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .bloch import GammaPair
 from .fields import (FieldOnGrid, _grid_points, homogenized_fields,
@@ -83,13 +92,22 @@ def reference_solution(gamma: GammaPair, freq: FrequencySpec,
         offsets += [-stride, stride]
     main = main.ravel() - freq.omega2 * evaluate_coefficient(
         spec, "rho", _grid_points((xi,) * d)).ravel()
-    A = sp.diags([main] + bands, offsets=[0] + offsets, format="csc")
     rhs = freq.eps ** 2 * sample_source(gamma, source, freq.eps,
                                         (xi,) * d).ravel()
-    # A is real: the real and imaginary parts share one factorization; it is
-    # symmetric, so the ordering is minimum degree on A^T + A
-    sol = spla.splu(A, permc_spec="MMD_AT_PLUS_A").solve(
-        np.column_stack([rhs.real, rhs.imag]))
+    # A is real: the real and imaginary parts share one factorization
+    cols = np.column_stack([rhs.real, rhs.imag])
+    if d == 1:
+        gtsv = get_lapack_funcs(("gtsv",), (main,))[0]
+        *_, sol, info = gtsv(bands[0], main, bands[1], cols, overwrite_dl=1,
+                             overwrite_d=1, overwrite_du=1)
+        if info > 0:
+            raise LinAlgError(
+                f"finite-difference matrix singular at omega^2 = "
+                f"{freq.omega2:.12g} (zero pivot in row {info})")
+    else:
+        # symmetric, so the ordering is minimum degree on A^T + A
+        A = sp.diags([main] + bands, offsets=[0] + offsets, format="csc")
+        sol = spla.splu(A, permc_spec="MMD_AT_PLUS_A").solve(cols)
 
     u = np.zeros((len(x),) * d, dtype=complex)
     u[(slice(1, -1),) * d] = (sol[:, 0] + 1j * sol[:, 1]).reshape((ni,) * d)
@@ -125,10 +143,16 @@ def relative_error(reference: FieldOnGrid, approx: FieldOnGrid,
     ref, app = (window(f, eval_half_width) for f in (reference, approx))
     num = np.abs(app.values - ref.values) ** 2
     den = np.abs(ref.values) ** 2
-    for axis in reversed(range(num.ndim)):
-        num = trapezoid(num, ref.axes[axis], axis=axis)
-        den = trapezoid(den, ref.axes[axis], axis=axis)
+    for x in reversed(ref.axes):
+        num, den = _trapezoid(num, x), _trapezoid(den, x)
     return float(np.sqrt(num / den))
+
+
+def _trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Trapezoid rule along the last axis of y: scipy.integrate.trapezoid's
+    own expression, so bitwise equal to it, without importing
+    scipy.integrate (a quarter of the package's import time)."""
+    return (np.diff(x) * (y[..., 1:] + y[..., :-1]) / 2.0).sum(axis=-1)
 
 
 def slope_fit(eps_list, errors):

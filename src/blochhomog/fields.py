@@ -275,7 +275,7 @@ def _factorization(omega2: float) -> str:
 
 
 def _resolvent_term(pencil: BlochPencil, omega2: float, k: np.ndarray,
-                    rhs: np.ndarray, gap_checked: set) -> np.ndarray:
+                    rhs: np.ndarray, gap_checked: set, work) -> np.ndarray:
     """The sum over all M Galerkin modes,
         sum_m phi_m(k) phi_m(k)^H rhs / (omega_m^2(k) - omega^2)
             = (S(k) - omega^2 B)^{-1} rhs,
@@ -286,12 +286,17 @@ def _resolvent_term(pencil: BlochPencil, omega2: float, k: np.ndarray,
     Otherwise it is one Bunch-Kaufman ?hesv, after an inertia check that
     raises GapViolation when an eigenvalue lies within DENOM_TOL of omega^2,
     unless -k is in gap_checked; adds k there.  A complex rhs on a real
-    pencil is two real columns.  S(k) - omega^2 B is formed in the
-    stiffness buffer.
+    pencil is two real columns.  S - omega^2 B is formed in work[0], with
+    work = (stiffness buffer, omega^2 B) shared by one call's nodes; LAPACK
+    gets its F-contiguous transpose, conj(S - omega^2 B) (exactly
+    Hermitian), with no copy, so a complex pencil solves conj(rhs).
     """
-    S = pencil.stiffness(k)
-    split = np.iscomplexobj(rhs) and not np.iscomplexobj(S)
-    cols = np.stack([rhs.real, rhs.imag], axis=1) if split else rhs
+    S, shift = work
+    pencil.stiffness(k, out=S)
+    conj = np.iscomplexobj(S)
+    split = np.iscomplexobj(rhs) and not conj
+    cols = np.stack([rhs.real, rhs.imag], axis=1) if split else \
+        (rhs.conj() if conj else rhs)
     cholesky = _factorization(omega2) == "cholesky"
     if cholesky:
         solver, options = _lapack("posv", S.dtype, len(S))[0], {}
@@ -306,14 +311,14 @@ def _resolvent_term(pencil: BlochPencil, omega2: float, k: np.ndarray,
             gap_checked.add(tuple(k))
         solver, lwork = _lapack("hesv", S.dtype, len(S))
         options = {"lwork": lwork}
-    S -= omega2 * pencil.B
-    *_, x, info = solver(S, cols, lower=1, overwrite_a=True, **options)
+    S -= shift
+    *_, x, info = solver(S.T, cols, lower=1, overwrite_a=True, **options)
     if info > 0:
         raise GapViolation(
             f"S - omega^2 B not positive definite at k = {k}: an eigenvalue "
             f"lies at or below omega^2 = {omega2:.12g}" if cholesky else
             f"singular resolvent at k = {k}")
-    return x[:, 0] + 1j * x[:, 1] if split else x
+    return x[:, 0] + 1j * x[:, 1] if split else (x.conj() if conj else x)
 
 
 def _branch_term(gamma: GammaPair, pencil: BlochPencil, omega2: float,
@@ -414,8 +419,9 @@ def exact_bloch_solution(gamma: GammaPair, freq: FrequencySpec,
     else:
         factorization = _factorization(freq.omega2)
         gap_checked = set()   # nodes whose gap check also covers their -k
+        work = (np.empty_like(pencil.G), freq.omega2 * pencil.B)
         solve = lambda k: _resolvent_term(pencil, freq.omega2, k, bc0,
-                                          gap_checked)
+                                          gap_checked, work)
     coeffs, solves = _paired_solves(
         ks, basis.size, solve, (P, phase) if residual <= PAIR_TOL else None)
 

@@ -337,6 +337,19 @@ def test_pencil_dtype_follows_tables(med1d, med2d):
     assert bloch_pencil(fourier_table(med2d, 6), basis2).B.dtype == np.float64
 
 
+@pytest.mark.parametrize("shifted", [False, True])
+def test_stiffness_into_buffer_equals_new_array(med1d, shifted):
+    """stiffness(k, out=buf) fills and returns buf, bitwise equal to
+    stiffness(k), for a real and a complex pencil."""
+    spec = _offcentre_1d(6.0, 20.0, 0.2, 0.1) if shifted else med1d
+    pencil = bloch_pencil(fourier_table(spec, 16), PlaneWaveBasis(1, 8))
+    buf = np.empty_like(pencil.G)
+    for k in (0.0, np.array([0.7]), np.array([-2.9])):
+        S = pencil.stiffness(k, out=buf)
+        assert S is buf
+        assert np.array_equal(S, pencil.stiffness(k))
+
+
 def test_brillouin_path_1d_exactly_symmetric():
     pts, arc, _, _ = brillouin_path(1, samples_per_segment=30)
     assert np.array_equal(pts[::-1, 0], -pts[:, 0])

@@ -1,12 +1,23 @@
+import os
+import subprocess
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.integrate import trapezoid
 
+import blochhomog
+from blochhomog import convergence
 from blochhomog import (DecayCheckFailed, FieldOnGrid, GaussianEnvelope,
                         ReferenceConfig, SourceSpec, convergence_study,
                         eigenpair_at_gamma, exact_bloch_solution,
                         reference_solution, relative_error, slope_fit,
                         spec_from_dict, wavenumber_quadrature)
-from blochhomog.source import FrequencySpec
+from blochhomog.source import FrequencySpec, drive_frequency
 
 
 # ---------------------------------------------------------------------------
@@ -44,6 +55,35 @@ def test_relative_error_window_restricts_support():
     w = v.copy()
     w[np.abs(ax) > 6] += 5.0
     assert relative_error(_field(ax, v), _field(ax, w), 5.0) < 1e-14
+
+
+@pytest.mark.parametrize("shape", [(37,), (23, 31)])
+def test_trapezoid_bitwise_equals_scipy(shape):
+    """relative_error's trapezoid sum is scipy.integrate.trapezoid's own
+    expression: bitwise equal along each axis and nested over the axes, on
+    random 1D and 2D fields and nonuniform axes."""
+    rng = np.random.default_rng(len(shape))
+    y = rng.standard_normal(shape) ** 2
+    axes = [np.sort(rng.uniform(-5.0, 5.0, n)) for n in shape]
+    assert np.array_equal(convergence._trapezoid(y, axes[-1]),
+                          trapezoid(y, axes[-1], axis=-1))
+    ours, ref = y, y
+    for axis in reversed(range(len(shape))):
+        ours = convergence._trapezoid(ours, axes[axis])
+        ref = trapezoid(ref, axes[axis], axis=axis)
+    assert ours == ref
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    """scipy.integrate costs a quarter of the package's import time, and
+    nothing in the package needs it: the CLI does not import it."""
+    src = os.path.dirname(os.path.dirname(blochhomog.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, blochhomog.cli; "
+         "print('scipy.integrate' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_slope_fit_exact_power_law():
@@ -117,6 +157,64 @@ def test_reference_decay_check(homog_ref_setup):
                           decay_threshold=1e-6)
     with pytest.raises(DecayCheckFailed):
         reference_solution(gamma, freq, source, cfg)
+
+
+def _tridiagonal_and_superlu(gamma, freq, source, cfg):
+    """The 1D reference, and a SuperLU solve of the very stencil and
+    right-hand side the reference handed to ?gtsv, assembled here with
+    sp.diags."""
+    seen = []
+
+    def spy(names, arrays):
+        gtsv = scipy.linalg.get_lapack_funcs(names, arrays)[0]
+
+        def record(dl, d, du, b, **kw):
+            seen.append([a.copy() for a in (dl, d, du, b)])
+            return gtsv(dl, d, du, b, **kw)
+        return (record,)
+
+    with mock.patch.object(convergence, "get_lapack_funcs", spy):
+        ref = reference_solution(gamma, freq, source, cfg)
+    (dl, d, du, b), = seen
+    assert np.array_equal(dl, du)
+    A = sp.diags([dl, d, du], offsets=[-1, 0, 1], format="csc")
+    sol = spla.splu(A, permc_spec="MMD_AT_PLUS_A").solve(b)
+    u = np.zeros_like(ref.values)
+    u[1:-1] = sol[:, 0] + 1j * sol[:, 1]
+    return ref.values, u
+
+
+def test_reference_tridiagonal_matches_superlu_below_spectrum(gamma1d_32,
+                                                             source1d):
+    """Below the spectrum A is positive definite; ?gtsv agrees with SuperLU
+    on the same stencil to 1e-12 of max |u|."""
+    freq = drive_frequency(gamma1d_32, -1, 1.0, 0.25)
+    u, v = _tridiagonal_and_superlu(gamma1d_32, freq, source1d,
+                                    ReferenceConfig(28, 64, 1e-6))
+    assert np.max(np.abs(u - v)) <= 1e-12 * np.max(np.abs(u))
+
+
+@pytest.mark.parametrize("sigma", [1, -1])
+def test_reference_tridiagonal_matches_superlu_in_gap(med1d, source1d,
+                                                      sigma):
+    """An in-gap drive off branch 1 makes A indefinite, so ?gtsv pivots;
+    it agrees with SuperLU on the same stencil to 1e-9 of max |u| (the
+    drive is near resonant, which amplifies both solves' roundoff)."""
+    gamma = eigenpair_at_gamma(med1d, 1, 32)
+    freq = drive_frequency(gamma, sigma, 1.0, 0.25)
+    u, v = _tridiagonal_and_superlu(gamma, freq, source1d,
+                                    ReferenceConfig(14, 32, 1.0))
+    assert np.max(np.abs(u - v)) <= 1e-9 * np.max(np.abs(u))
+
+
+def test_reference_singular_stencil_raises(homog_ref_setup):
+    """Three nodes with G = rho = 1 and h = 1/4: omega^2 = 2/h^2 zeroes the
+    diagonal, and elimination meets an exact zero pivot."""
+    gamma, _, source, _ = homog_ref_setup
+    freq = FrequencySpec(branch=0, sigma=1, omega_hat=1.0, eps=0.5,
+                         omega2=32.0)
+    with pytest.raises(scipy.linalg.LinAlgError, match="omega\\^2 = 32"):
+        reference_solution(gamma, freq, source, ReferenceConfig(0, 4, 1.0))
 
 
 def test_reference_2d_runs_and_decays(med2d, source2d):

@@ -19,6 +19,7 @@ from blochhomog import (BlochPencil, EnvelopeSingularity, FieldOnGrid,
                         effective_coefficients, effective_envelope,
                         eigenpair_at_gamma,
                         exact_bloch_solution, export_field_csv,
+                        fourier_table,
                         export_field_npz, homogenized_field,
                         homogenized_fields, solve_bands,
                         solve_cell_functions, synthesize_periodic,
@@ -284,6 +285,12 @@ def test_eigenvalue_count_matches_eigvalsh_real():
         assert _eigenvalues_below(S, B, sigma) == expected
 
 
+def _resolve(pencil, omega2, k, rhs):
+    """One _resolvent_term solve with its own work buffers."""
+    return _resolvent_term(pencil, omega2, k, rhs, set(),
+                           (np.empty_like(pencil.G), omega2 * pencil.B))
+
+
 def test_complex_rhs_on_real_pencil(gamma1d_32):
     """A complex right-hand side on a real pencil (two real columns of one
     ?sysv factorization) matches the complex ?hesv solve."""
@@ -295,10 +302,29 @@ def test_complex_rhs_on_real_pencil(gamma1d_32):
     rhs = rng.standard_normal(real.B.shape[0]) \
         + 1j * rng.standard_normal(real.B.shape[0])
     k = np.array([0.3])
-    x = _resolvent_term(real, -0.5, k, rhs, set())
-    y = _resolvent_term(cplx, -0.5, k, rhs, set())
+    x = _resolve(real, -0.5, k, rhs)
+    y = _resolve(cplx, -0.5, k, rhs)
     assert np.iscomplexobj(x)
     assert _rel(x, y) < 1e-12
+
+
+def test_resolvent_on_complex_pencil_matches_dense_solve():
+    """On a complex Hermitian pencil LAPACK gets the F-contiguous transpose
+    conj(S - omega^2 B) and solves for conj(x): the Cholesky and the
+    Bunch-Kaufman path both match a dense solve of S - omega^2 B."""
+    spec = MediumSpec(dimension=2, background_G=1.0, background_rho=1.0,
+                      inclusions=(Inclusion((0.1, -0.2), 0.25, 8.0, 3.0),))
+    basis = PlaneWaveBasis(2, 3)
+    pencil = bloch_pencil(fourier_table(spec, 6), basis)
+    assert pencil.G.dtype == np.complex128
+    k = np.array([0.4, -0.9])
+    S = pencil.stiffness(k)
+    vals = scipy.linalg.eigvalsh(S, pencil.B)
+    rng = np.random.default_rng(9)
+    rhs = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
+    for omega2 in (-0.5, 0.5 * (vals[2] + vals[3])):
+        x = _resolve(pencil, omega2, k, rhs)
+        assert _rel(x, scipy.linalg.solve(S - omega2 * pencil.B, rhs)) < 1e-12
 
 
 @settings(max_examples=20, deadline=None)
@@ -551,7 +577,7 @@ def test_cholesky_path_starts_strictly_below_minus_denom_tol():
     k = np.array([0.5])
     pencil = _diagonal_pencil(-0.5 * fields.DENOM_TOL, k)
     with pytest.raises(GapViolation):
-        _resolvent_term(pencil, -fields.DENOM_TOL, k, np.ones(3), set())
+        _resolve(pencil, -fields.DENOM_TOL, k, np.ones(3))
 
 
 def test_indefinite_pencil_below_spectrum_raises(gamma1d_32, source1d,
@@ -560,7 +586,7 @@ def test_indefinite_pencil_below_spectrum_raises(gamma1d_32, source1d,
     pencil and for the exact solver given one (S negated): no field."""
     k = np.array([0.5])
     with pytest.raises(GapViolation, match="not positive definite"):
-        _resolvent_term(_diagonal_pencil(-1.0, k), -0.5, k, np.ones(3), set())
+        _resolve(_diagonal_pencil(-1.0, k), -0.5, k, np.ones(3))
     gamma = dataclasses.replace(gamma1d_32)      # its own pencil
     gamma.pencil = dataclasses.replace(gamma.pencil, G=-gamma.pencil.G)
     freq = FrequencySpec(branch=0, sigma=-1, omega_hat=1.0, eps=0.25,
@@ -1228,7 +1254,7 @@ def test_exact_solution_matches_direct_phase_sum(gamma1d_32, source1d,
     ref = np.zeros(len(ax), dtype=complex)
     for khat, w in zip(quad1d.nodes, wF):
         k = eps * khat
-        c = _resolvent_term(pencil, freq.omega2, k, bc0, set())
+        c = _resolve(pencil, freq.omega2, k, bc0)
         ref += w * (_direct_phase(ax, pencil.tp[:, 0] + k[0]) @ c)
     ref *= (2.0 * np.pi) ** -0.5 * eps ** 2
     u = exact_bloch_solution(gamma1d_32, freq, source1d, quad1d, (ax,))
