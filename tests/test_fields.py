@@ -19,8 +19,7 @@ from blochhomog import (BlochPencil, EnvelopeSingularity, FieldOnGrid,
                         effective_coefficients, effective_envelope,
                         eigenpair_at_gamma,
                         exact_bloch_solution, export_field_csv,
-                        fourier_table,
-                        export_field_npz, homogenized_field,
+                        export_field_npz, fourier_table, homogenized_field,
                         homogenized_fields, solve_bands,
                         solve_cell_functions, synthesize_periodic,
                         two_phase_1d, wavenumber_quadrature)
