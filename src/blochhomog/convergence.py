@@ -20,7 +20,7 @@ The factorization follows the structure of A.  In 1D A is tridiagonal and
 goes to LAPACK ?gtsv (Gaussian elimination with partial pivoting, so one
 path serves drives below the spectrum, where A is positive definite, and
 in-gap drives, where it is indefinite): O(n) work and no workspace beyond
-its bands, against 10x that time for SuperLU on the same matrix.  For
+its bands, in about a twentieth of SuperLU's time on the same matrix.  For
 d >= 2 the half-bandwidth is n_i (about 289 on the 2D smoke grid), so a
 banded factorization would cost about n n_i^2 flops (8e9) where SuperLU,
 ordering by minimum degree on A^T + A, takes well under a second.
