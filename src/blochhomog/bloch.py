@@ -16,7 +16,9 @@ and 2 pi j, and is built once per call that solves at many k.  It is float64
 when both coefficient tables are exactly real (centred inclusions: phase
 exp(-0j)) and complex otherwise.  G and rho are real-valued, so
 S(-k) = P conj(S(k)) P and B = P conj(B) P with P: j -> -j, and the spectra
-at +-k coincide; dispersion_diagram solves each +-k pair once.
+at +-k coincide.  reversal_classes is the one rule by which every loop over
+wavevector samples (dispersion_diagram, source.make_frequency and the exact
+solver's node loop) solves each +-k pair once.
 
 At k = 0 a real pencil commutes with P itself, so in P's parity basis it
 splits into an even and an odd block of about M/2 each (ParityBlocks, after
@@ -347,10 +349,8 @@ def assemble_operator(table: CoefficientTable, basis: PlaneWaveBasis, k):
 class BandSolution:
     """Lowest eigenpairs of one Bloch pencil, B-orthonormal eigenvectors."""
 
-    k: np.ndarray
     omega2: np.ndarray        # (count,), ascending
     vectors: np.ndarray       # (M, count)
-    basis: PlaneWaveBasis
 
 
 def solve_bands(table, basis, k, count, pencil: BlochPencil | None = None
@@ -364,7 +364,7 @@ def solve_bands(table, basis, k, count, pencil: BlochPencil | None = None
     if pencil is None:
         pencil = bloch_pencil(table, basis)
     vals, vecs = _eigh(pencil.stiffness(k), pencil.B, count, overwrite_a=True)
-    return BandSolution(k=k, omega2=vals, vectors=vecs, basis=basis)
+    return BandSolution(omega2=vals, vectors=vecs)
 
 
 def _eigh(S: np.ndarray, B: np.ndarray, count: int, overwrite_a=False):
@@ -413,72 +413,64 @@ def _eigenvalues_below(S: np.ndarray, B: np.ndarray, sigma: float) -> int:
 # Dispersion diagrams and band gaps
 # ---------------------------------------------------------------------------
 
-def brillouin_path(dimension: int, samples_per_segment: int = 30):
-    """Sampled path through the Brillouin zone.
+def reversal_classes(ks):
+    """The +-k classes of the wavevector samples ks (n_k, d), which share
+    their spectra (module docstring): (first, rep, negated), with first the
+    index of the first sample of each class, in sample order; rep[i] sample
+    i's class, as a position in first; negated[i] whether sample i is minus
+    that first sample (a repeat, or k = 0, is not).  Samples match by exact
+    tuple equality (so -0.0 equals 0.0).
+    """
+    classes, first, labels = {}, [], []   # k and -k -> (class, negated)
+    for i, k in enumerate(np.asarray(ks)):
+        if tuple(k) not in classes:
+            classes[tuple(-k)] = (len(first), True)
+            classes[tuple(k)] = (len(first), False)   # k = 0: not negated
+            first.append(i)
+        labels.append(classes[tuple(k)])
+    rep, negated = np.array(labels, dtype=int).reshape(-1, 2).T
+    return np.array(first, dtype=int), rep, negated.astype(bool)
+
+
+def brillouin_path(dimension: int, samples_per_segment: int = 30) -> np.ndarray:
+    """Sampled path through the Brillouin zone, shape (n_k, d).
 
     1D: uniform samples pi i / n, i = -n..n, exactly symmetric under k -> -k.
-    2D: Gamma -> X -> M -> Gamma on the square lattice.
-    Returns (k_points, arclength, tick_positions, tick_labels).
+    2D: Gamma -> X -> M -> Gamma on the square lattice, n samples per
+    segment and the closing Gamma.
     """
+    n = samples_per_segment
     if dimension == 1:
-        n = samples_per_segment
-        ks = np.pi * (np.arange(-n, n + 1) / n)
-        return ks[:, None], ks.copy(), [-np.pi, 0.0, np.pi], ["-pi", "0", "pi"]
-
-    gamma = np.array([0.0, 0.0])
-    xpt = np.array([np.pi, 0.0])
-    mpt = np.array([np.pi, np.pi])
-    nodes = [gamma, xpt, mpt, gamma]
-    pts, dist = [], []
-    offset = 0.0
-    for a, b in zip(nodes[:-1], nodes[1:]):
-        ts = np.linspace(0.0, 1.0, samples_per_segment, endpoint=False)
-        pts.append(a[None, :] + ts[:, None] * (b - a)[None, :])
-        dist.append(offset + ts * math.dist(a, b))
-        offset += math.dist(a, b)
-    pts.append(gamma[None, :])
-    dist.append(np.array([offset]))
-    ticks = [0.0, np.pi, 2 * np.pi, 2 * np.pi + np.pi * np.sqrt(2.0)]
-    return (np.concatenate(pts), np.concatenate(dist), ticks,
-            ["Gamma", "X", "M", "Gamma"])
+        return (np.pi * (np.arange(-n, n + 1) / n))[:, None]
+    corners = np.pi * np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
+    ts = np.linspace(0.0, 1.0, n, endpoint=False)[:, None]
+    return np.concatenate([a + ts * (b - a) for a, b in
+                           zip(corners[:-1], corners[1:])] + [corners[:1]])
 
 
 @dataclass
 class DispersionDiagram:
     k_points: np.ndarray      # (nk, d)
-    arclength: np.ndarray     # (nk,)
     omega2: np.ndarray        # (nk, count)
-    tick_positions: list
-    tick_labels: list
 
 
 def dispersion_diagram(spec: MediumSpec, cutoff: int, count: int,
                        samples_per_segment: int = 30,
-                       k_points=None, arclength=None) -> DispersionDiagram:
-    """Band diagram along the standard path (or explicit k samples).  A k
-    whose negative (or itself) was already solved copies that row (exact
-    match): omega(-k) = omega(k)."""
+                       k_points=None) -> DispersionDiagram:
+    """Band diagram along the standard path (or explicit k samples), one
+    solve per +-k class (reversal_classes): omega(-k) = omega(k)."""
     basis = PlaneWaveBasis(spec.dimension, cutoff)
     table = fourier_table(spec, 2 * cutoff)
     pencil = bloch_pencil(table, basis)
     if k_points is None:
-        k_points, arclength, ticks, labels = brillouin_path(
-            spec.dimension, samples_per_segment)
+        k_points = brillouin_path(spec.dimension, samples_per_segment)
     else:
         k_points = np.atleast_2d(np.asarray(k_points, dtype=float))
-        if arclength is None:
-            arclength = np.arange(len(k_points), dtype=float)
-        ticks, labels = [], []
-    omega2 = np.empty((len(k_points), count))
-    solved = {}               # +-k -> omega^2(k)
-    for i, k in enumerate(k_points):
-        if tuple(k) not in solved:
-            solved[tuple(k)] = solved[tuple(-k)] = solve_bands(
-                table, basis, k, count, pencil).omega2
-        omega2[i] = solved[tuple(k)]
-    return DispersionDiagram(k_points=k_points, arclength=np.asarray(arclength),
-                             omega2=omega2, tick_positions=ticks,
-                             tick_labels=labels)
+    first, rep, _ = reversal_classes(k_points)
+    omega2 = np.empty((len(first), count))
+    for c, k in enumerate(k_points[first]):
+        omega2[c] = solve_bands(table, basis, k, count, pencil).omega2
+    return DispersionDiagram(k_points=k_points, omega2=omega2[rep])
 
 
 @dataclass(frozen=True)

@@ -156,13 +156,11 @@ def _require(ok: bool, path: str, why: str):
                          "delete it to recompute")
 
 
-def cached_gamma(cfg: dict, cache_dir: str | None) -> GammaPair:
+def cached_gamma(cfg: dict, cache_dir: str) -> GammaPair:
     """Zone-center eigenpair, reusing an on-disk eigensolve when available."""
     spec = spec_from_dict(cfg["medium"])
     cutoff = int(cfg.get("cutoff", 32))
     branch = int(cfg.get("branch", 0))
-    if cache_dir is None:
-        return eigenpair_at_gamma(spec, branch, cutoff)
     key = config_hash(_gamma_subtree(cfg))
     path = os.path.join(cache_dir, f"gamma-{key}.npz")
     if os.path.exists(path):
@@ -186,9 +184,7 @@ def cached_gamma(cfg: dict, cache_dir: str | None) -> GammaPair:
     return gamma
 
 
-def cached_cell(cfg: dict, gamma: GammaPair, cache_dir: str | None) -> CellFunctions:
-    if cache_dir is None:
-        return solve_cell_functions(gamma)
+def cached_cell(cfg: dict, gamma: GammaPair, cache_dir: str) -> CellFunctions:
     key = config_hash(_gamma_subtree(cfg))
     path = os.path.join(cache_dir, f"cell-{key}.npz")
     M, d = gamma.basis.size, gamma.basis.dimension
@@ -208,7 +204,7 @@ def cached_cell(cfg: dict, gamma: GammaPair, cache_dir: str | None) -> CellFunct
     return cell
 
 
-def _effective(cfg: dict, cache_dir: str | None):
+def _effective(cfg: dict, cache_dir: str):
     gamma = cached_gamma(cfg, cache_dir)
     eff = effective_coefficients(cached_cell(cfg, gamma, cache_dir))
     eff_cfg = cfg.get("effective", {})

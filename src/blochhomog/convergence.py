@@ -110,7 +110,13 @@ def reference_solution(gamma: GammaPair, freq: FrequencySpec,
                 f"{freq.omega2:.12g} (zero pivot in row {info})")
     else:
         # symmetric, so the ordering is minimum degree on A^T + A
-        sol = spla.splu(A, permc_spec="MMD_AT_PLUS_A").solve(cols)
+        try:
+            lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:       # SuperLU: factor exactly singular
+            raise LinAlgError(
+                f"finite-difference matrix singular at omega^2 = "
+                f"{freq.omega2:.12g} ({exc})") from exc
+        sol = lu.solve(cols)
 
     u = np.zeros((len(x),) * d, dtype=complex)
     u[(slice(1, -1),) * d] = (sol[:, 0] + 1j * sol[:, 1]).reshape((ni,) * d)

@@ -14,8 +14,8 @@ truncation (_resolvent_term: Cholesky ?posv below the spectrum, otherwise
 Bunch-Kaufman ?hesv after an exact Sylvester-inertia gap check, the count
 make_frequency's gap test uses; ?sy* for real pencils).  Time reversal of
 the real medium pairs the nodes, x(-k) = e^{-i theta} P conj(x(k)) with
-P: j -> -j, so only the first node of each +-k pair is solved
-(_time_reversal, guarded by PAIR_TOL).
+P: j -> -j, so only the first node of each +-k class is solved
+(bloch.reversal_classes; _time_reversal, guarded by PAIR_TOL).
 
 Every field is a sum over nodes q of a periodic cell part times a phase
 exp(i f_q x) (Bloch f = k, envelope f = eps khat).  With x = m + r,
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import (BlochPencil, GammaPair, PlaneWaveBasis, _eigenvalues_below,
-                    _lapack, contract, solve_bands)
+                    _lapack, contract, reversal_classes, solve_bands)
 from .cell import EffectiveCoefficients
 from .source import FrequencySpec, SourceSpec
 
@@ -275,7 +275,7 @@ def _factorization(omega2: float) -> str:
 
 
 def _resolvent_term(pencil: BlochPencil, omega2: float, k: np.ndarray,
-                    rhs: np.ndarray, gap_checked: set, work) -> np.ndarray:
+                    rhs: np.ndarray, check_gap: bool, work) -> np.ndarray:
     """The sum over all M Galerkin modes,
         sum_m phi_m(k) phi_m(k)^H rhs / (omega_m^2(k) - omega^2)
             = (S(k) - omega^2 B)^{-1} rhs,
@@ -285,11 +285,12 @@ def _resolvent_term(pencil: BlochPencil, omega2: float, k: np.ndarray,
     positive semidefinite, so a failed factorization raises GapViolation.
     Otherwise it is one Bunch-Kaufman ?hesv, after an inertia check that
     raises GapViolation when an eigenvalue lies within DENOM_TOL of omega^2,
-    unless -k is in gap_checked; adds k there.  A complex rhs on a real
-    pencil is two real columns.  S - omega^2 B is formed in work[0], with
-    work = (stiffness buffer, omega^2 B) shared by one call's nodes; LAPACK
-    gets its F-contiguous transpose, conj(S - omega^2 B) (exactly
-    Hermitian), with no copy, so a complex pencil solves conj(rhs).
+    if check_gap (a node whose -k was checked has the same spectrum).  A
+    complex rhs on a real pencil is two real columns.  S - omega^2 B is
+    formed in work[0], with work = (stiffness buffer, omega^2 B) shared by
+    one call's nodes; LAPACK gets its F-contiguous transpose, conj(S -
+    omega^2 B) (exactly Hermitian), with no copy, so a complex pencil
+    solves conj(rhs).
     """
     S, shift = work
     pencil.stiffness(k, out=S)
@@ -301,14 +302,13 @@ def _resolvent_term(pencil: BlochPencil, omega2: float, k: np.ndarray,
     if cholesky:
         solver, options = _lapack("posv", S.dtype, len(S))[0], {}
     else:
-        if tuple(-k) not in gap_checked:
+        if check_gap:
             lo, hi = (_eigenvalues_below(S, pencil.B, omega2 + t)
                       for t in (-DENOM_TOL, DENOM_TOL))
             if lo != hi:
                 raise GapViolation(
                     f"{hi - lo} eigenvalue(s) within {DENOM_TOL:.0e} of "
                     f"omega^2 = {omega2:.12g} at k = {k}")
-            gap_checked.add(tuple(k))
         solver, lwork = _lapack("hesv", S.dtype, len(S))
         options = {"lwork": lwork}
     S -= shift
@@ -352,28 +352,26 @@ def _time_reversal(basis: PlaneWaveBasis, B: np.ndarray, c0: np.ndarray):
 
 
 def _paired_solves(ks: np.ndarray, size: int, solve, pairing) -> tuple:
-    """Columns solve(k_q) (length `size`) at every node, and the number of
-    solves.
+    """Columns solve(k_q, check_gap) (length `size`) at every node, and the
+    number of solves.
 
-    With pairing = (P, e^{i theta}) from _time_reversal, the second node of
-    each +-k pair (k = 0 pairs with itself) is filled with e^{-i theta} P
-    conj(column of its partner) instead of a solve, which also inherits the
-    partner's gap check; with pairing None every node is solved.
+    The first node of each +-k class (bloch.reversal_classes) is solved with
+    its gap check.  With pairing = (P, e^{i theta}) from _time_reversal, a
+    repeat copies that column and a node at minus it is e^{-i theta} P
+    conj(column) instead of a solve; with pairing None the other nodes are
+    solved too, without the check, since the spectra at +-k coincide.
     """
+    first, rep, negated = reversal_classes(ks)
+    lead = first[rep]                     # each node's first node
+    solved = first if pairing is not None else range(len(ks))
     out = np.empty((size, len(ks)), dtype=complex)
-    first, mirror = {}, []    # solved node of each k; (node, partner)
-    for q, k in enumerate(ks):
-        p = first.get(tuple(-k)) if pairing is not None else None
-        if p is None:
-            out[:, q] = solve(k)
-            first[tuple(k)] = q
-        else:
-            mirror.append((q, p))
-    if mirror:
+    for q in solved:
+        out[:, q] = solve(ks[q], lead[q] == q)
+    if pairing is not None:
         P, phase = pairing
-        q, p = np.array(mirror).T
-        out[:, q] = np.conj(phase) * out[np.ix_(P, p)].conj()
-    return out, len(first)
+        out[:, ~negated] = out[:, lead[~negated]]   # repeats (first nodes too)
+        out[:, negated] = np.conj(phase) * out[np.ix_(P, lead[negated])].conj()
+    return out, len(solved)
 
 
 def exact_bloch_solution(gamma: GammaPair, freq: FrequencySpec,
@@ -389,9 +387,9 @@ def exact_bloch_solution(gamma: GammaPair, freq: FrequencySpec,
     eigenvalue at a node lies within DENOM_TOL of omega^2.  With
     branch_only=True the sum keeps only m = p (one eigenpair per node, and
     the check covers branches 0..p).  By time reversal only the first node
-    of each +-k pair is solved (_time_reversal); when its guard fails (a
+    of each +-k class is solved (_paired_solves); when its guard fails (a
     degenerate omega_p^2(0)) every node is solved, and the inertia check
-    still runs once per pair.
+    still runs once per class.
 
     Nodes with eps |khat|_inf > pi lie outside the Brillouin zone and are
     skipped.  meta reports their number (dropped_nodes) and their share of
@@ -415,13 +413,12 @@ def exact_bloch_solution(gamma: GammaPair, freq: FrequencySpec,
     P, phase, residual = _time_reversal(basis, pencil.B, gamma.coeffs)
     if branch_only:
         factorization = None
-        solve = lambda k: _branch_term(gamma, pencil, freq.omega2, k, bc0)
+        solve = lambda k, _: _branch_term(gamma, pencil, freq.omega2, k, bc0)
     else:
         factorization = _factorization(freq.omega2)
-        gap_checked = set()   # nodes whose gap check also covers their -k
         work = (np.empty_like(pencil.G), freq.omega2 * pencil.B)
-        solve = lambda k: _resolvent_term(pencil, freq.omega2, k, bc0,
-                                          gap_checked, work)
+        solve = lambda k, check_gap: _resolvent_term(
+            pencil, freq.omega2, k, bc0, check_gap, work)
     coeffs, solves = _paired_solves(
         ks, basis.size, solve, (P, phase) if residual <= PAIR_TOL else None)
 

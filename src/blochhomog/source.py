@@ -18,7 +18,8 @@ definite, so every Bloch eigenvalue omega_m^2(k) is >= 0 and any omega^2 < 0
 (p = 0, sigma = -1) lies below the spectrum: that needs no factorization.
 Otherwise make_frequency counts the eigenvalues below omega^2 by Sylvester
 inertia (bloch._eigenvalues_below, one LDL^H factorization of the
-eigenpair's own pencil per k) along the Brillouin path: omega^2 is in a gap
+eigenpair's own pencil per k) along the Brillouin path, at the first
+sample of each +-k class (bloch.reversal_classes): omega^2 is in a gap
 exactly when that count is the same at every sample, since a branch that
 crosses omega^2 changes it.  No eigenvalue is computed, and no number of
 branches has to be chosen.
@@ -30,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import GammaPair, _eigenvalues_below, brillouin_path
+from .bloch import (GammaPair, _eigenvalues_below, brillouin_path,
+                    reversal_classes)
 from .medium import _as_points, evaluate_coefficient
 
 
@@ -115,10 +117,11 @@ def make_frequency(gamma: GammaPair, sigma: int, omega_hat: float,
 
     omega^2 < 0 lies below the whole spectrum (every omega_m^2(k) >= 0, see
     the module docstring) and is accepted at once.  Otherwise, at every
-    brillouin_path(d, samples_per_segment) sample (each +-k pair once, since
-    the spectra coincide), the eigenvalues of gamma.pencil below omega^2 are
-    counted by inertia; omega^2 is in a gap when every count is the same,
-    and NotInGap names branch min(count) otherwise.
+    brillouin_path(d, samples_per_segment) sample (each +-k class once,
+    reversal_classes, since the spectra coincide), the eigenvalues of
+    gamma.pencil below omega^2 are counted by inertia; omega^2 is in a gap
+    when every count is the same, and NotInGap names branch min(count)
+    otherwise.
 
     With `k_window` set, only the samples with |k|_inf <= k_window count.
     This admits frequencies that sit in a local gap around the zone center
@@ -129,18 +132,15 @@ def make_frequency(gamma: GammaPair, sigma: int, omega_hat: float,
     freq = drive_frequency(gamma, sigma, omega_hat, eps)
     if freq.omega2 < 0:
         return freq                    # below the whole spectrum: sub-acoustic
-    ks = brillouin_path(gamma.spec.dimension, samples_per_segment)[0]
+    ks = brillouin_path(gamma.spec.dimension, samples_per_segment)
     if k_window is not None:
         ks = ks[np.max(np.abs(ks), axis=1) <= k_window]
         if not len(ks):
             raise ValueError("k_window excludes every path sample")
     pencil = gamma.pencil
-    counts = {}                        # +-k -> eigenvalues below omega^2
-    for k in ks:
-        if tuple(-k) not in counts:
-            counts[tuple(k)] = _eigenvalues_below(pencil.stiffness(k),
-                                                  pencil.B, freq.omega2)
-    low, high = min(counts.values()), max(counts.values())
+    counts = [_eigenvalues_below(pencil.stiffness(k), pencil.B, freq.omega2)
+              for k in ks[reversal_classes(ks)[0]]]
+    low, high = min(counts), max(counts)
     if low != high:
         raise NotInGap(
             f"omega^2 = {freq.omega2:.6g} intersects branch {low}: "

@@ -9,9 +9,10 @@ from blochhomog import (DispersionDiagram, Inclusion, MediumSpec,
                         dispersion_diagram, eigenpair_at_gamma,
                         export_diagram_csv, find_band_gaps, fix_phase,
                         fourier_table, parity_blocks, pencil_blocks,
-                        solve_bands, two_phase_1d, disk_2d)
+                        solve_bands, two_phase_1d, disk_2d,
+                        wavenumber_quadrature)
 from blochhomog import bloch as bloch_module
-from blochhomog.bloch import brillouin_path
+from blochhomog.bloch import brillouin_path, reversal_classes
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +159,14 @@ def test_band_edges_match_transfer_matrix(med1d):
 # ---------------------------------------------------------------------------
 
 def test_brillouin_path_2d_geometry():
-    pts, arc, ticks, labels = brillouin_path(2, samples_per_segment=10)
-    assert labels == ["Gamma", "X", "M", "Gamma"]
-    assert np.allclose(pts[0], [0.0, 0.0]) and np.allclose(pts[-1], [0.0, 0.0])
-    assert np.all(np.diff(arc) > 0)
-    assert abs(ticks[-1] - (2 * np.pi + np.sqrt(2) * np.pi)) < 1e-12
+    """Gamma -> X -> M -> Gamma, 10 equal steps per segment."""
+    pts = brillouin_path(2, samples_per_segment=10)
+    assert pts.shape == (31, 2)
+    corners = np.pi * np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
+    assert np.array_equal(pts[::10], corners)
+    steps = np.sqrt(np.sum(np.diff(pts, axis=0) ** 2, axis=1))
+    assert np.allclose(steps, np.repeat([1.0, 1.0, np.sqrt(2.0)], 10) * np.pi
+                       / 10, rtol=1e-12)
 
 
 def test_find_band_gaps_1d(med1d):
@@ -315,9 +319,7 @@ def test_find_band_gaps_ignores_touching_branches():
                        [3.0, 8.5, 22.0], [4.0, 7.0, 21.0]])
     omega2[2, 1] = 10.0 + 1e-12       # branch 1 max touches branch 2 min ...
     omega2[0, 2] = 10.0 + 2e-12       # ... to within 1e-12
-    diagram = DispersionDiagram(k_points=ks, arclength=ks[:, 0],
-                                omega2=omega2, tick_positions=[],
-                                tick_labels=[])
+    diagram = DispersionDiagram(k_points=ks, omega2=omega2)
     gaps = find_band_gaps(diagram)
     assert [g.below_branch for g in gaps] == [0]
     assert gaps[0].omega2_low == 4.0 and gaps[0].omega2_high == 7.0
@@ -351,9 +353,48 @@ def test_stiffness_into_buffer_equals_new_array(med1d, shifted):
 
 
 def test_brillouin_path_1d_exactly_symmetric():
-    pts, arc, _, _ = brillouin_path(1, samples_per_segment=30)
+    pts = brillouin_path(1, samples_per_segment=30)
     assert np.array_equal(pts[::-1, 0], -pts[:, 0])
     assert pts[0, 0] == -np.pi and pts[-1, 0] == np.pi and pts[30, 0] == 0.0
+
+
+def test_reversal_classes_symmetric_1d_path():
+    """-pi..0 open the n + 1 classes; each k > 0 is minus its class's first
+    sample."""
+    n = 30
+    first, rep, negated = reversal_classes(brillouin_path(1, n))
+    assert np.array_equal(first, np.arange(n + 1))
+    assert np.array_equal(rep, np.r_[np.arange(n + 1), np.arange(n)[::-1]])
+    assert np.array_equal(negated, np.arange(2 * n + 1) > n)
+
+
+def test_reversal_classes_odd_gauss_rule():
+    """k = 0 of an odd rule is a class of one, not negated; the other nodes
+    pair off, the first of each pair at k < 0."""
+    ks = wavenumber_quadrature(1, 8.0, 65).nodes
+    first, rep, negated = reversal_classes(ks)
+    assert len(first) == 33 and np.all(ks[first[:32], 0] < 0.0)
+    assert ks[first[32], 0] == 0.0 and np.count_nonzero(rep == 32) == 1
+    assert np.count_nonzero(negated) == 32 and not negated[32]
+    assert np.array_equal(ks[negated], -ks[first[rep[negated]]])
+
+
+def test_reversal_classes_2d_path_repeats_gamma():
+    """The closing Gamma of the 2D path repeats the first sample: the same
+    class, not negated; no other sample pairs."""
+    first, rep, negated = reversal_classes(brillouin_path(2, 10))
+    assert np.array_equal(first, np.arange(30))
+    assert rep[-1] == 0 and not negated.any()
+
+
+def test_reversal_classes_repeats_of_minus_k():
+    """A repeat of -k is negated, a repeat of k is not; -0.0 equals 0.0."""
+    first, rep, negated = reversal_classes(
+        [[0.5], [0.7], [-0.5], [0.5], [-0.5], [0.0], [-0.0]])
+    assert np.array_equal(first, [0, 1, 5])
+    assert np.array_equal(rep, [0, 1, 0, 0, 0, 2, 2])
+    assert np.array_equal(negated, [False, False, True, False, True, False,
+                                    False])
 
 
 def test_diagram_solves_each_pm_k_pair_once(med1d, monkeypatch):

@@ -217,6 +217,17 @@ def test_reference_singular_stencil_raises(homog_ref_setup):
         reference_solution(gamma, freq, source, ReferenceConfig(0, 4, 1.0))
 
 
+def test_reference_singular_stencil_raises_2d():
+    """The 2D twin: 3 x 3 nodes with G = rho = 1 and h = 1/4, where
+    omega^2 = 4/h^2 zeroes the diagonal; SuperLU's singular factor is a
+    LinAlgError naming omega^2 (CLI exit 3), as in 1D."""
+    gamma, _, source, _ = _homog_ref_setup(2, 2, 8)
+    freq = FrequencySpec(branch=0, sigma=1, omega_hat=1.0, eps=0.5,
+                         omega2=64.0)
+    with pytest.raises(scipy.linalg.LinAlgError, match="omega\\^2 = 64"):
+        reference_solution(gamma, freq, source, ReferenceConfig(0, 4, 1.0))
+
+
 def test_reference_2d_runs_and_decays(med2d, source2d):
     gamma = eigenpair_at_gamma(med2d, 0, 4)
     freq = FrequencySpec(branch=0, sigma=-1, omega_hat=1.0, eps=0.5,

@@ -122,7 +122,7 @@ def test_inertia_verdict_equals_branch_ranges(drive):
     spec, cutoff, branch, sigma, eps, k_window = drive
     gamma = eigenpair_at_gamma(spec, branch, cutoff)
     omega2 = drive_frequency(gamma, sigma, 1.0, eps).omega2
-    ks = brillouin_path(spec.dimension, 6)[0]
+    ks = brillouin_path(spec.dimension, 6)
     if k_window is not None:
         ks = ks[np.max(np.abs(ks), axis=1) <= k_window]
     below = max(_eigenvalues_below(gamma.pencil.stiffness(k), gamma.pencil.B,
