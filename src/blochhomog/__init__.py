@@ -1,6 +1,6 @@
 """Bloch dispersion, cell functions, and homogenized wavefields for periodic media."""
 
-__version__ = "0.2.1"
+__version__ = "0.3.0"
 
 from .medium import (MediumSpec, Inclusion, CoefficientTable, fourier_table,
                      evaluate_coefficient, spec_from_dict, spec_to_dict,

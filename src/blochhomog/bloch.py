@@ -6,36 +6,50 @@ For a wavevector k in [-pi, pi]^d the shifted operator
 is discretized in the basis e_a(x) = exp(i 2 pi j_a . x), |j_a|_inf <= N,
 giving the generalized Hermitian pencil
 
-    S(k)[a, b] = G_hat(j_a - j_b) (2 pi j_b + k) . (2 pi j_a + k)
+    S(k)[a, b] = E[a, b] (2 pi j_b + k) . (2 pi j_a + k)
     B[a, b]    = rho_hat(j_a - j_b)
 
-whose eigenvalues are the squared Bloch frequencies omega_m^2(k).
+whose eigenvalues are the squared Bloch frequencies omega_m^2(k).  E is the
+matrix of the flux G (grad + ik) u.  In 2D it is Laurent's rule, E[a, b] =
+G_hat(j_a - j_b).  In 1D it is Li's inverse rule (L. Li, JOSA A 13, 1870,
+1996), E = T^{-1} with T[a, b] = (1/G)^(j_a - j_b).  The flux is continuous
+where G and the derivative both jump; Laurent's rule for such a product
+converges only as O(1/N), and under the inverse rule the band edges
+converge as N^-3 and the zone-centre mu0 is exact at every N.  T is the
+Toeplitz matrix of a positive symbol, so T and E are positive definite, and
+S(k) is positive semidefinite under both rules: every omega_m^2(k) >= 0,
+which source.make_frequency and the exact solver's Cholesky branch rely on.
 
-A BlochPencil holds the k-independent parts, G and B (Hermitian-symmetrized)
-and 2 pi j, and is built once per call that solves at many k.  It is float64
-when both coefficient tables are exactly real (centred inclusions: phase
-exp(-0j)) and complex otherwise.  G and rho are real-valued, so
-S(-k) = P conj(S(k)) P and B = P conj(B) P with P: j -> -j, and the spectra
-at +-k coincide.  reversal_classes is the one rule by which every loop over
-wavevector samples (dispersion_diagram, source.make_frequency and the exact
-solver's node loop) solves each +-k pair once.
+A BlochPencil holds the k-independent parts, E and B (Hermitian) and 2 pi j,
+and is built once per call that solves at many k.  It is float64 when both
+coefficient tables are exactly real (centred inclusions: phase exp(-0j))
+and complex otherwise.  G and rho are real-valued, so S(-k) = P conj(S(k)) P
+and B = P conj(B) P with P: j -> -j, and the spectra at +-k coincide.
+reversal_classes is the one rule by which every loop over wavevector
+samples (dispersion_diagram, source.make_frequency and the exact solver's
+node loop) solves each +-k pair once.
 
 At k = 0 a real pencil commutes with P itself, so in P's parity basis it
 splits into an even and an odd block of about M/2 each (ParityBlocks, after
 Cantoni & Butler, Linear Algebra Appl. 13, 275, 1976).  eigenpair_at_gamma
 solves both blocks and the cell problems solve block by block; a complex
-pencil (off-centre media) does not commute with P and is one block.
+pencil (off-centre media) does not commute with P and is one block.  T
+commutes with P too, and the change of basis is orthogonal, so the blocks
+of E are the inverses of T's: the inverse rule inverts T block by block
+(_spd_inverse, one Cholesky each), and bloch_pencil lifts E from those two
+inverses (_lift), with no M x M factorization.
 
 _eigenvalues_below counts the pencil's eigenvalues below a shift by
 Sylvester inertia, with no eigensolve: source.make_frequency validates
 drives with it, and the exact solver checks its gap condition.
 
 Every dense product of the package goes through contract, on scipy's BLAS
-?gemm: scipy also does all of the LAPACK work (eigh, ?posv, ?hesv, LU).
-numpy and scipy may each bundle their own OpenBLAS, each with its own thread
-pool; after a call a pool's workers keep spinning for a while, and the other
-pool's work runs at about half speed meanwhile.  With one library, one pool
-is busy at a time.  stiffness makes no BLAS call at all.
+?gemm: scipy also does all of the LAPACK work (eigh, ?potrf/?potri, ?posv,
+?hesv, LU).  numpy and scipy may each bundle their own OpenBLAS, each with
+its own thread pool; after a call a pool's workers keep spinning for a
+while, and the other pool's work runs at about half speed meanwhile.  With
+one library, one pool is busy at a time.  stiffness makes no BLAS call at
+all.
 """
 
 from __future__ import annotations
@@ -162,47 +176,53 @@ class PlaneWaveBasis:
 
 @dataclass(frozen=True)
 class BlochPencil:
-    """G[a, b] = G_hat(j_a - j_b), B[a, b] = rho_hat(j_a - j_b) and tp = 2 pi j
-    of one coefficient table; built per call that solves at many k
-    (bloch_pencil), and once per GammaPair for its k != 0 solves."""
+    """E (Laurent's rule in 2D, Li's inverse rule in 1D: module docstring),
+    B[a, b] = rho_hat(j_a - j_b) and tp = 2 pi j of one coefficient table;
+    built per call that solves at many k (bloch_pencil), and once per
+    GammaPair for its k != 0 solves."""
 
     basis: PlaneWaveBasis
-    G: np.ndarray
+    E: np.ndarray
     B: np.ndarray
     tp: np.ndarray
 
     def stiffness(self, k, out=None) -> np.ndarray:
-        """S(k) = G o sum_a outer(kpg_a, kpg_a), kpg = 2 pi j + k: d <= 2
-        outer products, no BLAS call, in `out` (C-contiguous, G's shape and
+        """S(k) = E o sum_a outer(kpg_a, kpg_a), kpg = 2 pi j + k: d <= 2
+        outer products, no BLAS call, in `out` (C-contiguous, E's shape and
         dtype) or a new buffer."""
         kpg = (self.tp + k).T
-        out = np.empty_like(self.G) if out is None else out
+        out = np.empty_like(self.E) if out is None else out
         S = np.multiply.outer(kpg[0], kpg[0], out=out)
         for t in kpg[1:]:
             S += np.multiply.outer(t, t)
-        return np.multiply(self.G, S, out=S)
+        return np.multiply(self.E, S, out=S)
 
     def blocks(self):
-        """(S0, S1_list, Gm, B) with S(k) = S0 + sum k_a S1[a] + |k|^2 Gm."""
-        S1 = [self.G * (t[:, None] + t[None, :]) for t in self.tp.T]
-        return self.stiffness(0.0), S1, self.G, self.B
+        """(S0, S1_list, Gm, B) with S(k) = S0 + sum k_a S1[a] + |k|^2 Gm:
+        S0 = D E D, S1_a = D_a E + E D_a and Gm = E, D_a = diag(tp_a)."""
+        S1 = [self.E * (t[:, None] + t[None, :]) for t in self.tp.T]
+        return self.stiffness(0.0), S1, self.E, self.B
 
 
 def _hermitian_tables(table: CoefficientTable, basis: PlaneWaveBasis):
-    """(G_hat, rho_hat, real): each table replaced by its Hermitian part
-    (q(n) + conj q(-n)) / 2, so every matrix gathered from it is Hermitian;
-    float64 when both tables are exactly real, complex otherwise."""
+    """(C_hat, rho_hat, real): the stiffness table C_hat (1/G under the
+    inverse rule, G otherwise) and rho_hat, each replaced by its Hermitian
+    part (q(n) + conj q(-n)) / 2, so every matrix gathered from it is
+    Hermitian; float64 when both tables are exactly real, complex
+    otherwise."""
     if table.dimension != basis.dimension:
         raise ValueError("table/basis dimension mismatch")
     if table.cutoff < 2 * basis.cutoff:
         raise ValueError("coefficient table cutoff must be >= 2 * basis cutoff")
-    real = not (np.any(table.G_hat.imag) or np.any(table.rho_hat.imag))
+    C_hat = table.G_hat if table.compliance_hat is None else \
+        table.compliance_hat
+    real = not (np.any(C_hat.imag) or np.any(table.rho_hat.imag))
 
     def hermitian(arr):
         h = 0.5 * (arr + arr[(slice(None, None, -1),) * arr.ndim].conj())
         return h.real if real else h
 
-    return hermitian(table.G_hat), hermitian(table.rho_hat), real
+    return hermitian(C_hat), hermitian(table.rho_hat), real
 
 
 def _differences(rows: np.ndarray, cols: np.ndarray, cutoff: int):
@@ -211,28 +231,132 @@ def _differences(rows: np.ndarray, cols: np.ndarray, cutoff: int):
                  for r, c in zip(rows.T, cols.T))
 
 
-def bloch_pencil(table: CoefficientTable, basis: PlaneWaveBasis) -> BlochPencil:
-    """Difference matrices of `table` on `basis`; float64 when both tables
-    are exactly real, complex otherwise."""
-    G_hat, rho_hat, _ = _hermitian_tables(table, basis)
-    off = _differences(basis.indices, basis.indices, table.cutoff)
-    return BlochPencil(basis=basis, G=G_hat[off], B=rho_hat[off],
-                       tp=2.0 * np.pi * basis.indices)
+def _spd_inverse(T: np.ndarray) -> np.ndarray:
+    """T^{-1} of a Hermitian positive definite T, exactly Hermitian: ?potrf
+    and ?potri (Cholesky) on the lower triangle of T's F-contiguous
+    transpose conj(T) (no copy of a C-contiguous T, which is overwritten),
+    whose inverse's transpose holds the upper triangle of T^{-1}; the lower
+    one is mirrored from it."""
+    potrf, potri = (_lapack(name, T.dtype, len(T))[0]
+                    for name in ("potrf", "potri"))
+    factor, info = potrf(T.T, lower=1, clean=1, overwrite_a=True)
+    if info == 0:
+        inverse, info = potri(factor, lower=1, overwrite_c=True)
+    if info != 0:
+        raise ValueError(f"compliance matrix not positive definite "
+                         f"(LAPACK info {info})")
+    E = inverse.T                          # upper triangle, zeros below
+    E += np.triu(E, 1).T.conj()
+    return E
+
+
+def _stiffness_matrix(C_hat: np.ndarray, off, inverse: bool) -> np.ndarray:
+    """E gathered on the table indices `off`: C_hat[off], or its inverse
+    under the inverse rule."""
+    return _spd_inverse(C_hat[off]) if inverse else C_hat[off]
+
+
+def _parity_gather(basis: PlaneWaveBasis, cutoff: int):
+    """(u, partner, combinations) of parity_blocks' split: u the even rows
+    (j = 0 and one j of each +-j pair), partner each position's -j, and
+    combinations(arr) the (A + Abar, A - Abar) of a table of that cutoff,
+    A and Abar its gather on rows u against the columns u and their -j."""
+    j, size = basis.indices, basis.size
+    partner = basis.reversal()
+    u = np.concatenate([[0], np.flatnonzero(np.arange(size) < partner)])
+    near, far = (_differences(j[u], j[v], cutoff) for v in (u, partner[u]))
+    root = 1.0 / math.sqrt(2.0)
+
+    def combinations(arr):
+        """(A + Abar, A - Abar) of arr, row and column 0 scaled by root
+        (the corner by 1/2 exactly: root * root is an ulp below)."""
+        plus, far_part = arr[near], arr[far]
+        minus = plus - far_part
+        plus += far_part
+        for x in (plus, minus):
+            x[0, 1:] *= root
+            x[1:, 0] *= root
+            x[0, 0] *= 0.5
+        return plus, minus
+
+    return u, partner, combinations
+
+
+def _stiffness_blocks(C_hat: np.ndarray, combinations, inverse: bool):
+    """(Ep, Em): E's even block and, from row and column 1 on, its odd
+    block; row and column 0 of Em are zero.  Under the inverse rule these
+    are the inverses of T's blocks (E = T^{-1}, T commutes with P, and the
+    parity basis is orthonormal)."""
+    Ep, Em = combinations(C_hat)
+    if inverse:
+        Ep = _spd_inverse(Ep)
+        Em[1:, 1:] = _spd_inverse(np.ascontiguousarray(Em[1:, 1:]))
+    return Ep, Em
+
+
+def _lift(Ep: np.ndarray, Eo: np.ndarray, u: np.ndarray, ubar: np.ndarray,
+          size: int) -> np.ndarray:
+    """The P-invariant symmetric matrix with even block Ep and odd block Eo
+    (parity_blocks' split: rows u, their -j ubar): an O(M^2) scatter of
+    A = (Ep + Eo) / 2 to E[u, v] and E[ubar, vbar] and of Abar = (Ep - Eo)
+    / 2 to E[u, vbar] and E[ubar, v], where row and column 0 (j = 0, Eo
+    has none) are Ep's unscaled (A = Abar = Ep / sqrt 2, the corner Ep).
+    Every entry and its mirror and P image are the same number, so E is
+    exactly symmetric and P-invariant."""
+    A = 0.5 * Ep
+    A[0, 1:] *= math.sqrt(2.0)
+    A[1:, 0] *= math.sqrt(2.0)
+    A[0, 0] *= 2.0
+    Abar = A.copy()
+    A[1:, 1:] += 0.5 * Eo
+    Abar[1:, 1:] -= 0.5 * Eo
+    E = np.empty((size, size), dtype=A.dtype)
+    for rows, cols, x in ((u, u, A), (u, ubar, Abar), (ubar, u, Abar),
+                          (ubar, ubar, A)):
+        E[np.ix_(rows, cols)] = x
+    return E
+
+
+def bloch_pencil(table: CoefficientTable, basis: PlaneWaveBasis,
+                 blocks: ParityBlocks | None = None) -> BlochPencil:
+    """The pencil of `table` on `basis`; float64 when both tables are
+    exactly real, complex otherwise.
+
+    Under the inverse rule a real table's E is lifted (_lift) from its
+    parity blocks: those of `blocks`, the table's own ParityBlocks when the
+    caller has them (GammaPair.pencil), or else inverted here
+    (_stiffness_blocks); no M x M matrix is factorized.  A complex table
+    inverts the full T.
+    """
+    C_hat, rho_hat, real = _hermitian_tables(table, basis)
+    j, size = basis.indices, basis.size
+    off = _differences(j, j, table.cutoff)
+    inverse = table.compliance_hat is not None
+    if inverse and real:
+        if blocks is None:
+            u, partner, combinations = _parity_gather(basis, table.cutoff)
+            Ep, Em = _stiffness_blocks(C_hat, combinations, inverse)
+            E = _lift(Ep, Em[1:, 1:], u, partner[u], size)
+        else:
+            E = _lift(*blocks.E, blocks.index[0], blocks.partner[0], size)
+    else:
+        E = _stiffness_matrix(C_hat, off, inverse)
+    return BlochPencil(basis=basis, E=E, B=rho_hat[off], tp=2.0 * np.pi * j)
 
 
 @dataclass(frozen=True)
 class ParityBlocks:
-    """The k = 0 pencil, S(k) = S0 + sum_a k_a S1[a] + |k|^2 G and B, in the
+    """The k = 0 pencil, S(k) = S0 + sum_a k_a S1[a] + |k|^2 E and B, in the
     parity basis of P: j -> -j; built once per eigenpair (parity_blocks)
     and carried by its GammaPair.
 
     Block i has the orthonormal vectors q = scale (e_u + sign e_ubar), u in
     index[i], ubar = partner[i] its -j, scale 1/sqrt(2) for a pair and 1/2
-    where ubar = u.  Real tables are even, so S0, G and B commute with P and
+    where ubar = u.  Real tables are even, so S0, E and B commute with P and
     each S1[a] anticommutes with it: an even block (sign +1: e_0 and (e_j +
     e_-j)/sqrt 2) and an odd one (sign -1), of about M/2 each.  Complex
     tables do not commute with P: one block, ubar = u = every position,
-    sign +1, the identity change of basis.  S0[i], G[i], B[i] are the
+    sign +1, the identity change of basis.  S0[i], E[i], B[i] are the
     diagonal blocks; S1[a][i] is S1_a from block i to block flip(i).
     """
 
@@ -242,7 +366,7 @@ class ParityBlocks:
     scale: tuple
     S0: tuple
     S1: tuple
-    G: tuple
+    E: tuple
     B: tuple
 
     def flip(self, i: int) -> int:
@@ -280,54 +404,43 @@ def parity_blocks(table: CoefficientTable, basis: PlaneWaveBasis) -> ParityBlock
     A matrix that commutes (or anticommutes) with P has the block (A[u, v]
     + t A[u, vbar]) / sqrt(m_u m_v) between rows u and columns (v, vbar, t),
     so with row and column 0 (e_0, m = 2) scaled by 1/sqrt 2, A + Abar and
-    A - Abar are G's and B's even block and, from row and column 1 on,
-    their odd block.  As 2 pi j_ubar = -2 pi j_u, S0 = sum_a diag(tp_a)
-    (A -+ Abar) diag(tp_a) and S1_a (even to odd) = diag(tp_a) (A + Abar) +
-    (A - Abar) diag(tp_a) are scalings of the same two.  No M x M matrix is
-    formed.
+    A - Abar are the even block and, from row and column 1 on, the odd block
+    of B and of the stiffness table's matrix: E itself under Laurent's rule,
+    T under the inverse rule, whose two blocks are then inverted
+    (_stiffness_blocks), giving E's blocks Ep and Em.  As 2 pi j_ubar =
+    -2 pi j_u, diag(tp) maps even to odd: S0's even block is sum_a
+    diag(tp_a) Em diag(tp_a), its odd block the same of Ep, and S1_a (even
+    to odd) = diag(tp_a) Ep + Em diag(tp_a).  No M x M matrix is formed.
     """
-    G_hat, rho_hat, real = _hermitian_tables(table, basis)
+    C_hat, rho_hat, real = _hermitian_tables(table, basis)
     j, size = basis.indices, basis.size
+    inverse = table.compliance_hat is not None
     if not real:            # one block, the identity change of basis
         every = np.arange(size)
         off = _differences(j, j, table.cutoff)
-        S0, S1, G, B = BlochPencil(basis=basis, G=G_hat[off], B=rho_hat[off],
-                                   tp=2.0 * np.pi * j).blocks()
+        S0, S1, E, B = BlochPencil(
+            basis=basis, E=_stiffness_matrix(C_hat, off, inverse),
+            B=rho_hat[off], tp=2.0 * np.pi * j).blocks()
         return ParityBlocks(index=(every,), partner=(every,), sign=(1,),
                             scale=(np.full(size, 0.5),), S0=(S0,),
-                            S1=tuple((x,) for x in S1), G=(G,), B=(B,))
-    partner = basis.reversal()
-    pairs = np.flatnonzero(np.arange(size) < partner)  # j = 0 is its own -j
-    u = np.concatenate([[0], pairs])
-    near, far = (_differences(j[u], j[v], table.cutoff)
-                 for v in (u, partner[u]))
+                            S1=tuple((x,) for x in S1), E=(E,), B=(B,))
+    u, partner, combinations = _parity_gather(basis, table.cutoff)
+    pairs = u[1:]
     tp = 2.0 * np.pi * j[u]                            # tp[0] = 0
-    root = 1.0 / math.sqrt(2.0)
-
-    def combinations(arr):
-        """(A + Abar, A - Abar) of arr, row and column 0 scaled by root
-        (the corner by 1/2 exactly: root * root is an ulp below)."""
-        plus, far_part = arr[near], arr[far]
-        minus = plus - far_part
-        plus += far_part
-        for x in (plus, minus):
-            x[0, 1:] *= root
-            x[1:, 0] *= root
-            x[0, 0] *= 0.5
-        return plus, minus
 
     def gram(x, t):                        # sum_a diag(t_a) x diag(t_a)
         return sum(t[:, a, None] * x * t[:, a] for a in range(t.shape[1]))
 
-    (Gp, Gm), (Bp, Bm) = combinations(G_hat), combinations(rho_hat)
-    S1 = [tp[1:, a, None] * Gp[1:] + Gm[1:] * tp[:, a]
+    Ep, Em = _stiffness_blocks(C_hat, combinations, inverse)
+    Bp, Bm = combinations(rho_hat)
+    S1 = [tp[1:, a, None] * Ep[1:] + Em[1:] * tp[:, a]
           for a in range(basis.dimension)]
-    half = np.full(len(pairs), root)
+    half = np.full(len(pairs), 1.0 / math.sqrt(2.0))
     return ParityBlocks(
         index=(u, pairs), partner=(partner[u], partner[pairs]), sign=(1, -1),
         scale=(np.concatenate([[0.5], half]), half),
-        S0=(gram(Gm, tp), gram(Gp[1:, 1:], tp[1:])),
-        G=(Gp, np.ascontiguousarray(Gm[1:, 1:])),
+        S0=(gram(Em, tp), gram(Ep[1:, 1:], tp[1:])),
+        E=(Ep, np.ascontiguousarray(Em[1:, 1:])),
         B=(Bp, np.ascontiguousarray(Bm[1:, 1:])),
         S1=tuple((x, x.T) for x in S1))
 
@@ -379,11 +492,12 @@ def _eigh(S: np.ndarray, B: np.ndarray, count: int, overwrite_a=False):
 @functools.lru_cache(maxsize=32)
 def _lapack(name: str, dtype: np.dtype, n: int):
     """LAPACK routine ?<name> for `dtype` and its optimal work size at order
-    n (0 for routines without one); the Hermitian ?he* routines are ?sy* for
-    real dtypes.  Cached, so a loop over nodes queries each size once."""
+    n (0 for the Cholesky routines ?po*, which take none); the Hermitian
+    ?he* routines are ?sy* for real dtypes.  Cached, so a loop over nodes
+    queries each size once."""
     if not np.issubdtype(dtype, np.complexfloating):
         name = name.replace("he", "sy", 1)
-    if name.endswith("posv"):
+    if name.startswith("po"):
         return scipy.linalg.get_lapack_funcs((name,), dtype=dtype)[0], 0
     fn, query = scipy.linalg.get_lapack_funcs(
         (name, name + "_lwork"), dtype=dtype)
@@ -550,7 +664,7 @@ class GammaPair:
 
     @functools.cached_property
     def pencil(self) -> BlochPencil:
-        return bloch_pencil(self.table, self.basis)
+        return bloch_pencil(self.table, self.basis, self.blocks)
 
 
 def fix_phase(coeffs: np.ndarray) -> np.ndarray:

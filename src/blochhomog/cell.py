@@ -203,7 +203,7 @@ def solve_cell_functions(gamma: GammaPair) -> CellFunctions:
     d = gamma.basis.dimension
     s = _parity_of(z, gamma.coeffs)
     f = z.flip(s)
-    S0, S1, Gm, B = z.S0, z.S1, z.G, z.B
+    S0, S1, Gm, B = z.S0, z.S1, z.E, z.B
     # the hierarchy below assumes unit rho-normalization; enforce it so a
     # rescaled eigenvector yields identical correctors
     c0 = z.restrict(gamma.coeffs, s)
@@ -333,9 +333,14 @@ def extrapolated_coefficients(fine: EffectiveCoefficients,
                               coarse: EffectiveCoefficients) -> EffectiveCoefficients:
     """Richardson-extrapolate the effective tensors in 1/cutoff.
 
-    For sharp (discontinuous) media the Galerkin effective tensors converge
-    like 1/N; combining two cutoffs N and N/2 removes the leading bias.
-    The corrector fields keep the fine-level values.
+    For sharp (discontinuous) media Laurent's rule (2D) gives effective
+    tensors that converge like 1/N; combining two cutoffs N and N/2 removes
+    the leading bias.  The corrector fields keep the fine-level values.
+
+    In 1D the inverse rule leaves no 1/N term to remove: mu0 is exact at
+    every N, and mu2 of two_phase_1d converges as N^-3, 5.0e-6 / 6.3e-7 /
+    7.8e-8 / 9.6e-9 relative at N = 32 / 64 / 128 / 256 (against N =
+    1024).  Extrapolating 256 against 128 in 1/N makes it worse, 5.9e-8.
     """
     nf = fine.gamma.basis.cutoff
     nc = coarse.gamma.basis.cutoff

@@ -29,8 +29,9 @@ uniform_axis of half extent H at ppc points per cell has C R <= (2 H +
 distinct points is left unfolded (C = 1), so no lattice exceeds
 FOLD_RATIO^d times its grid.  _periodic_blocks, the one grid synthesizer,
 synthesizes the cell parts on the distinct r, reduced mod 1, in slabs of
-at most SYNTH_BLOCK folded points, with one phase matrix exp(i 2 pi n r)
-per axis (~1e-14 accurate).  The exact and branch fields contract their
+at most SYNTH_BLOCK folded points, from the factored phases exp(i 2 pi n r)
+of each axis (~1e-14 accurate; _periodic_sum skips the phase matrix for a
+few columns).  The exact and branch fields contract their
 nodes in one GEMM per slab, the weighted cell phases w_q exp(i k_q.m) (C x
 Q) times the row side phi_q(r) exp(i k_q.r); each envelope axis is one
 GEMM too (_lattice_synth).  The phase tables take C + R exponentials per
@@ -205,27 +206,57 @@ def _node_product(tables) -> np.ndarray:
                                + t.shape[1:]) for a, t in enumerate(tables))
 
 
-def _periodic_phase(x, cutoff: int) -> np.ndarray:
-    """exp(i 2 pi n x), n = -N..N (N = cutoff), at 1D x: one row per point.
-
-    With x reduced to x - round(x) and r = ceil(sqrt(2N+1)), column a r + b
-    is exp(i 2 pi m x) exp(i 2 pi b x), m = a r - N.  The turns m x are taken
-    mod 1 to a rounding: x = hi + lo, hi a multiple of 2^-40, m hi exact.
-    """
+def _periodic_factors(x, cutoff: int):
+    """(coarse, fine) with exp(i 2 pi n x) = coarse[:, a] fine[:, b] at
+    n = a r + b - N (N = cutoff, r = ceil(sqrt(2N+1)), b < r), one row per
+    1D point x.  x is reduced to x - round(x), and the turns m x, m = a r -
+    N, are taken mod 1 to a rounding: x = hi + lo, hi a multiple of 2^-40,
+    m hi exact."""
     x = x - np.round(x)                                   # exact
-    n = 2 * cutoff + 1
-    r = int(np.ceil(np.sqrt(n)))
+    r = int(np.ceil(np.sqrt(2 * cutoff + 1)))
     m = np.arange(-cutoff, cutoff + 1, r)
     hi = np.round(x * 2.0 ** 40) / 2.0 ** 40
     turns = np.outer(hi, m) % 1.0 + np.outer(x - hi, m)
-    fine = np.exp(2j * np.pi * np.outer(x, np.arange(r)))
-    coarse = np.exp(2j * np.pi * turns)
+    return (np.exp(2j * np.pi * turns),
+            np.exp(2j * np.pi * np.outer(x, np.arange(r))))
+
+
+def _periodic_phase(x, cutoff: int) -> np.ndarray:
+    """exp(i 2 pi n x), n = -N..N (N = cutoff), at 1D x: one row per point,
+    column a r + b the product of _periodic_factors' coarse a and fine b."""
+    coarse, fine = _periodic_factors(x, cutoff)
+    n, r = 2 * cutoff + 1, fine.shape[1]
     out = np.empty((len(x), n), dtype=complex)
-    a = len(m) - 1                        # complete r-blocks before the last
+    a = coarse.shape[1] - 1               # complete r-blocks before the last
     np.multiply(coarse[:, :a, None], fine[:, None, :],
                 out=out[:, :a * r].reshape(len(x), a, r))
     np.multiply(coarse[:, a:], fine[:, :n - a * r], out=out[:, a * r:])
     return out
+
+
+def _periodic_sum(x, cutoff: int, values: np.ndarray) -> np.ndarray:
+    """sum_n values[n + N, ...] exp(i 2 pi n x), n = -N..N (N = cutoff), at
+    1D x: shape (len(x),) + values.shape[1:].
+
+    For K columns (values.shape[1:]) and A coarse factors, the fine table
+    is contracted with the values first, one GEMM to R x A x K partial sums
+    that the coarse factors scale and add up, when A K <= 2N + 1: the cell
+    stacks and the source (K <= 3) skip the R x (2N + 1) phase matrix.
+    With more columns (the exact field's nodes) the partial sums would
+    outgrow that matrix, and it is formed (_periodic_phase) and contracted.
+    """
+    n = 2 * cutoff + 1
+    r = int(np.ceil(np.sqrt(n)))
+    A = -(-n // r)                        # _periodic_factors' coarse count
+    if A * math.prod(values.shape[1:]) > n:
+        return contract(_periodic_phase(x, cutoff), values)
+    coarse, fine = _periodic_factors(x, cutoff)
+    padded = np.zeros((A * r,) + values.shape[1:], dtype=complex)
+    padded[:n] = values
+    partial = contract(fine, np.moveaxis(
+        padded.reshape((A, r) + values.shape[1:]), 1, 0))  # (R, A, ...)
+    partial *= coarse.reshape(coarse.shape + (1,) * (values.ndim - 1))
+    return partial.sum(axis=1)
 
 
 def _lattice_synth(cube: np.ndarray, tables) -> np.ndarray:
@@ -244,9 +275,10 @@ def _lattice_synth(cube: np.ndarray, tables) -> np.ndarray:
 
 def _periodic_blocks(basis: PlaneWaveBasis, cube: np.ndarray, folds):
     """sum_j cube[j, ...] exp(i 2 pi j.r) at the distinct reduced
-    coordinates r of the folded axes `folds` (_fold_axes), one phase matrix
-    per axis, axis 0 in slabs of rows of at most SYNTH_BLOCK folded points
-    (one row at least).  Yields (slice of axis 0's distinct r, values of
+    coordinates r of the folded axes `folds` (_fold_axes): axis 0 in slabs
+    of rows of at most SYNTH_BLOCK folded points (one row at least), each
+    through _periodic_sum, and every other axis through one phase matrix,
+    built once.  Yields (slice of axis 0's distinct r, values of
     shape (rows, R_2, ..., R_d, *extra)); the slabs cover every row once,
     and an empty axis yields none.
     """
@@ -256,9 +288,9 @@ def _periodic_blocks(basis: PlaneWaveBasis, cube: np.ndarray, folds):
     phases = [_periodic_phase(f[0], basis.cutoff) for f in rest]
     slab = max(1, SYNTH_BLOCK // math.prod(len(f[0]) for f in rest))
     for first in range(0, len(u0), slab):
-        sl, part = slice(first, first + slab), cube
-        for a, E in enumerate([_periodic_phase(u0[sl], basis.cutoff)]
-                              + phases):     # axis a of the cube -> rows
+        sl = slice(first, first + slab)
+        part = _periodic_sum(u0[sl], basis.cutoff, cube)
+        for a, E in enumerate(phases, 1):    # axis a of the cube -> rows
             part = np.moveaxis(contract(E, np.moveaxis(part, a, 0)), 0, a)
         yield sl, part
 
@@ -270,7 +302,9 @@ def _periodic_blocks(basis: PlaneWaveBasis, cube: np.ndarray, folds):
 def _factorization(omega2: float) -> str:
     """"cholesky" below the spectrum (omega^2 < -DENOM_TOL, where S(k) -
     omega^2 B is positive definite and no eigenvalue >= 0 lies within
-    DENOM_TOL), "ldl" (Bunch-Kaufman with the inertia check) otherwise."""
+    DENOM_TOL: S(k) is positive semidefinite because the pencil's E is
+    positive definite under either rule, bloch module docstring), "ldl"
+    (Bunch-Kaufman with the inertia check) otherwise."""
     return "cholesky" if omega2 < -DENOM_TOL else "ldl"
 
 
@@ -416,7 +450,7 @@ def exact_bloch_solution(gamma: GammaPair, freq: FrequencySpec,
         solve = lambda k, _: _branch_term(gamma, pencil, freq.omega2, k, bc0)
     else:
         factorization = _factorization(freq.omega2)
-        work = (np.empty_like(pencil.G), freq.omega2 * pencil.B)
+        work = (np.empty_like(pencil.E), freq.omega2 * pencil.B)
         solve = lambda k, check_gap: _resolvent_term(
             pencil, freq.omega2, k, bc0, check_gap, work)
     coeffs, solves = _paired_solves(

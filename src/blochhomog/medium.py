@@ -4,8 +4,10 @@ Periodic two-phase media on the unit cell [-1/2, 1/2]^d.
 A medium is a constant background (stiffness G1, density rho1) plus
 non-overlapping inclusions (interval segments in 1D, disks in 2D) with
 their own constant properties.  Fourier coefficients of both material
-fields are available in closed form, which keeps the Galerkin matrices
-free of sampling/aliasing error.
+fields, and in 1D of the compliance 1/G, are available in closed form,
+which keeps the Galerkin matrices free of sampling/aliasing error.  A
+smoothed medium's compliance is the one exception: 1/G_s has no closed
+form, and comes from an FFT of the sampled series (_smoothed_compliance).
 
 Conventions:
     coefficient q_hat(n) = integral over the cell of q(x) exp(-i 2 pi n.x) dx
@@ -68,7 +70,9 @@ class MediumSpec:
 
 @dataclass
 class CoefficientTable:
-    """Fourier coefficients of G and rho on the index cube |n|_inf <= cutoff.
+    """Fourier coefficients of G and rho on the index cube |n|_inf <= cutoff,
+    and in 1D those of the compliance 1/G, from which the Bloch pencil builds
+    its stiffness by Li's inverse rule (bloch module docstring); None in 2D.
 
     Arrays are indexed with an offset: q_hat(n) = table[n + cutoff] (per axis).
     """
@@ -77,6 +81,7 @@ class CoefficientTable:
     cutoff: int
     G_hat: np.ndarray
     rho_hat: np.ndarray
+    compliance_hat: np.ndarray | None = None
 
 
 def _indicator_hat(dimension: int, center, radius: float, n_grid):
@@ -94,8 +99,43 @@ def _indicator_hat(dimension: int, center, radius: float, n_grid):
     return out * phase
 
 
+def _smoothing_damp(spec: MediumSpec, n_grid) -> np.ndarray:
+    """The Gaussian factor exp(-s^2 |2 pi n|^2 / 2) of a smoothed series."""
+    k2 = sum((2.0 * np.pi * n) ** 2 for n in n_grid)
+    return np.exp(-0.5 * spec.smoothing ** 2 * k2)
+
+
+def _smoothed_compliance(spec: MediumSpec, cutoff: int) -> np.ndarray:
+    """Fourier coefficients of 1/G_s for |n| <= cutoff (1D), G_s the damped
+    series of G: G_s sampled on L points of the cell, L a power of two >=
+    4096, 8 cutoff and 16 / smoothing (enough to resolve G_s and 1/G_s to
+    roundoff), inverted there and transformed back.  A real series (centred
+    inclusions) has real coefficients, 1/G_s being even: the FFT's roundoff
+    imaginary part is dropped, so such a table stays exactly real."""
+    size = max(4096.0, 8.0 * cutoff, 16.0 / spec.smoothing)
+    L = 1 << math.ceil(math.log2(size))
+    if L > 1 << 20:
+        raise ValueError(f"smoothing {spec.smoothing} too narrow to sample "
+                         "1/G on 2^20 points; use 0 for a sharp medium")
+    n = np.fft.fftfreq(L, 1.0 / L)                  # integers, FFT order
+    series = np.zeros(L, dtype=complex)
+    series[0] = spec.background_G
+    for inc in spec.inclusions:
+        series += (inc.G - spec.background_G) * _indicator_hat(
+            1, inc.center, inc.radius, (n,))
+    samples = L * np.fft.ifft(series * _smoothing_damp(spec, (n,))).real
+    if samples.min() <= 0.0:
+        raise ValueError("smoothed G is not positive on the sampling grid")
+    coeffs = np.fft.fft(1.0 / samples)[np.arange(-cutoff, cutoff + 1)] / L
+    if not np.any(series.imag):
+        coeffs = coeffs.real + 0j
+    return coeffs
+
+
 def fourier_table(spec: MediumSpec, cutoff: int) -> CoefficientTable:
-    """Closed-form Fourier coefficients of G and rho for |n|_inf <= cutoff.
+    """Closed-form Fourier coefficients of G and rho for |n|_inf <= cutoff,
+    and in 1D of 1/G (the indicator transform with 1/G values; for a
+    smoothed medium, _smoothed_compliance).
 
     For a Galerkin basis truncated at N, pass cutoff = 2N so every
     difference index is covered exactly.
@@ -112,18 +152,25 @@ def fourier_table(spec: MediumSpec, cutoff: int) -> CoefficientTable:
     zero = tuple(cutoff for _ in range(d))
     G_hat[zero] = spec.background_G
     rho_hat[zero] = spec.background_rho
+    compliance = np.zeros(shape, dtype=complex) if d == 1 else None
+    if d == 1:
+        compliance[zero] = 1.0 / spec.background_G
     for inc in spec.inclusions:
         ind = _indicator_hat(d, inc.center, inc.radius, n_grid)
         G_hat += (inc.G - spec.background_G) * ind
         rho_hat += (inc.rho - spec.background_rho) * ind
+        if d == 1:
+            compliance += (1.0 / inc.G - 1.0 / spec.background_G) * ind
 
     if spec.smoothing > 0:
-        k2 = sum((2.0 * np.pi * n) ** 2 for n in n_grid)
-        damp = np.exp(-0.5 * spec.smoothing ** 2 * k2)
+        damp = _smoothing_damp(spec, n_grid)
         G_hat *= damp
         rho_hat *= damp
+        if d == 1:
+            compliance = _smoothed_compliance(spec, cutoff)
 
-    return CoefficientTable(dimension=d, cutoff=cutoff, G_hat=G_hat, rho_hat=rho_hat)
+    return CoefficientTable(dimension=d, cutoff=cutoff, G_hat=G_hat,
+                            rho_hat=rho_hat, compliance_hat=compliance)
 
 
 def _as_points(x, dimension: int) -> np.ndarray:

@@ -13,7 +13,9 @@ separable grid of the fields, with their synthesizer for phi_p.
 
 The driving frequency is omega^2 = omega_p^2(0) + eps^2 sigma Omega_hat^2
 and must sit strictly inside a band gap or below the whole spectrum.  The
-pencil S(k) - omega^2 B has S(k) positive semidefinite and B positive
+pencil S(k) - omega^2 B has S(k) = D_k E D_k positive semidefinite, because
+the stiffness-coefficient matrix E is positive definite under either rule
+(bloch module docstring: [[G]] in 2D, [[1/G]]^-1 in 1D), and B positive
 definite, so every Bloch eigenvalue omega_m^2(k) is >= 0 and any omega^2 < 0
 (p = 0, sigma = -1) lies below the spectrum: that needs no factorization.
 Otherwise make_frequency counts the eigenvalues below omega^2 by Sylvester

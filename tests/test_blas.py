@@ -160,7 +160,7 @@ _OFF_CENTRE = MediumSpec(dimension=2, background_G=1.0, background_rho=1.0,
 @pytest.mark.parametrize("spec, cutoff", [(two_phase_1d(), 256),
                                           (disk_2d(), 10), (_OFF_CENTRE, 6)])
 def test_stiffness_equals_gram_product(spec, cutoff):
-    """stiffness(k) = G o (kpg kpg^T), kpg = 2 pi j + k, to 1e-15 relative,
+    """stiffness(k) = E o (kpg kpg^T), kpg = 2 pi j + k, to 1e-15 relative,
     on a real 1D pencil above OpenBLAS's threading threshold (M = 513), a
     real 2D one (M = 441) and a complex 2D one."""
     basis = PlaneWaveBasis(spec.dimension, cutoff)
@@ -168,7 +168,7 @@ def test_stiffness_equals_gram_product(spec, cutoff):
     rng = np.random.default_rng(cutoff)
     for k in rng.uniform(-np.pi, np.pi, (4, spec.dimension)):
         kpg = pencil.tp + k
-        ref = pencil.G * (kpg @ kpg.T)
+        ref = pencil.E * (kpg @ kpg.T)
         S = pencil.stiffness(k)
         assert S.dtype == ref.dtype
         assert np.linalg.norm(S - ref) <= 1e-15 * np.linalg.norm(ref)

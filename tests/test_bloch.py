@@ -6,10 +6,11 @@ from scipy.optimize import brentq
 
 from blochhomog import (DispersionDiagram, Inclusion, MediumSpec,
                         PlaneWaveBasis, assemble_operator, bloch_pencil,
-                        dispersion_diagram, eigenpair_at_gamma,
-                        export_diagram_csv, find_band_gaps, fix_phase,
-                        fourier_table, parity_blocks, pencil_blocks,
-                        solve_bands, two_phase_1d, disk_2d,
+                        dispersion_diagram, effective_coefficients,
+                        eigenpair_at_gamma, export_diagram_csv,
+                        find_band_gaps, fix_phase, fourier_table,
+                        parity_blocks, pencil_blocks, solve_bands,
+                        solve_cell_functions, two_phase_1d, disk_2d,
                         wavenumber_quadrature)
 from blochhomog import bloch as bloch_module
 from blochhomog.bloch import brillouin_path, reversal_classes
@@ -53,22 +54,32 @@ def test_b_orthonormal_eigenvectors(med1d):
     assert np.max(np.abs(gram - np.eye(6))) < 1e-10
 
 
+def _shifted_bands(table, basis, k, shift, count):
+    """Lowest `count` eigenvalues of the pencil at k built by hand on the
+    index set {j + shift}, with the table's rule: E = [[1/G]]^-1 (1D, the
+    inverse rule) or [[G]] (2D, Laurent's rule), both Toeplitz."""
+    jj = basis.indices + shift
+    diff = tuple((jj[:, a, None] - jj[None, :, a]) + table.cutoff
+                 for a in range(basis.dimension))
+    if table.compliance_hat is None:
+        E = table.G_hat[diff]
+    else:
+        E = np.linalg.inv(table.compliance_hat[diff])
+    kpg = 2 * np.pi * jj + k
+    return scipy.linalg.eigh(E * (kpg @ kpg.T), table.rho_hat[diff],
+                             eigvals_only=True,
+                             subset_by_index=(0, count - 1))
+
+
 def test_periodicity_under_reciprocal_shift(med1d):
     """The pencil at k + 2*pi*e1 equals the pencil at k on the index-shifted
-    basis, so the spectra coincide exactly."""
+    basis, so the spectra coincide exactly: [[1/G]] is Toeplitz, so the
+    shifted set gathers the same T and E."""
     basis = PlaneWaveBasis(1, 12)
     table = fourier_table(med1d, 26)      # covers all differences; shift safe
     k = 0.9
-    S2, B2 = assemble_operator(table, basis, [k + 2 * np.pi])
-    # hand-built pencil on the shifted index set {j + 1} at wavevector k
-    jj = basis.indices[:, 0] + 1
-    diff = jj[:, None] - jj[None, :]
-    G = table.G_hat[diff + table.cutoff]
-    R = table.rho_hat[diff + table.cutoff]
-    freqs = 2 * np.pi * jj + k
-    S_shift = G * np.outer(freqs, freqs)
-    w2 = scipy.linalg.eigh(S2, B2, eigvals_only=True, subset_by_index=(0, 5))
-    w2s = scipy.linalg.eigh(S_shift, R, eigvals_only=True, subset_by_index=(0, 5))
+    w2 = solve_bands(table, basis, [k + 2 * np.pi], 6).omega2
+    w2s = _shifted_bands(table, basis, k, 1, 6)
     assert np.max(np.abs(w2 - w2s)) < 1e-10 * max(1.0, np.max(np.abs(w2)))
 
 
@@ -80,13 +91,16 @@ def test_time_reversal(med1d):
     assert np.max(np.abs(a - b)) < 1e-10
 
 
-def test_variational_monotonicity(med1d):
-    """Galerkin eigenvalues decrease monotonically as the basis grows."""
-    k = [1.0]
+def test_variational_monotonicity(med2d):
+    """Galerkin eigenvalues decrease monotonically as the basis grows: in
+    2D, Laurent's rule makes each pencil a principal submatrix of the next
+    (Rayleigh-Ritz).  The 1D inverse rule has no such nesting; its
+    convergence is tested against the transfer-matrix oracle."""
+    k = [1.0, 0.4]
     prev = None
-    for N in (8, 16, 32):
-        basis = PlaneWaveBasis(1, N)
-        table = fourier_table(med1d, 2 * N)
+    for N in (2, 4, 6):
+        basis = PlaneWaveBasis(2, N)
+        table = fourier_table(med2d, 2 * N)
         w2 = solve_bands(table, basis, k, 4).omega2
         if prev is not None:
             assert np.all(w2 <= prev + 1e-12)
@@ -152,6 +166,23 @@ def test_band_edges_match_transfer_matrix(med1d):
     extrap = 2.0 * e128 - e64            # leading 1/N bias removed
     rel = np.abs(extrap - oracle) / oracle
     assert np.max(rel) < 1e-4
+
+
+def test_inverse_rule_band_edges_converge_as_cube(med1d):
+    """Li's inverse rule puts criterion 3's four 1D band edges within 2e-5
+    of the transfer-matrix oracle at N = 32 (Laurent's rule: 5.8e-3), and
+    the error falls at least 4x per doubling of N (about 8x, N^-3)."""
+    oracle = transfer_matrix_edges((1.0, 6.0), (1.0, 20.0), n_edges=4)
+    errors = []
+    for N in (32, 64, 128):
+        basis = PlaneWaveBasis(1, N)
+        table = fourier_table(med1d, 2 * N)
+        w0 = solve_bands(table, basis, [0.0], 3).omega2
+        wp = solve_bands(table, basis, [np.pi], 3).omega2
+        edges = np.sort(np.sqrt([wp[0], wp[1], w0[1], w0[2]]))
+        errors.append(np.max(np.abs(edges - oracle) / oracle))
+    assert errors[0] <= 2e-5
+    assert errors[1] <= errors[0] / 4 and errors[2] <= errors[1] / 4
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +296,7 @@ def test_parity_blocks_are_the_pencil_in_the_parity_basis(case):
 
     for r in range(n):
         for c in range(n):
-            for A, blocks, diagonal in ((S0, z.S0, True), (G, z.G, True),
+            for A, blocks, diagonal in ((S0, z.S0, True), (G, z.E, True),
                                         (B, z.B, True)):
                 want = blocks[r] if r == c else 0.0
                 assert np.allclose(block(A, r, c), want, atol=1e-13 * scale)
@@ -278,7 +309,7 @@ def test_parity_blocks_are_the_pencil_in_the_parity_basis(case):
         assert np.array_equal(z.S0[0], S0) and np.array_equal(z.B[0], B)
         assert np.array_equal(z.restrict(x, 0), x)
     else:
-        assert z.G[0][0, 0] == G[0, 0] and z.B[0][0, 0] == B[0, 0]
+        assert z.E[0][0, 0] == G[0, 0] and z.B[0][0, 0] == B[0, 0]
 
 
 def test_gamma_pair_normalization(gamma1d_32):
@@ -327,10 +358,10 @@ def test_find_band_gaps_ignores_touching_branches():
 
 def test_pencil_dtype_follows_tables(med1d, med2d):
     basis = PlaneWaveBasis(1, 6)
-    assert bloch_pencil(fourier_table(med1d, 12), basis).G.dtype == np.float64
+    assert bloch_pencil(fourier_table(med1d, 12), basis).E.dtype == np.float64
     shifted = _offcentre_1d(6.0, 20.0, 0.2, 0.1)
     pencil = bloch_pencil(fourier_table(shifted, 12), basis)
-    assert pencil.G.dtype == pencil.B.dtype == np.complex128
+    assert pencil.E.dtype == pencil.B.dtype == np.complex128
     # density contrast only: G_hat is real, rho_hat is not
     rho_only = fourier_table(_offcentre_1d(1.0, 20.0, 0.2, 0.1), 12)
     assert not np.any(rho_only.G_hat.imag)
@@ -345,7 +376,7 @@ def test_stiffness_into_buffer_equals_new_array(med1d, shifted):
     stiffness(k), for a real and a complex pencil."""
     spec = _offcentre_1d(6.0, 20.0, 0.2, 0.1) if shifted else med1d
     pencil = bloch_pencil(fourier_table(spec, 16), PlaneWaveBasis(1, 8))
-    buf = np.empty_like(pencil.G)
+    buf = np.empty_like(pencil.E)
     for k in (0.0, np.array([0.7]), np.array([-2.9])):
         S = pencil.stiffness(k, out=buf)
         assert S is buf
@@ -493,11 +524,13 @@ def _admissible_medium(draw, dim):
 def test_reciprocal_shift_periodicity(dim, data):
     """omega(k + 2 pi e_a) = omega(k) up to the basis truncation.  The
     pencil at k + 2 pi e_a on the cutoff-N basis is the pencil at k on the
-    index set {j + e_a}, which holds the cutoff-(N-1) set and lies in the
-    cutoff-(N+1) set.  By Rayleigh-Ritz monotonicity both omega_m(k + 2 pi
-    e_a; N) and omega_m(k; N) lie in [omega_m(k; N+1), omega_m(k; N-1)], so
-    the shift moves no band by more than that bracket, which closes as N
-    grows."""
+    index set {j + e_a}, exactly, under either rule (_shifted_bands).  In
+    2D that set holds the cutoff-(N-1) set and lies in the cutoff-(N+1)
+    set, and Laurent's rule nests the pencils, so by Rayleigh-Ritz both
+    omega_m(k + 2 pi e_a; N) and omega_m(k; N) lie in [omega_m(k; N+1),
+    omega_m(k; N-1)]: the shift moves no band by more than that bracket,
+    which closes as N grows.  The 1D inverse rule's E = [[1/G]]^-1 is no
+    principal submatrix of the larger one's, and has no bracket."""
     spec, N, k = data.draw(_admissible_medium(dim))
     table = fourier_table(spec, 2 * (N + 1))
     count = 4
@@ -509,10 +542,45 @@ def test_reciprocal_shift_periodicity(dim, data):
     upper, lower = bands(N - 1, k), bands(N + 1, k)
     tol = 1e-10 * np.max(np.abs(upper))
     for a in range(dim):
-        shifted = bands(N, k + 2.0 * np.pi * np.eye(dim)[a])
-        assert np.all(lower - tol <= shifted) and np.all(shifted <= upper + tol)
-        assert np.max(np.abs(shifted - bands(N, k))) <= \
-            np.max(upper - lower) + tol
+        shift = np.eye(dim, dtype=int)[a]
+        shifted = bands(N, k + 2.0 * np.pi * shift)
+        assert np.max(np.abs(shifted - _shifted_bands(
+            table, PlaneWaveBasis(dim, N), k, shift, count))) <= tol
+        if dim == 2:
+            assert np.all(lower - tol <= shifted)
+            assert np.all(shifted <= upper + tol)
+            assert np.max(np.abs(shifted - bands(N, k))) <= \
+                np.max(upper - lower) + tol
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_inverse_rule_gives_the_harmonic_mean(data):
+    """Under the inverse rule the zone-centre tensor is exact at every
+    cutoff: mu0 / rho0 = <1/G>^-1 / <rho> to 1e-13 (the Schur complement
+    of E = T^-1 on j = 0 is 1 / T[0, 0] = <1/G>^-1), for each random 1D
+    medium and its centred copy.  The centred copy's lifted E is exactly
+    symmetric and P-invariant, as the +-k pairing needs, and the same
+    whether lifted from the eigenpair's parity blocks or built anew."""
+    spec, N, _ = data.draw(_admissible_medium(1))
+    (inc,) = spec.inclusions
+    centred = MediumSpec(dimension=1, background_G=spec.background_G,
+                         background_rho=spec.background_rho,
+                         inclusions=(Inclusion((0.0,), inc.radius, inc.G,
+                                               inc.rho),))
+    fill = 2.0 * inc.radius
+    harmonic = 1.0 / ((1.0 - fill) / spec.background_G + fill / inc.G)
+    mean_rho = (1.0 - fill) * spec.background_rho + fill * inc.rho
+    for medium in (spec, centred):
+        eff = effective_coefficients(solve_cell_functions(
+            eigenpair_at_gamma(medium, 0, N)))
+        assert abs(eff.mu0[0, 0] / eff.rho0 * mean_rho / harmonic - 1.0) \
+            <= 1e-13
+    gamma = eff.gamma
+    E = bloch_pencil(gamma.table, gamma.basis).E
+    P = gamma.basis.reversal()
+    assert E.dtype == np.float64 and np.array_equal(E, gamma.pencil.E)
+    assert np.array_equal(E, E.T) and np.array_equal(E, E[np.ix_(P, P)])
 
 
 def test_paired_diagram_equals_per_k_solve_2d(med2d):

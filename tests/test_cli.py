@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -6,7 +7,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from blochhomog import bloch, cell, cli, fields
+from blochhomog import (bloch, cell, cli, effective_coefficients,
+                        eigenpair_at_gamma, fields, solve_cell_functions,
+                        spec_from_dict)
 from blochhomog.cli import config_hash, load_config, main
 
 
@@ -125,21 +128,33 @@ def test_cell_and_effective(tmp_path):
 
 
 def test_effective_extrapolation_differs(tmp_path):
+    """In 2D (Laurent's rule) mu0 carries an O(1/cutoff) truncation error;
+    extrapolation must move it toward its limit, which lies below the
+    Galerkin value at any finer cutoff (a conforming Galerkin method, so
+    mu0 falls as the basis grows) and above the Hashin-Shtrikman lower
+    bound of the disk's isotropic effective stiffness.  (1D mu0 is exact at
+    every cutoff under the inverse rule: there is nothing to remove.)"""
     body = base_cfg()
+    body.update(medium=MED_2D, cutoff=6)
     out1 = str(tmp_path / "a")
     out2 = str(tmp_path / "b")
     assert main(["effective", "--config", write_cfg(tmp_path, body),
                  "--out", out1]) == 0
-    body["effective"] = {"extrapolate": True, "coarse_cutoff": 8}
+    body["effective"] = {"extrapolate": True, "coarse_cutoff": 3}
     assert main(["effective", "--config",
                  write_cfg(tmp_path, body, "run2.json"), "--out", out2]) == 0
-    plain = json.load(open(os.path.join(out1, "effective.json")))
-    extrap = json.load(open(os.path.join(out2, "effective.json")))
-    # rho0 is exact at any cutoff here, but mu0 carries truncation error;
-    # extrapolation must move it toward the exact harmonic mean 12/7
-    exact = 12.0 / 7.0
-    assert plain["mu0"][0][0] != extrap["mu0"][0][0]
-    assert abs(extrap["mu0"][0][0] - exact) < abs(plain["mu0"][0][0] - exact)
+    plain, extrap = (json.load(open(os.path.join(out, "effective.json")))
+                     ["mu0"][0][0] for out in (out1, out2))
+    fine = effective_coefficients(solve_cell_functions(
+        eigenpair_at_gamma(spec_from_dict(MED_2D), 0, 16)))
+    (inc,) = MED_2D["inclusions"]
+    g1, g2 = MED_2D["background"]["G"], inc["G"]
+    fill = np.pi * inc["radius"] ** 2
+    lower = g1 + fill / (1.0 / (g2 - g1) + (1.0 - fill) / (2.0 * g1))
+    upper = fine.mu0[0, 0]
+    assert lower < upper < plain and plain != extrap
+    # closer to every limit in [lower, upper] than plain is to any of them
+    assert max(abs(extrap - lower), abs(extrap - upper)) < plain - upper
 
 
 def test_fields_outputs_and_rerun_identical(tmp_path):
@@ -333,6 +348,40 @@ def test_cache_from_before_the_odd_branch_gauge_is_not_read(tmp_path,
     assert np.array_equal(*coeffs)
 
 
+def test_cache_from_before_the_inverse_rule_is_not_read(tmp_path,
+                                                         monkeypatch):
+    """0.2.1 cache files hold a 1D eigenpair and cell functions of
+    Laurent's rule.  They pass every load check (c0^H B c0 = 1, the
+    shapes: B did not change), so only the version in the key keeps them
+    out.  Such files (written under the 0.2.1 key by the Laurent pencil, a
+    table without its compliance) are read under that key, and not by a
+    warm `effective` run of this version, which writes what a cold one
+    writes."""
+    cfg = write_cfg(tmp_path, base_cfg())
+    cold, warm = str(tmp_path / "cold"), str(tmp_path / "warm")
+    assert main(["effective", "--config", cfg, "--out", cold]) == 0
+    table = bloch.fourier_table
+
+    def laurent_table(*args):
+        return dataclasses.replace(table(*args), compliance_hat=None)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "__version__", "0.2.1")
+        patch.setattr(bloch, "fourier_table", laurent_table)
+        assert main(["effective", "--config", cfg, "--out", warm]) == 0
+    laurent = open(os.path.join(warm, "effective.json"), "rb").read()
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "__version__", "0.2.1")
+        assert main(["effective", "--config", cfg, "--out", warm]) == 0
+        assert open(os.path.join(warm, "effective.json"), "rb").read() == \
+            laurent
+    assert main(["effective", "--config", cfg, "--out", warm]) == 0
+    outputs = [open(os.path.join(out, "effective.json"), "rb").read()
+               for out in (cold, warm)]
+    assert outputs[0] == outputs[1]
+    assert json.loads(laurent)["mu0"] != json.loads(outputs[0])["mu0"]
+
+
 def test_fields_drive_above_the_diagram_branches_is_in_gap(tmp_path, capsys):
     """The gap test does not depend on dispersion.count: branch 1 driven
     sigma = +1 lies in the gap above it, beyond the two branches a diagram
@@ -446,14 +495,14 @@ def test_readme_example_config_converges(tmp_path, work_counts):
 
 def test_readme_syntheses_fold_onto_one_cell(tmp_path, monkeypatch):
     """Every grid synthesis of the README `converge` run passes
-    _periodic_phase one row per distinct x - round(x), 65 at 64 points per
+    _periodic_factors one row per distinct x - round(x), 65 at 64 points per
     cell, not one per grid point: the source's phi_p on each reference
     interior (hw 14, 18, 28) and the cell stack on the evaluation window
     |x| <= 9.5 (1217 points) alone.  The window's lattice, 21 cells by 65
     rows, is within (1 + 1/64)(1 + 1/9.5) of its points."""
     syntheses = []
     periodic_blocks = fields._periodic_blocks
-    periodic_phase = fields._periodic_phase
+    periodic_factors = fields._periodic_factors
 
     def counted_blocks(basis, cube, folds):
         ((reduced, ir, cells, ic),) = folds
@@ -463,12 +512,12 @@ def test_readme_syntheses_fold_onto_one_cell(tmp_path, monkeypatch):
                           "cells": len(np.unique(np.round(x)))})
         yield from periodic_blocks(basis, cube, folds)
 
-    def counted_phase(x, cutoff):
+    def counted_factors(x, cutoff):
         syntheses[-1]["phase_rows"] += len(x)
-        return periodic_phase(x, cutoff)
+        return periodic_factors(x, cutoff)
 
     monkeypatch.setattr(fields, "_periodic_blocks", counted_blocks)
-    monkeypatch.setattr(fields, "_periodic_phase", counted_phase)
+    monkeypatch.setattr(fields, "_periodic_factors", counted_factors)
     cfg = write_cfg(tmp_path, _readme_config())
     assert main(["converge", "--config", cfg, "--out",
                  str(tmp_path / "out")]) == 0

@@ -27,7 +27,8 @@ from blochhomog import fields
 from blochhomog.bloch import _eigenvalues_below
 from blochhomog.fields import (SYNTH_BLOCK, _fold_axes,
                                _grid_points, _nonperiodic_phase,
-                               _periodic_phase, _resolvent_term,
+                               _periodic_phase, _periodic_sum,
+                               _resolvent_term,
                                uniform_axis)
 from blochhomog.source import FrequencySpec
 
@@ -287,15 +288,15 @@ def test_eigenvalue_count_matches_eigvalsh_real():
 def _resolve(pencil, omega2, k, rhs):
     """One _resolvent_term solve with its own work buffers."""
     return _resolvent_term(pencil, omega2, k, rhs, True,
-                           (np.empty_like(pencil.G), omega2 * pencil.B))
+                           (np.empty_like(pencil.E), omega2 * pencil.B))
 
 
 def test_complex_rhs_on_real_pencil(gamma1d_32):
     """A complex right-hand side on a real pencil (two real columns of one
     ?sysv factorization) matches the complex ?hesv solve."""
     real = bloch_pencil(gamma1d_32.table, gamma1d_32.basis)
-    assert real.G.dtype == np.float64
-    cplx = dataclasses.replace(real, G=real.G.astype(complex),
+    assert real.E.dtype == np.float64
+    cplx = dataclasses.replace(real, E=real.E.astype(complex),
                                B=real.B.astype(complex))
     rng = np.random.default_rng(5)
     rhs = rng.standard_normal(real.B.shape[0]) \
@@ -315,7 +316,7 @@ def test_resolvent_on_complex_pencil_matches_dense_solve():
                       inclusions=(Inclusion((0.1, -0.2), 0.25, 8.0, 3.0),))
     basis = PlaneWaveBasis(2, 3)
     pencil = bloch_pencil(fourier_table(spec, 6), basis)
-    assert pencil.G.dtype == np.complex128
+    assert pencil.E.dtype == np.complex128
     k = np.array([0.4, -0.9])
     S = pencil.stiffness(k)
     vals = scipy.linalg.eigvalsh(S, pencil.B)
@@ -584,8 +585,8 @@ def _diagonal_pencil(eigenvalue, k):
     """Hand-built 3x3 pencil, B = I, with S(k) = diag(eigenvalue, ...)."""
     basis = PlaneWaveBasis(1, 1)
     tp = 2.0 * np.pi * basis.indices
-    G = np.diag([eigenvalue / k[0] ** 2, 1.0, 1.0])
-    return BlochPencil(basis=basis, G=G, B=np.eye(3), tp=tp)
+    E = np.diag([eigenvalue / k[0] ** 2, 1.0, 1.0])
+    return BlochPencil(basis=basis, E=E, B=np.eye(3), tp=tp)
 
 
 def test_cholesky_path_starts_strictly_below_minus_denom_tol():
@@ -605,7 +606,7 @@ def test_indefinite_pencil_below_spectrum_raises(gamma1d_32, source1d,
     with pytest.raises(GapViolation, match="not positive definite"):
         _resolve(_diagonal_pencil(-1.0, k), -0.5, k, np.ones(3))
     gamma = dataclasses.replace(gamma1d_32)      # its own pencil
-    gamma.pencil = dataclasses.replace(gamma.pencil, G=-gamma.pencil.G)
+    gamma.pencil = dataclasses.replace(gamma.pencil, E=-gamma.pencil.E)
     freq = FrequencySpec(branch=0, sigma=-1, omega_hat=1.0, eps=0.25,
                          omega2=-0.0625)
     with pytest.raises(GapViolation, match="not positive definite"):
@@ -790,25 +791,44 @@ def _direct_phase(x, freqs):
     return np.exp(1j * np.outer(x, freqs))
 
 
+def _synthesis_error(x, cutoff, exact) -> float:
+    """Largest error of _periodic_sum against the exact phases times each
+    column, per unit of the column's sum of |values|: one unit-modulus
+    column (the fine table first at every N), three (from N = 7 on) and
+    the identity, whose sums are the phase matrix itself."""
+    n = 2 * cutoff + 1
+    unit = np.exp(2j * np.pi * np.random.default_rng(n).random((n, 3)))
+    err = 0.0
+    for values in (unit[:, :1], unit, np.eye(n)):
+        got = _periodic_sum(x, cutoff, values)
+        assert got.shape == (len(x), values.shape[1])
+        diff = np.abs(got - exact @ values)
+        err = max(err, np.max(diff / np.sum(np.abs(values), axis=0)))
+    return err
+
+
 @pytest.mark.parametrize("cutoff", [1, 2, 7, 12, 256, 300])
 @settings(max_examples=25, deadline=None)
 @given(x=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8))
 def test_periodic_phase_matches_exp(cutoff, x):
     """2N+1 = 3, 5, 15, 513 and 601 leave the last table block partial;
-    25 (N = 12) fills it."""
+    25 (N = 12) fills it.  The phase and the synthesized sums alike."""
     x = np.array(x)
-    got = _periodic_phase(x, cutoff)
+    got, exact = _periodic_phase(x, cutoff), _exact_phase(x, cutoff)
     assert got.shape == (len(x), 2 * cutoff + 1) and got.flags.c_contiguous
-    assert np.max(np.abs(got - _exact_phase(x, cutoff))) <= 1e-13
+    assert np.max(np.abs(got - exact)) <= 1e-13
+    assert _synthesis_error(x, cutoff, exact) <= 1e-13
 
 
 def test_periodic_phase_accuracy_on_criterion7_grid():
     """N = 256 on the criterion-7 grid (|x| <= 28.5, 7297 points, every
-    37th taken): the factored, reduced phase stays within 3e-14 of the exact
-    one; a direct exp(i 2 pi n x) is off by up to 8e-12 here."""
+    37th taken): the factored, reduced phase, and the sums synthesized from
+    its factors, stay within 3e-14 of the exact ones; a direct exp(i 2 pi n
+    x) is off by up to 8e-12 here."""
     x = np.linspace(-28.5, 28.5, 7297)[::37]
-    err = np.max(np.abs(_periodic_phase(x, 256) - _exact_phase(x, 256)))
-    assert err <= 3e-14
+    exact = _exact_phase(x, 256)
+    assert np.max(np.abs(_periodic_phase(x, 256) - exact)) <= 3e-14
+    assert _synthesis_error(x, 256, exact) <= 3e-14
 
 
 @settings(max_examples=25, deadline=None)
@@ -946,7 +966,7 @@ def test_folded_synthesis_equals_direct_sums(fold_setup, dim, data):
     (against the mode sum over every node) and the homogenized fields of
     orders 0, 1, 2.  The slabs cover every distinct reduced coordinate of
     axis 0 once, each holds at most max(SYNTH_BLOCK, one row) folded points,
-    and each passes _periodic_phase at most SYNTH_BLOCK distinct reduced
+    and each passes _periodic_factors at most SYNTH_BLOCK distinct reduced
     coordinates (one row at least)."""
     axes, block = data.draw(_folded_grid(dim))
     gamma, eff, source, quad_, freq, spectra = fold_setup[dim]
@@ -954,12 +974,14 @@ def test_folded_synthesis_equals_direct_sums(fold_setup, dim, data):
     distinct = [_fold_rows(ax) for ax in axes]
     phase_rows = []
 
-    def counted_phase(x, cutoff):
+    periodic_factors = fields._periodic_factors
+
+    def counted_factors(x, cutoff):
         phase_rows.append(len(x))
-        return _periodic_phase(x, cutoff)
+        return periodic_factors(x, cutoff)
 
     with mock.patch.object(fields, "SYNTH_BLOCK", block), \
-            mock.patch.object(fields, "_periodic_phase", counted_phase):
+            mock.patch.object(fields, "_periodic_factors", counted_factors):
         blocks = list(fields._periodic_blocks(
             basis, basis.coeff_cube(gamma.coeffs[:, None]),
             fields._fold_axes(axes)))
@@ -1086,7 +1108,7 @@ def lattice_setup(fold_setup):
     for d in (1, 2):
         source, quad_ = fold_setup[d][2:4]
         gamma = eigenpair_at_gamma(_OFF_CENTRE[d], 0, 32 if d == 1 else 4)
-        assert np.iscomplexobj(gamma.pencil.G)
+        assert np.iscomplexobj(gamma.pencil.E)
         freq = FrequencySpec(branch=0, sigma=-1, omega_hat=1.0, eps=0.5,
                              omega2=gamma.omega2 - 0.25)
         setup[d, False] = (gamma, effective_coefficients(
