@@ -35,9 +35,10 @@ Cantoni & Butler, Linear Algebra Appl. 13, 275, 1976).  eigenpair_at_gamma
 solves both blocks and the cell problems solve block by block; a complex
 pencil (off-centre media) does not commute with P and is one block.  T
 commutes with P too, and the change of basis is orthogonal, so the blocks
-of E are the inverses of T's: the inverse rule inverts T block by block
-(_spd_inverse, one Cholesky each), and bloch_pencil lifts E from those two
-inverses (_lift), with no M x M factorization.
+of E are the inverses of T's.  parity_blocks is the one code that gathers
+a table into parity blocks and inverts T's (_spd_inverse, one Cholesky
+each); bloch_pencil lifts a real table's E from them (_lift), with no M x M
+factorization, and is the one code that assembles a complex table's pencil.
 
 _eigenvalues_below counts the pencil's eigenvalues below a shift by
 Sylvester inertia, with no eigensolve: source.make_frequency validates
@@ -250,12 +251,6 @@ def _spd_inverse(T: np.ndarray) -> np.ndarray:
     return E
 
 
-def _stiffness_matrix(C_hat: np.ndarray, off, inverse: bool) -> np.ndarray:
-    """E gathered on the table indices `off`: C_hat[off], or its inverse
-    under the inverse rule."""
-    return _spd_inverse(C_hat[off]) if inverse else C_hat[off]
-
-
 def _parity_gather(basis: PlaneWaveBasis, cutoff: int):
     """(u, partner, combinations) of parity_blocks' split: u the even rows
     (j = 0 and one j of each +-j pair), partner each position's -j, and
@@ -282,27 +277,15 @@ def _parity_gather(basis: PlaneWaveBasis, cutoff: int):
     return u, partner, combinations
 
 
-def _stiffness_blocks(C_hat: np.ndarray, combinations, inverse: bool):
-    """(Ep, Em): E's even block and, from row and column 1 on, its odd
-    block; row and column 0 of Em are zero.  Under the inverse rule these
-    are the inverses of T's blocks (E = T^{-1}, T commutes with P, and the
-    parity basis is orthonormal)."""
-    Ep, Em = combinations(C_hat)
-    if inverse:
-        Ep = _spd_inverse(Ep)
-        Em[1:, 1:] = _spd_inverse(np.ascontiguousarray(Em[1:, 1:]))
-    return Ep, Em
-
-
-def _lift(Ep: np.ndarray, Eo: np.ndarray, u: np.ndarray, ubar: np.ndarray,
-          size: int) -> np.ndarray:
-    """The P-invariant symmetric matrix with even block Ep and odd block Eo
-    (parity_blocks' split: rows u, their -j ubar): an O(M^2) scatter of
-    A = (Ep + Eo) / 2 to E[u, v] and E[ubar, vbar] and of Abar = (Ep - Eo)
-    / 2 to E[u, vbar] and E[ubar, v], where row and column 0 (j = 0, Eo
-    has none) are Ep's unscaled (A = Abar = Ep / sqrt 2, the corner Ep).
-    Every entry and its mirror and P image are the same number, so E is
-    exactly symmetric and P-invariant."""
+def _lift(blocks: ParityBlocks) -> np.ndarray:
+    """The P-invariant symmetric E of a real table's ParityBlocks, from its
+    even block Ep and odd block Eo (rows u = index[0], their -j ubar =
+    partner[0]): an O(M^2) scatter of A = (Ep + Eo) / 2 to E[u, v] and
+    E[ubar, vbar] and of Abar = (Ep - Eo) / 2 to E[u, vbar] and E[ubar, v],
+    where row and column 0 (j = 0, Eo has none) are Ep's unscaled (A = Abar
+    = Ep / sqrt 2, the corner Ep).  Every entry and its mirror and P image
+    are the same number, so E is exactly symmetric and P-invariant."""
+    (Ep, Eo), u, ubar = blocks.E, blocks.index[0], blocks.partner[0]
     A = 0.5 * Ep
     A[0, 1:] *= math.sqrt(2.0)
     A[1:, 0] *= math.sqrt(2.0)
@@ -310,6 +293,7 @@ def _lift(Ep: np.ndarray, Eo: np.ndarray, u: np.ndarray, ubar: np.ndarray,
     Abar = A.copy()
     A[1:, 1:] += 0.5 * Eo
     Abar[1:, 1:] -= 0.5 * Eo
+    size = len(u) + len(Eo)
     E = np.empty((size, size), dtype=A.dtype)
     for rows, cols, x in ((u, u, A), (u, ubar, Abar), (ubar, u, Abar),
                           (ubar, ubar, A)):
@@ -322,25 +306,22 @@ def bloch_pencil(table: CoefficientTable, basis: PlaneWaveBasis,
     """The pencil of `table` on `basis`; float64 when both tables are
     exactly real, complex otherwise.
 
-    Under the inverse rule a real table's E is lifted (_lift) from its
-    parity blocks: those of `blocks`, the table's own ParityBlocks when the
-    caller has them (GammaPair.pencil), or else inverted here
-    (_stiffness_blocks); no M x M matrix is factorized.  A complex table
-    inverts the full T.
+    Under Laurent's rule E is gathered from the table.  Under the inverse
+    rule a complex table inverts the full T, and a real table's E is lifted
+    (_lift) from the inverses of T's parity blocks: those of `blocks`, the
+    table's own ParityBlocks when the caller has them (GammaPair.pencil),
+    or else of parity_blocks(table, basis), the one code that gathers and
+    inverts them; no M x M matrix is factorized.
     """
     C_hat, rho_hat, real = _hermitian_tables(table, basis)
-    j, size = basis.indices, basis.size
+    j = basis.indices
     off = _differences(j, j, table.cutoff)
-    inverse = table.compliance_hat is not None
-    if inverse and real:
-        if blocks is None:
-            u, partner, combinations = _parity_gather(basis, table.cutoff)
-            Ep, Em = _stiffness_blocks(C_hat, combinations, inverse)
-            E = _lift(Ep, Em[1:, 1:], u, partner[u], size)
-        else:
-            E = _lift(*blocks.E, blocks.index[0], blocks.partner[0], size)
+    if table.compliance_hat is None:
+        E = C_hat[off]
+    elif not real:
+        E = _spd_inverse(C_hat[off])
     else:
-        E = _stiffness_matrix(C_hat, off, inverse)
+        E = _lift(parity_blocks(table, basis) if blocks is None else blocks)
     return BlochPencil(basis=basis, E=E, B=rho_hat[off], tp=2.0 * np.pi * j)
 
 
@@ -396,10 +377,11 @@ class ParityBlocks:
 
 
 def parity_blocks(table: CoefficientTable, basis: PlaneWaveBasis) -> ParityBlocks:
-    """The k = 0 blocks of `table` on `basis` (ParityBlocks): the full
-    pencil (BlochPencil.blocks) for complex tables; for real ones, two
-    blocks from one gather of each table on the even rows u (j = 0 and one
-    j of each +-j pair) against the columns u (A) and their -j (Abar).
+    """The k = 0 blocks of `table` on `basis` (ParityBlocks): for complex
+    tables one block, the full pencil's (bloch_pencil(...).blocks()); for
+    real ones, two blocks from one gather of each table on the even rows u
+    (j = 0 and one j of each +-j pair) against the columns u (A) and their
+    -j (Abar).
 
     A matrix that commutes (or anticommutes) with P has the block (A[u, v]
     + t A[u, vbar]) / sqrt(m_u m_v) between rows u and columns (v, vbar, t),
@@ -407,31 +389,30 @@ def parity_blocks(table: CoefficientTable, basis: PlaneWaveBasis) -> ParityBlock
     A - Abar are the even block and, from row and column 1 on, the odd block
     of B and of the stiffness table's matrix: E itself under Laurent's rule,
     T under the inverse rule, whose two blocks are then inverted
-    (_stiffness_blocks), giving E's blocks Ep and Em.  As 2 pi j_ubar =
-    -2 pi j_u, diag(tp) maps even to odd: S0's even block is sum_a
-    diag(tp_a) Em diag(tp_a), its odd block the same of Ep, and S1_a (even
-    to odd) = diag(tp_a) Ep + Em diag(tp_a).  No M x M matrix is formed.
+    (_spd_inverse), giving E's blocks Ep and Em, from which bloch_pencil
+    lifts E.  As 2 pi j_ubar = -2 pi j_u, diag(tp) maps even to odd: S0's
+    even block is sum_a diag(tp_a) Em diag(tp_a), its odd block the same of
+    Ep, and S1_a (even to odd) = diag(tp_a) Ep + Em diag(tp_a).  No M x M
+    matrix is formed.
     """
     C_hat, rho_hat, real = _hermitian_tables(table, basis)
-    j, size = basis.indices, basis.size
-    inverse = table.compliance_hat is not None
     if not real:            # one block, the identity change of basis
-        every = np.arange(size)
-        off = _differences(j, j, table.cutoff)
-        S0, S1, E, B = BlochPencil(
-            basis=basis, E=_stiffness_matrix(C_hat, off, inverse),
-            B=rho_hat[off], tp=2.0 * np.pi * j).blocks()
+        every = np.arange(basis.size)
+        S0, S1, E, B = bloch_pencil(table, basis).blocks()
         return ParityBlocks(index=(every,), partner=(every,), sign=(1,),
-                            scale=(np.full(size, 0.5),), S0=(S0,),
+                            scale=(np.full(basis.size, 0.5),), S0=(S0,),
                             S1=tuple((x,) for x in S1), E=(E,), B=(B,))
     u, partner, combinations = _parity_gather(basis, table.cutoff)
     pairs = u[1:]
-    tp = 2.0 * np.pi * j[u]                            # tp[0] = 0
+    tp = 2.0 * np.pi * basis.indices[u]                # tp[0] = 0
 
     def gram(x, t):                        # sum_a diag(t_a) x diag(t_a)
         return sum(t[:, a, None] * x * t[:, a] for a in range(t.shape[1]))
 
-    Ep, Em = _stiffness_blocks(C_hat, combinations, inverse)
+    Ep, Em = combinations(C_hat)
+    if table.compliance_hat is not None:   # inverse rule: E's blocks = T's^-1
+        Ep = _spd_inverse(Ep)
+        Em[1:, 1:] = _spd_inverse(np.ascontiguousarray(Em[1:, 1:]))
     Bp, Bm = combinations(rho_hat)
     S1 = [tp[1:, a, None] * Ep[1:] + Em[1:] * tp[:, a]
           for a in range(basis.dimension)]
@@ -453,7 +434,10 @@ def _wavevector(k, basis: PlaneWaveBasis) -> np.ndarray:
 
 
 def assemble_operator(table: CoefficientTable, basis: PlaneWaveBasis, k):
-    """Stiffness and mass matrices of the shifted operator at wavevector k."""
+    """Stiffness and mass matrices of the shifted operator at wavevector k.
+    The package solves from a BlochPencil instead; this is kept as the
+    one-call full assembly the tests check, and under its name for the
+    benchmark's span list."""
     pencil = bloch_pencil(table, basis)
     return pencil.stiffness(_wavevector(k, basis)), pencil.B
 

@@ -538,7 +538,9 @@ def effective_envelope(eff: EffectiveCoefficients, freq: FrequencySpec,
     """W(r) (and spectral derivatives) on a separable slow-coordinate grid.
 
     derivative is a tuple of axis indices; each entry multiplies the
-    integrand by i khat_axis.
+    integrand by i khat_axis.  The package synthesizes envelopes inside
+    homogenized_fields; this is kept as the tests' independent path to W
+    and its derivatives, and under its name for the benchmark's span list.
     """
     folds = _fold_axes(axes)
     cube = _envelope_cube(eff, freq, source, quad, [(order, [derivative])])
@@ -606,7 +608,9 @@ def homogenized_fields(eff: EffectiveCoefficients, freq: FrequencySpec,
 def homogenized_field(eff: EffectiveCoefficients, freq: FrequencySpec,
                       source: SourceSpec, quad: WavenumberQuadrature,
                       order: int, axes) -> FieldOnGrid:
-    """Order-m approximation U_m alone: homogenized_fields for one order."""
+    """Order-m approximation U_m alone: homogenized_fields for one order.
+    The package builds all orders at once; this is kept as the README's
+    library example, and under its name for the benchmark's span list."""
     return homogenized_fields(eff, freq, source, quad, (order,), axes)[order]
 
 

@@ -247,6 +247,9 @@ def spec_from_dict(data: dict) -> MediumSpec:
 
 
 def spec_to_dict(spec: MediumSpec) -> dict:
+    """The JSON-ready dict spec_from_dict reads back to `spec`.  No package
+    code writes specs; this is kept for the JSON round trip of MediumSpec
+    (with load_spec), a public export."""
     return {
         "d": spec.dimension,
         "background": {"G": spec.background_G, "rho": spec.background_rho},
@@ -261,6 +264,9 @@ def spec_to_dict(spec: MediumSpec) -> dict:
 
 
 def load_spec(path: str) -> MediumSpec:
+    """The MediumSpec of a JSON file in spec_from_dict's format.  The CLI
+    reads the medium from its config; this is kept for the JSON round trip
+    of MediumSpec (with spec_to_dict), a public export."""
     with open(path) as fh:
         return spec_from_dict(json.load(fh))
 

@@ -151,23 +151,6 @@ def transfer_matrix_edges(G, rho, n_edges=4):
     return np.sort(np.asarray(edges))[:n_edges]
 
 
-def test_band_edges_match_transfer_matrix(med1d):
-    oracle = transfer_matrix_edges((1.0, 6.0), (1.0, 20.0), n_edges=4)
-
-    def edges_at(N):
-        basis = PlaneWaveBasis(1, N)
-        table = fourier_table(med1d, 2 * N)
-        w0 = solve_bands(table, basis, [0.0], 3).omega2
-        wp = solve_bands(table, basis, [np.pi], 3).omega2
-        # nonzero edges: branch 0 and 1 at k=pi, branches 1 and 2 at k=0
-        return np.sort(np.sqrt(np.array([wp[0], wp[1], w0[1], w0[2]])))
-
-    e64, e128 = edges_at(64), edges_at(128)
-    extrap = 2.0 * e128 - e64            # leading 1/N bias removed
-    rel = np.abs(extrap - oracle) / oracle
-    assert np.max(rel) < 1e-4
-
-
 def test_inverse_rule_band_edges_converge_as_cube(med1d):
     """Li's inverse rule puts criterion 3's four 1D band edges within 2e-5
     of the transfer-matrix oracle at N = 32 (Laurent's rule: 5.8e-3), and
