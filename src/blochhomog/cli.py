@@ -4,7 +4,9 @@ Batch command-line driver.
 One JSON run-config feeds every subcommand; flags only steer output
 location and verbosity.  All emitted CSV/JSON files carry a provenance
 header (tool version plus config hash) and contain no timestamps, so
-re-running an identical config reproduces byte-identical payloads.
+re-running an identical config reproduces byte-identical payloads.  Each
+subcommand recomputes the eigenpair and cell functions it needs and writes
+only its outputs: nothing is cached on disk.
 
 Exit codes: 0 ok, 2 validation error, 3 numerical failure,
 4 acceptance violation.
@@ -23,8 +25,7 @@ import scipy.linalg
 
 from . import __version__
 from .bloch import (contract, dispersion_diagram, eigenpair_at_gamma,
-                    export_diagram_csv, find_band_gaps, GammaPair,
-                    PlaneWaveBasis, norm, parity_blocks)
+                    export_diagram_csv, find_band_gaps, GammaPair, norm)
 from .cell import (DIAGNOSTIC_TOL, CompatibilityViolation, SingularSystem,
                    CellFunctions, effective_coefficients,
                    extrapolated_coefficients, solve_cell_functions)
@@ -34,7 +35,7 @@ from .fields import (EnvelopeSingularity, FieldOnGrid, GapViolation,
                      branch_solution, exact_bloch_solution, export_field_csv,
                      export_field_npz, homogenized_fields, uniform_axis,
                      wavenumber_quadrature)
-from .medium import fourier_table, spec_from_dict
+from .medium import spec_from_dict
 from .source import (GaussianEnvelope, NotInGap, SourceSpec, drive_frequency,
                      make_frequency)
 
@@ -63,7 +64,6 @@ _FIELD_KEYS = {"eps", "half_width", "points_per_cell", "outputs",
 _CONV_KEYS = {"eps", "eval_half_width", "orders", "slope_bands",
               "require_ordering", "validate_gap"}
 _ENV_KEYS = {"name", "amplitude"}
-CACHE_NORM_TOL = 1e-10      # |c0^H B c0 - 1| allowed in a loaded gamma file
 
 
 def _check_keys(block: dict, allowed: set, where: str):
@@ -142,79 +142,31 @@ def _ref_config(block: dict) -> ReferenceConfig:
         decay_threshold=float(block.get("decay_threshold", 1e-6)))
 
 
-def _gamma_subtree(cfg: dict) -> dict:
-    """Cache key contents: the tool version and the inputs of the eigenpair."""
-    return {"version": __version__, "medium": cfg["medium"],
-            "cutoff": int(cfg.get("cutoff", 32)),
-            "branch": int(cfg.get("branch", 0))}
+def cached_gamma(cfg: dict) -> GammaPair:
+    """The config's zone-center eigenpair, recomputed on every call (the
+    name stays: perfbench/spans.py traces cli.cached_gamma by name)."""
+    return eigenpair_at_gamma(spec_from_dict(cfg["medium"]),
+                              int(cfg.get("branch", 0)),
+                              int(cfg.get("cutoff", 32)))
 
 
-def _require(ok: bool, path: str, why: str):
-    """A cache file that fails a load check is a validation error."""
-    if not ok:
-        raise ValueError(f"cache file {path} does not match its key ({why}); "
-                         "delete it to recompute")
+def cached_cell(gamma: GammaPair) -> CellFunctions:
+    """The eigenpair's cell functions, recomputed on every call (the name
+    stays: perfbench/spans.py traces cli.cached_cell by name)."""
+    return solve_cell_functions(gamma)
 
 
-def cached_gamma(cfg: dict, cache_dir: str) -> GammaPair:
-    """Zone-center eigenpair, reusing an on-disk eigensolve when available."""
-    spec = spec_from_dict(cfg["medium"])
-    cutoff = int(cfg.get("cutoff", 32))
-    branch = int(cfg.get("branch", 0))
-    key = config_hash(_gamma_subtree(cfg))
-    path = os.path.join(cache_dir, f"gamma-{key}.npz")
-    if os.path.exists(path):
-        with np.load(path) as data:
-            c0, omega2 = data["coeffs"], float(data["omega2"])
-            simple, separation = bool(data["simple"]), float(data["separation"])
-        basis = PlaneWaveBasis(spec.dimension, cutoff)
-        table = fourier_table(spec, 2 * cutoff)
-        _require(c0.shape == (basis.size,), path, f"coeffs shape {c0.shape}")
-        blocks = parity_blocks(table, basis)
-        norm = contract(c0.conj(), blocks.mass(c0))
-        _require(abs(norm - 1.0) <= CACHE_NORM_TOL, path,
-                 f"c0^H B c0 = {norm.real:.12g}")
-        return GammaPair(spec=spec, basis=basis, table=table, branch=branch,
-                         omega2=omega2, coeffs=c0, simple=simple,
-                         separation=separation, blocks=blocks)
-    gamma = eigenpair_at_gamma(spec, branch, cutoff)
-    os.makedirs(cache_dir, exist_ok=True)
-    np.savez(path, omega2=gamma.omega2, coeffs=gamma.coeffs,
-             simple=gamma.simple, separation=gamma.separation)
-    return gamma
-
-
-def cached_cell(cfg: dict, gamma: GammaPair, cache_dir: str) -> CellFunctions:
-    key = config_hash(_gamma_subtree(cfg))
-    path = os.path.join(cache_dir, f"cell-{key}.npz")
-    M, d = gamma.basis.size, gamma.basis.dimension
-    shapes = {"chi1": (M, d), "chi2": (M, d, d), "chi3": (M, d, d, d),
-              "A2": (d, d), "s1c0": (M, d), "gc0": (M,), "bc0": (M,),
-              "bchi1": (M, d)}
-    if os.path.exists(path):
-        with np.load(path) as data:
-            arrays = {name: data[name] for name in shapes if name in data}
-        for name, shape in shapes.items():
-            got = arrays[name].shape if name in arrays else "missing"
-            _require(got == shape, path, f"{name}: {got}")
-        return CellFunctions(gamma, **arrays)
-    cell = solve_cell_functions(gamma)
-    os.makedirs(cache_dir, exist_ok=True)
-    np.savez(path, **{name: getattr(cell, name) for name in shapes})
-    return cell
-
-
-def _effective(cfg: dict, cache_dir: str):
-    gamma = cached_gamma(cfg, cache_dir)
-    eff = effective_coefficients(cached_cell(cfg, gamma, cache_dir))
+def _effective(cfg: dict):
+    gamma = cached_gamma(cfg)
+    eff = effective_coefficients(cached_cell(gamma))
     eff_cfg = cfg.get("effective", {})
     if eff_cfg.get("extrapolate", False):
         coarse_cutoff = int(eff_cfg.get("coarse_cutoff",
                                         int(cfg.get("cutoff", 32)) // 2))
         coarse = dict(cfg)
         coarse["cutoff"] = coarse_cutoff
-        gamma_c = cached_gamma(coarse, cache_dir)
-        eff_c = effective_coefficients(cached_cell(coarse, gamma_c, cache_dir))
+        gamma_c = cached_gamma(coarse)
+        eff_c = effective_coefficients(cached_cell(gamma_c))
         eff = extrapolated_coefficients(eff, eff_c)
     return gamma, eff
 
@@ -302,8 +254,8 @@ def cmd_gaps(cfg, out, args):
 
 
 def cmd_cell(cfg, out, args):
-    gamma = cached_gamma(cfg, _cache_dir(out))
-    cell = cached_cell(cfg, gamma, _cache_dir(out))
+    gamma = cached_gamma(cfg)
+    cell = cached_cell(gamma)
     bc0h = gamma.blocks.mass(gamma.coeffs).conj()
 
     def zero_mean(chi):
@@ -331,7 +283,7 @@ def cmd_cell(cfg, out, args):
 
 
 def cmd_effective(cfg, out, args):
-    _, eff = _effective(cfg, _cache_dir(out))
+    _, eff = _effective(cfg)
     path = os.path.join(out, "effective.json")
     _write_json(path, {
         "branch": eff.gamma.branch,
@@ -360,7 +312,7 @@ def cmd_fields(cfg, out, args):
         raise ValueError("--line extracts transects of 2D fields; "
                          "the medium is 1D")
     ax = _field_axes(fcfg)
-    gamma, eff = _effective(cfg, _cache_dir(out))
+    gamma, eff = _effective(cfg)
     _require_diagnostics(eff)
     d = gamma.spec.dimension
     quad = _quad_from(cfg, d)
@@ -407,7 +359,7 @@ def cmd_fields(cfg, out, args):
 
 def cmd_converge(cfg, out, args):
     ccfg = cfg.get("converge", {})
-    gamma, eff = _effective(cfg, _cache_dir(out))
+    gamma, eff = _effective(cfg)
     _require_diagnostics(eff)
     d = gamma.spec.dimension
     quad = _quad_from(cfg, d)
@@ -468,10 +420,6 @@ def cmd_converge(cfg, out, args):
 _COMMANDS = {"dispersion": cmd_dispersion, "gaps": cmd_gaps, "cell": cmd_cell,
              "effective": cmd_effective, "fields": cmd_fields,
              "converge": cmd_converge}
-
-
-def _cache_dir(out: str) -> str:
-    return os.path.join(out, ".cache")
 
 
 def _parse_line(value: str) -> float:

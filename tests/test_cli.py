@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import re
@@ -121,10 +120,9 @@ def test_cell_and_effective(tmp_path):
     assert eff["rho0"] > 0
     assert eff["mu0"][0][0] > 0
     assert eff["diagnostics"]["tolerances_met"] is True
-    # cache was populated and holds both artifact kinds
-    cached = sorted(os.listdir(os.path.join(out, ".cache")))
-    assert any(f.startswith("gamma-") for f in cached)
-    assert any(f.startswith("cell-") for f in cached)
+    # each subcommand writes its outputs and nothing else
+    assert sorted(os.listdir(out)) == ["cell.json", "cell.npz",
+                                       "effective.json"]
 
 
 def test_effective_extrapolation_differs(tmp_path):
@@ -283,103 +281,16 @@ def test_line_rejected_outside_fields(tmp_path, capsys):
     assert not os.path.exists(os.path.join(out, "gaps.json"))
 
 
-@pytest.mark.parametrize("tamper", ["scale", "size"])
-def test_tampered_gamma_cache_rejected(tmp_path, capsys, tamper):
-    """A gamma cache file whose coefficients no longer fit the key (wrong
-    basis size, or c0^H B c0 != 1) is a validation error naming the file."""
+@pytest.mark.parametrize("command", ["cell", "effective"])
+def test_rerun_into_same_out_is_identical(tmp_path, command):
+    """A second run into the same out dir writes the first run's bytes."""
     cfg = write_cfg(tmp_path, base_cfg())
     out = str(tmp_path / "out")
-    assert main(["cell", "--config", cfg, "--out", out]) == 0
-    cache = os.path.join(out, ".cache")
-    (name,) = [f for f in os.listdir(cache) if f.startswith("gamma-")]
-    path = os.path.join(cache, name)
-    data = dict(np.load(path))
-    data["coeffs"] = (1.001 * data["coeffs"] if tamper == "scale"
-                      else data["coeffs"][:-1])
-    np.savez(path, **data)
-    capsys.readouterr()
-    assert main(["cell", "--config", cfg, "--out", out]) == 2
-    assert path in capsys.readouterr().err
-
-
-def test_gamma_cache_reused_when_valid(tmp_path):
-    cfg = write_cfg(tmp_path, base_cfg())
-    out = str(tmp_path / "out")
-    assert main(["cell", "--config", cfg, "--out", out]) == 0
-    first = open(os.path.join(out, "cell.json"), "rb").read()
-    assert main(["cell", "--config", cfg, "--out", out]) == 0
-    assert open(os.path.join(out, "cell.json"), "rb").read() == first
-
-
-def test_cell_cache_reused_when_valid(tmp_path):
-    cfg = write_cfg(tmp_path, base_cfg())
-    out = str(tmp_path / "out")
-    assert main(["effective", "--config", cfg, "--out", out]) == 0
-    first = open(os.path.join(out, "effective.json"), "rb").read()
-    assert main(["effective", "--config", cfg, "--out", out]) == 0
-    assert open(os.path.join(out, "effective.json"), "rb").read() == first
-
-
-def test_cache_from_before_the_odd_branch_gauge_is_not_read(tmp_path,
-                                                            monkeypatch):
-    """0.2.0 cache files may hold an odd branch in the gauge fix_phase used
-    before its tie rule: the opposite sign.  Such a file (written under the
-    0.2.0 key, then negated) is not read, so a warm `cell` run writes the
-    coeffs of a cold one."""
-    body = base_cfg()
-    body["branch"] = 1
-    cfg = write_cfg(tmp_path, body)
-    cold, warm = str(tmp_path / "cold"), str(tmp_path / "warm")
-    assert main(["cell", "--config", cfg, "--out", cold]) == 0
-    with monkeypatch.context() as patch:
-        patch.setattr(cli, "__version__", "0.2.0")
-        assert main(["cell", "--config", cfg, "--out", warm]) == 0
-    cache = os.path.join(warm, ".cache")
-    linear_in_c0 = ("coeffs", "chi1", "chi2", "chi3", "s1c0", "gc0", "bc0",
-                    "bchi1")
-    for name in os.listdir(cache):
-        path = os.path.join(cache, name)
-        data = dict(np.load(path))
-        np.savez(path, **{k: -v if k in linear_in_c0 else v
-                          for k, v in data.items()})
-    assert main(["cell", "--config", cfg, "--out", warm]) == 0
-    coeffs = [np.load(os.path.join(out, "cell.npz"))["coeffs"]
-              for out in (cold, warm)]
-    assert np.array_equal(*coeffs)
-
-
-def test_cache_from_before_the_inverse_rule_is_not_read(tmp_path,
-                                                         monkeypatch):
-    """0.2.1 cache files hold a 1D eigenpair and cell functions of
-    Laurent's rule.  They pass every load check (c0^H B c0 = 1, the
-    shapes: B did not change), so only the version in the key keeps them
-    out.  Such files (written under the 0.2.1 key by the Laurent pencil, a
-    table without its compliance) are read under that key, and not by a
-    warm `effective` run of this version, which writes what a cold one
-    writes."""
-    cfg = write_cfg(tmp_path, base_cfg())
-    cold, warm = str(tmp_path / "cold"), str(tmp_path / "warm")
-    assert main(["effective", "--config", cfg, "--out", cold]) == 0
-    table = bloch.fourier_table
-
-    def laurent_table(*args):
-        return dataclasses.replace(table(*args), compliance_hat=None)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(cli, "__version__", "0.2.1")
-        patch.setattr(bloch, "fourier_table", laurent_table)
-        assert main(["effective", "--config", cfg, "--out", warm]) == 0
-    laurent = open(os.path.join(warm, "effective.json"), "rb").read()
-    with monkeypatch.context() as patch:
-        patch.setattr(cli, "__version__", "0.2.1")
-        assert main(["effective", "--config", cfg, "--out", warm]) == 0
-        assert open(os.path.join(warm, "effective.json"), "rb").read() == \
-            laurent
-    assert main(["effective", "--config", cfg, "--out", warm]) == 0
-    outputs = [open(os.path.join(out, "effective.json"), "rb").read()
-               for out in (cold, warm)]
-    assert outputs[0] == outputs[1]
-    assert json.loads(laurent)["mu0"] != json.loads(outputs[0])["mu0"]
+    path = os.path.join(out, f"{command}.json")
+    assert main([command, "--config", cfg, "--out", out]) == 0
+    first = open(path, "rb").read()
+    assert main([command, "--config", cfg, "--out", out]) == 0
+    assert open(path, "rb").read() == first
 
 
 def test_fields_drive_above_the_diagram_branches_is_in_gap(tmp_path, capsys):
@@ -398,23 +309,6 @@ def test_fields_drive_above_the_diagram_branches_is_in_gap(tmp_path, capsys):
     assert main(["fields", "--config", write_cfg(tmp_path, body),
                  "--out", str(tmp_path / "on")]) == 3
     assert "intersects branch 1" in capsys.readouterr().err
-
-
-def test_cell_cache_without_pencil_vectors_rejected(tmp_path, capsys):
-    """A cell cache file with the correctors only (no A2 or pencil vectors
-    for the effective averages) is a validation error naming the file."""
-    cfg = write_cfg(tmp_path, base_cfg())
-    out = str(tmp_path / "out")
-    assert main(["effective", "--config", cfg, "--out", out]) == 0
-    cache = os.path.join(out, ".cache")
-    (name,) = [f for f in os.listdir(cache) if f.startswith("cell-")]
-    path = os.path.join(cache, name)
-    data = dict(np.load(path))
-    np.savez(path, **{k: data[k] for k in ("chi1", "chi2", "chi3")})
-    capsys.readouterr()
-    assert main(["effective", "--config", cfg, "--out", out]) == 2
-    err = capsys.readouterr().err
-    assert path in err and "A2" in err
 
 
 def _readme_config():
