@@ -52,58 +52,88 @@ class DiagnosticsFailed(Exception):
 # Config handling
 # ---------------------------------------------------------------------------
 
-_TOP_KEYS = {"medium", "cutoff", "branch", "sigma", "omega_hat", "envelope",
-             "quadrature", "reference", "dispersion", "effective", "fields",
-             "converge", "output_dir"}
-_QUAD_KEYS = {"rule", "points_per_axis", "k_max"}
-_REF_KEYS = {"half_width", "points_per_cell", "decay_threshold"}
-_DISP_KEYS = {"count", "samples_per_segment"}
-_EFF_KEYS = {"extrapolate", "coarse_cutoff"}
-_FIELD_KEYS = {"eps", "half_width", "points_per_cell", "outputs",
-               "validate_gap"}
-_CONV_KEYS = {"eps", "eval_half_width", "orders", "slope_bands",
-              "require_ordering", "validate_gap"}
-_ENV_KEYS = {"name", "amplitude"}
+# Every settable value outside "medium", with its default (README.md lists
+# them).  A per-eps "reference" maps each converge eps to its own block.
+_DEFAULTS = {
+    "cutoff": 32, "branch": 0, "sigma": -1, "omega_hat": 1.0,
+    "quadrature": {"rule": "gauss", "points_per_axis": 64, "k_max": 8.0},
+    "reference": {"half_width": 14, "points_per_cell": 64,
+                  "decay_threshold": 1e-6},
+    "dispersion": {"count": 14, "samples_per_segment": 30},
+    "effective": {"extrapolate": False},
+    "fields": {"eps": 0.25, "half_width": 8, "points_per_cell": 32,
+               "outputs": ["exact", "order0", "order1", "order2"],
+               "validate_gap": True},
+    "converge": {"eps": [0.5, 0.375, 0.25], "eval_half_width": 10.0,
+                 "slope_bands": None, "validate_gap": True},
+}
+_FIELD_OUTPUTS = ("exact", "branch", "order0", "order1", "order2")
 
 
-def _check_keys(block: dict, allowed: set, where: str):
-    unknown = set(block) - allowed
+def _check_keys(block: dict, allowed, path: str = ""):
+    """Reject a block that is not a JSON object or holds a key outside
+    `allowed`, naming each unknown key by its dotted path (an unknown
+    block by each of its keys)."""
+    if not isinstance(block, dict):
+        raise ValueError(f"{path or 'run config'} must be a JSON object")
+    unknown = []
+    for key in sorted(set(block) - set(allowed)):
+        name = f"{path}.{key}" if path else key
+        inner = block[key] if isinstance(block[key], dict) else {}
+        unknown += [f"{name}.{k}" for k in inner] or [name]
     if unknown:
-        raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
+        raise ValueError(f"unknown keys: {unknown}")
 
 
 def load_config(path: str) -> dict:
+    """The run config at `path`, checked before any solve: no unknown key,
+    a valid medium, a reference block for every converge eps, and known
+    field outputs."""
     with open(path) as fh:
         cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValueError("run config must be a JSON object")
-    _check_keys(cfg, _TOP_KEYS, "config")
+    _check_keys(cfg, {"medium", *_DEFAULTS})
     if "medium" not in cfg:
         raise ValueError("config requires a 'medium' block")
     spec_from_dict(cfg["medium"])  # validate early
-    for key, allowed in (("quadrature", _QUAD_KEYS), ("dispersion", _DISP_KEYS),
-                         ("effective", _EFF_KEYS), ("fields", _FIELD_KEYS),
-                         ("converge", _CONV_KEYS), ("envelope", _ENV_KEYS)):
-        if key in cfg:
-            _check_keys(cfg[key], allowed, key)
-    if "reference" in cfg:
-        ref = cfg["reference"]
-        blocks = ref.values() if _is_per_eps(ref) else [ref]
-        for b in blocks:
-            _check_keys(b, _REF_KEYS, "reference")
+    for key, allowed in _DEFAULTS.items():
+        if isinstance(allowed, dict) and key in cfg:
+            per_eps = key == "reference" and _is_per_eps(cfg[key])
+            for block in cfg[key].values() if per_eps else [cfg[key]]:
+                _check_keys(block, allowed, key)
+    ref = cfg.get("reference", {})
+    if _is_per_eps(ref):
+        given = {float(k) for k in ref}
+        missing = [e for e in _get(cfg, "converge", "eps")
+                   if float(e) not in given]
+        if missing:
+            raise ValueError(f"reference has no block for converge eps "
+                             f"{missing}")
+    unknown = [n for n in _get(cfg, "fields", "outputs")
+               if n not in _FIELD_OUTPUTS]
+    if unknown:
+        raise ValueError(f"unknown field outputs {unknown}; choose from "
+                         f"{list(_FIELD_OUTPUTS)}")
     return cfg
 
 
-def _is_per_eps(ref: dict) -> bool:
-    return all(isinstance(v, dict) for v in ref.values())
+def _get(cfg: dict, *path: str):
+    """The value at `path` ("cutoff", or a block and its key), or its
+    default."""
+    value, default = cfg, _DEFAULTS
+    for key in path:
+        default = default[key]
+        value = value.get(key, default)
+    return value
 
 
-def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+def _is_per_eps(ref) -> bool:
+    return (isinstance(ref, dict) and bool(ref)
+            and all(isinstance(v, dict) for v in ref.values()))
 
 
 def config_hash(obj) -> str:
-    return hashlib.sha256(_canonical(obj).encode()).hexdigest()[:16]
+    canonical = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
 def _provenance(cfg: dict) -> list:
@@ -114,40 +144,19 @@ def _provenance(cfg: dict) -> list:
 # Shared construction helpers
 # ---------------------------------------------------------------------------
 
-def _quad_from(cfg: dict, dimension: int):
-    q = cfg.get("quadrature", {})
-    return wavenumber_quadrature(dimension,
-                                 k_max=float(q.get("k_max", 8.0)),
-                                 points_per_axis=int(q.get("points_per_axis", 64)),
-                                 rule=q.get("rule", "gauss"))
-
-
-def _source_from(cfg: dict, dimension: int) -> SourceSpec:
-    env = cfg.get("envelope", {})
-    name = env.get("name", "gaussian")
-    if name != "gaussian":
-        raise ValueError(f"unknown envelope {name!r}")
-    kwargs = {}
-    if "amplitude" in env:
-        kwargs["amplitude"] = float(env["amplitude"])
-    k_max = float(cfg.get("quadrature", {}).get("k_max", 8.0))
-    return SourceSpec(envelope=GaussianEnvelope(dimension, **kwargs),
-                      k_max=k_max)
-
-
 def _ref_config(block: dict) -> ReferenceConfig:
-    return ReferenceConfig(
-        half_width=int(block.get("half_width", 14)),
-        points_per_cell=int(block.get("points_per_cell", 64)),
-        decay_threshold=float(block.get("decay_threshold", 1e-6)))
+    ref = {**_DEFAULTS["reference"], **block}
+    return ReferenceConfig(half_width=int(ref["half_width"]),
+                           points_per_cell=int(ref["points_per_cell"]),
+                           decay_threshold=float(ref["decay_threshold"]))
 
 
 def cached_gamma(cfg: dict) -> GammaPair:
     """The config's zone-center eigenpair, recomputed on every call (the
     name stays: perfbench/spans.py traces cli.cached_gamma by name)."""
     return eigenpair_at_gamma(spec_from_dict(cfg["medium"]),
-                              int(cfg.get("branch", 0)),
-                              int(cfg.get("cutoff", 32)))
+                              int(_get(cfg, "branch")),
+                              int(_get(cfg, "cutoff")))
 
 
 def cached_cell(gamma: GammaPair) -> CellFunctions:
@@ -157,24 +166,26 @@ def cached_cell(gamma: GammaPair) -> CellFunctions:
 
 
 def _effective(cfg: dict):
+    """The eigenpair and its effective tensors, extrapolated against the
+    half cutoff when effective.extrapolate is set."""
     gamma = cached_gamma(cfg)
     eff = effective_coefficients(cached_cell(gamma))
-    eff_cfg = cfg.get("effective", {})
-    if eff_cfg.get("extrapolate", False):
-        coarse_cutoff = int(eff_cfg.get("coarse_cutoff",
-                                        int(cfg.get("cutoff", 32)) // 2))
-        coarse = dict(cfg)
-        coarse["cutoff"] = coarse_cutoff
-        gamma_c = cached_gamma(coarse)
-        eff_c = effective_coefficients(cached_cell(gamma_c))
-        eff = extrapolated_coefficients(eff, eff_c)
+    if _get(cfg, "effective", "extrapolate"):
+        coarse = cached_gamma({**cfg, "cutoff": gamma.basis.cutoff // 2})
+        eff = extrapolated_coefficients(
+            eff, effective_coefficients(cached_cell(coarse)))
     return gamma, eff
 
 
-def _require_diagnostics(eff):
-    """converge and fields build on the real tensors: an imaginary part of
-    mu0/mu2, or a rho1/mu1/rho2 that does not vanish, which the tensors drop
-    (diagnostics_ok False), makes the run a numerical failure."""
+def _drive(cfg: dict, command: str):
+    """What fields and converge share: the eigenpair and its effective
+    tensors, the quadrature and Gaussian source, sigma, omega_hat, and the
+    path sampling that validates each drive (None when the command's
+    validate_gap is false).  Both build on the real tensors: an imaginary
+    part of mu0/mu2, or a rho1/mu1/rho2 that does not vanish, which the
+    tensors drop (diagnostics_ok False), makes the run a numerical
+    failure."""
+    gamma, eff = _effective(cfg)
     if not eff.diagnostics_ok:
         raise DiagnosticsFailed(
             f"effective tensors fail their diagnostics: |rho1| = "
@@ -182,20 +193,24 @@ def _require_diagnostics(eff):
             f"{norm(eff.mu1):.3e}, |rho2| = "
             f"{norm(eff.rho2):.3e}, or an imaginary part of mu0/mu2 "
             f"above {DIAGNOSTIC_TOL:.0e} relative was dropped")
+    d = gamma.spec.dimension
+    quad = wavenumber_quadrature(
+        d, k_max=float(_get(cfg, "quadrature", "k_max")),
+        points_per_axis=int(_get(cfg, "quadrature", "points_per_axis")),
+        rule=_get(cfg, "quadrature", "rule"))
+    source = SourceSpec(envelope=GaussianEnvelope(d), k_max=quad.k_max)
+    samples = (int(_get(cfg, "dispersion", "samples_per_segment"))
+               if _get(cfg, command, "validate_gap") else None)
+    return (gamma, eff, quad, source, int(_get(cfg, "sigma")),
+            float(_get(cfg, "omega_hat")), samples)
 
 
 def _diagram(cfg: dict):
-    spec = spec_from_dict(cfg["medium"])
-    disp = cfg.get("dispersion", {})
-    return dispersion_diagram(spec,
-                              cutoff=int(cfg.get("cutoff", 32)),
-                              count=int(disp.get("count", 14)),
-                              samples_per_segment=_samples_per_segment(cfg))
-
-
-def _samples_per_segment(cfg: dict) -> int:
-    """The Brillouin-path sampling of diagrams and drive validation."""
-    return int(cfg.get("dispersion", {}).get("samples_per_segment", 30))
+    samples = int(_get(cfg, "dispersion", "samples_per_segment"))
+    return dispersion_diagram(spec_from_dict(cfg["medium"]),
+                              cutoff=int(_get(cfg, "cutoff")),
+                              count=int(_get(cfg, "dispersion", "count")),
+                              samples_per_segment=samples)
 
 
 def _write_json(path: str, payload: dict, cfg: dict):
@@ -207,9 +222,9 @@ def _write_json(path: str, payload: dict, cfg: dict):
         fh.write("\n")
 
 
-def _field_axes(block: dict):
-    hw = float(block.get("half_width", 8))
-    ppc = int(block.get("points_per_cell", 32))
+def _field_axes(cfg: dict):
+    hw = float(_get(cfg, "fields", "half_width"))
+    ppc = int(_get(cfg, "fields", "points_per_cell"))
     if ppc < 1 or hw < 0 or abs(2 * hw * ppc - round(2 * hw * ppc)) > 1e-9:
         raise ValueError("fields needs points_per_cell >= 1 and half_width "
                          ">= 0 with 2 half_width points_per_cell whole")
@@ -303,32 +318,23 @@ def cmd_effective(cfg, out, args):
     return [path]
 
 
-_ORDER_OUTPUTS = ("order0", "order1", "order2")
-
-
 def cmd_fields(cfg, out, args):
-    fcfg = cfg.get("fields", {})
     if args.line is not None and spec_from_dict(cfg["medium"]).dimension != 2:
         raise ValueError("--line extracts transects of 2D fields; "
                          "the medium is 1D")
-    ax = _field_axes(fcfg)
-    gamma, eff = _effective(cfg)
-    _require_diagnostics(eff)
-    d = gamma.spec.dimension
-    quad = _quad_from(cfg, d)
-    source = _source_from(cfg, d)
-    eps = float(fcfg.get("eps", 0.25))
-    sigma = int(cfg.get("sigma", -1))
-    omega_hat = float(cfg.get("omega_hat", 1.0))
-    if fcfg.get("validate_gap", True):
+    ax = _field_axes(cfg)
+    gamma, eff, quad, source, sigma, omega_hat, samples = _drive(
+        cfg, "fields")
+    eps = float(_get(cfg, "fields", "eps"))
+    if samples is None:
+        freq = drive_frequency(gamma, sigma, omega_hat, eps)
+    else:
         freq = make_frequency(gamma, sigma, omega_hat, eps,
                               k_window=eps * source.k_max,
-                              samples_per_segment=_samples_per_segment(cfg))
-    else:
-        freq = drive_frequency(gamma, sigma, omega_hat, eps)
-    axes = (ax,) * d
-    outputs = fcfg.get("outputs", ["exact", "order0", "order1", "order2"])
-    orders = [int(name[-1]) for name in outputs if name in _ORDER_OUTPUTS]
+                              samples_per_segment=samples)
+    axes = (ax,) * gamma.spec.dimension
+    outputs = _get(cfg, "fields", "outputs")
+    orders = [int(name[-1]) for name in outputs if name.startswith("order")]
     homogenized = (homogenized_fields(eff, freq, source, quad, orders, axes)
                    if orders else {})
 
@@ -338,10 +344,8 @@ def cmd_fields(cfg, out, args):
             fld = exact_bloch_solution(gamma, freq, source, quad, axes)
         elif name == "branch":
             fld = branch_solution(gamma, freq, source, quad, axes)
-        elif name in _ORDER_OUTPUTS:
-            fld = homogenized[int(name[-1])]
         else:
-            raise ValueError(f"unknown field output {name!r}")
+            fld = homogenized[int(name[-1])]
         base = os.path.join(out, f"field_{name}")
         export_field_csv(fld, base + ".csv", header_lines=_provenance(cfg))
         export_field_npz(fld, base + ".npz", eps=eps)
@@ -358,29 +362,16 @@ def cmd_fields(cfg, out, args):
 
 
 def cmd_converge(cfg, out, args):
-    ccfg = cfg.get("converge", {})
-    gamma, eff = _effective(cfg)
-    _require_diagnostics(eff)
-    d = gamma.spec.dimension
-    quad = _quad_from(cfg, d)
-    source = _source_from(cfg, d)
-    sigma = int(cfg.get("sigma", -1))
-    omega_hat = float(cfg.get("omega_hat", 1.0))
-    eps_list = [float(e) for e in ccfg.get("eps", [0.5, 0.375, 0.25])]
-    orders = tuple(int(m) for m in ccfg.get("orders", [0, 1, 2]))
-    eval_hw = float(ccfg.get("eval_half_width", 10.0))
-
-    ref_block = cfg.get("reference", {})
-    if ref_block and _is_per_eps(ref_block):
-        ref_cfgs = {float(k): _ref_config(v) for k, v in ref_block.items()}
-    else:
-        ref_cfgs = _ref_config(ref_block)
-
-    samples = (_samples_per_segment(cfg) if ccfg.get("validate_gap", True)
-               else None)
-    report = convergence_study(gamma, eff, source, quad, sigma, omega_hat,
-                               eps_list, ref_cfgs, eval_hw, orders=orders,
-                               samples_per_segment=samples)
+    gamma, eff, quad, source, sigma, omega_hat, samples = _drive(
+        cfg, "converge")
+    eps_list = [float(e) for e in _get(cfg, "converge", "eps")]
+    ref = cfg.get("reference", {})
+    ref_cfgs = ({float(k): _ref_config(v) for k, v in ref.items()}
+                if _is_per_eps(ref) else _ref_config(ref))
+    report = convergence_study(
+        gamma, eff, source, quad, sigma, omega_hat, eps_list, ref_cfgs,
+        float(_get(cfg, "converge", "eval_half_width")),
+        samples_per_segment=samples)
 
     json_path = os.path.join(out, "converge.json")
     _write_json(json_path, report.to_dict(), cfg)
@@ -388,26 +379,27 @@ def cmd_converge(cfg, out, args):
     with open(csv_path, "w") as fh:
         for line in _provenance(cfg):
             fh.write(f"# {line}\n")
-        for m in orders:
+        for m in report.orders:
             fh.write(f"# slope order {m}: {report.slopes[m]:.6g}\n")
         fh.write("eps,order,error\n")
         for i, eps in enumerate(eps_list):
-            for m in orders:
+            for m in report.orders:
                 fh.write(f"{eps:.12g},{m},{report.errors[m][i]:.12g}\n")
     if args.verbose:
-        for m in orders:
+        for m in report.orders:
             print(f"order {m}: errors "
                   + " ".join(f"{e:.3e}" for e in report.errors[m])
                   + f"  slope {report.slopes[m]:.3f}")
 
-    bands = ccfg.get("slope_bands")
+    # slope bands turn on the acceptance gates: the bands, then the
+    # ordering e2 < e1 < e0 at every eps
+    bands = _get(cfg, "converge", "slope_bands")
     if bands is not None:
         for m_str, (lo, hi) in bands.items():
             s = report.slopes[int(m_str)]
             if not lo <= s <= hi:
                 raise AcceptanceViolation(
                     f"order-{m_str} slope {s:.3f} outside [{lo}, {hi}]")
-    if ccfg.get("require_ordering", bands is not None):
         if not report.ordering_ok():
             raise AcceptanceViolation("error ordering e2 < e1 < e0 violated")
     return [json_path, csv_path]
@@ -436,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "and wavefields for periodic media.")
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="JSON run config")
-    parser.add_argument("--out", default=None, help="output directory")
+    parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--normalized", action="store_true",
                         help="normalize dispersion CSV by pi and sqrt(G1/rho1)")
     parser.add_argument("--line", type=_parse_line, default=None,
@@ -456,10 +448,9 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out = args.out or cfg.get("output_dir", ".")
-    os.makedirs(out, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     try:
-        _COMMANDS[args.command](cfg, out, args)
+        _COMMANDS[args.command](cfg, args.out, args)
     except AcceptanceViolation as exc:
         print(f"acceptance violation: {exc}", file=sys.stderr)
         return 4

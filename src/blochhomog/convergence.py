@@ -25,6 +25,10 @@ d >= 2 the half-bandwidth is n_i (about 289 on the 2D smoke grid), so a
 banded factorization would cost about n n_i^2 flops (8e9) where SuperLU,
 ordering by minimum degree on A^T + A, takes well under a second.
 
+The stencil is second order only where every interface is a node; one
+inside a grid cell leaves an O(h) error, which reference_solution warns of
+in 1D (a 2D disk's boundary is never on the grid).
+
 convergence_study compares every requested homogenized order with one
 reference per eps, on the window relative_error reads: the reference is
 solved on its full grid, the orders are synthesized on the window alone.
@@ -60,11 +64,28 @@ class ReferenceConfig:
 
 def reference_solution(gamma: GammaPair, freq: FrequencySpec,
                        source: SourceSpec, cfg: ReferenceConfig) -> FieldOnGrid:
-    """Sparse direct solve of the truncated-domain problem (see module doc)."""
+    """Sparse direct solve of the truncated-domain problem (see module doc).
+
+    Warns (UserWarning) when a 1D sharp medium has an interface strictly
+    inside a grid cell, where the reference is only O(h) accurate."""
     spec = gamma.spec
     d = spec.dimension
     L = cfg.half_width + 0.5
     h = 1.0 / cfg.points_per_cell
+    if d == 1 and spec.smoothing == 0:
+        # the nodes are -L + j h: x0 is a node when (x0 + L) / h is whole,
+        # and then so is each periodic image x0 + n
+        x0 = np.array([inc.center[0] + side * inc.radius
+                       for inc in spec.inclusions for side in (-1, 1)])
+        j = (x0 + L) * cfg.points_per_cell
+        off = x0[np.abs(j - np.round(j)) > 1e-9]
+        if off.size:
+            import warnings
+            warnings.warn(
+                f"interfaces at x = {off.tolist()} lie inside grid cells "
+                f"(points_per_cell {cfg.points_per_cell}, half_width "
+                f"{cfg.half_width}): the reference is only O(h) accurate",
+                UserWarning, stacklevel=2)
     x = uniform_axis(L, cfg.points_per_cell)
     xi = x[1:-1]                        # interior nodes per axis
     ni = len(xi)

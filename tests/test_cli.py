@@ -56,6 +56,54 @@ def test_unknown_nested_key_rejected(tmp_path):
     assert main(["gaps", "--config", write_cfg(tmp_path, body)]) == 2
 
 
+def _set(body, path, value):
+    """Set the key at a dotted path ("cutoff", "converge.eps")."""
+    *block, key = path.split(".")
+    (body.setdefault(block[0], {}) if block else body)[key] = value
+
+
+# each key earlier versions accepted, with a value it could take
+_REMOVED_KEYS = {"envelope.name": "gaussian", "envelope.amplitude": 0.5,
+                 "output_dir": ".", "converge.orders": [0, 1, 2],
+                 "converge.require_ordering": True,
+                 "effective.coarse_cutoff": 8}
+
+
+@pytest.mark.parametrize("path", sorted(_REMOVED_KEYS))
+def test_removed_key_rejected(tmp_path, capsys, path):
+    """A removed key is an unknown key like any typo, and the error names
+    it by its dotted path."""
+    body = base_cfg()
+    _set(body, path, _REMOVED_KEYS[path])
+    assert main(["gaps", "--config", write_cfg(tmp_path, body),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"unknown keys: ['{path}']" in capsys.readouterr().err
+
+
+def _flat(defaults, prefix=""):
+    for key, value in defaults.items():
+        if isinstance(value, dict):
+            yield from _flat(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key, value
+
+
+def test_readme_key_table_lists_every_key(tmp_path):
+    """README's key table lists exactly the keys load_config accepts
+    besides medium, each with its default, and a config setting every one
+    to that default loads."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    rows = re.findall(r"^\| `([a-z_.]+)` \| `(.*?)` \|",
+                      open(readme).read(), re.M)
+    table = {key: json.loads(default) for key, default in rows}
+    assert len(table) == len(rows) == 22
+    assert table == dict(_flat(cli._DEFAULTS))
+    body = {"medium": MED_1D}
+    for path, value in table.items():
+        _set(body, path, value)
+    assert load_config(write_cfg(tmp_path, body)) == body
+
+
 def test_bad_json_rejected(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -138,7 +186,7 @@ def test_effective_extrapolation_differs(tmp_path):
     out2 = str(tmp_path / "b")
     assert main(["effective", "--config", write_cfg(tmp_path, body),
                  "--out", out1]) == 0
-    body["effective"] = {"extrapolate": True, "coarse_cutoff": 3}
+    body["effective"] = {"extrapolate": True}      # against cutoff 3
     assert main(["effective", "--config",
                  write_cfg(tmp_path, body, "run2.json"), "--out", out2]) == 0
     plain, extrap = (json.load(open(os.path.join(out, "effective.json")))
@@ -194,6 +242,20 @@ def test_fields_line_rejected_in_1d(tmp_path):
     assert main(["fields", "--config", write_cfg(tmp_path, body),
                  "--out", out, "--line", "y0=0.0"]) == 2
     assert not os.path.exists(os.path.join(out, "field_order0.csv"))
+
+
+def test_unknown_field_output_fails_before_any_solve(tmp_path, capsys):
+    """An unknown fields output is a config error (exit 2) that names it,
+    raised before any output is computed or written."""
+    body = base_cfg()
+    body["fields"] = {"eps": 0.5, "half_width": 2, "points_per_cell": 8,
+                      "outputs": ["exact", "order2", "ordr1"]}
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["fields", "--config", write_cfg(tmp_path, body),
+                 "--out", str(out)]) == 2
+    assert "'ordr1'" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_fields_mode_count_key_rejected(tmp_path):
@@ -261,6 +323,22 @@ def test_converge_outputs_and_slope_gate(tmp_path):
     body["converge"]["slope_bands"] = {"0": [5.0, 6.0]}
     cfg2 = write_cfg(tmp_path, body, "run2.json")
     assert main(["converge", "--config", cfg2, "--out", out]) == 4
+
+
+def test_reference_without_an_eps_fails_before_any_solve(tmp_path, capsys,
+                                                        work_counts):
+    """A per-eps reference with no block for a converge eps is a config
+    error (exit 2) that names the eps, raised before any eigensolve."""
+    body = base_cfg()
+    body["reference"] = {"0.5": {"half_width": 12}}
+    body["converge"] = {"eps": [0.5, 0.25], "eval_half_width": 8.0}
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["converge", "--config", write_cfg(tmp_path, body),
+                 "--out", str(out)]) == 2
+    assert "converge eps [0.25]" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+    assert work_counts["pencils"] == 0
 
 
 def test_converge_decay_failure_exits_3(tmp_path):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -205,6 +206,25 @@ def test_reference_tridiagonal_matches_superlu_in_gap(med1d, source1d,
     u, v = _tridiagonal_and_superlu(gamma, freq, source1d,
                                     ReferenceConfig(14, 32, 1.0))
     assert np.max(np.abs(u - v)) <= 1e-9 * np.max(np.abs(u))
+
+
+def test_reference_warns_on_interface_inside_a_cell(gamma1d_32, source1d):
+    """The interfaces x = -1/4, 1/4 of two_phase_1d are nodes at 64 points
+    per cell and lie inside grid cells at 63, where the reference is only
+    O(h): that grid warns, naming the interfaces, points_per_cell and
+    half_width."""
+    freq = drive_frequency(gamma1d_32, -1, 1.0, 0.5)
+    caught = {}
+    for ppc in (63, 64):
+        with warnings.catch_warnings(record=True) as caught[ppc]:
+            warnings.simplefilter("always")
+            reference_solution(gamma1d_32, freq, source1d,
+                               ReferenceConfig(6, ppc, 1.0))
+    assert caught[64] == []
+    (w,) = caught[63]
+    assert w.category is UserWarning
+    assert ("x = [-0.25, 0.25] lie inside grid cells (points_per_cell 63, "
+            "half_width 6)" in str(w.message))
 
 
 def test_reference_singular_stencil_raises(homog_ref_setup):
