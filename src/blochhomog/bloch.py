@@ -671,7 +671,10 @@ def eigenpair_at_gamma(spec: MediumSpec, branch: int, cutoff: int) -> GammaPair:
 
     Each parity block gives its lowest branch + 2 pairs; a stable sort
     merges them, and the chosen vector is lifted back to the full basis.
+    A negative branch is a ValueError, raised before any work.
     """
+    if branch < 0:
+        raise ValueError(f"branch must be >= 0, got {branch}")
     basis = PlaneWaveBasis(spec.dimension, cutoff)
     table = fourier_table(spec, 2 * cutoff)
     blocks = parity_blocks(table, basis)

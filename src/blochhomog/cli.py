@@ -36,8 +36,7 @@ from .fields import (EnvelopeSingularity, FieldOnGrid, GapViolation,
                      export_field_npz, homogenized_fields, uniform_axis,
                      wavenumber_quadrature)
 from .medium import spec_from_dict
-from .source import (GaussianEnvelope, NotInGap, SourceSpec, drive_frequency,
-                     make_frequency)
+from .source import GaussianEnvelope, NotInGap, SourceSpec, make_frequency
 
 
 class AcceptanceViolation(Exception):
@@ -62,10 +61,9 @@ _DEFAULTS = {
     "dispersion": {"count": 14, "samples_per_segment": 30},
     "effective": {"extrapolate": False},
     "fields": {"eps": 0.25, "half_width": 8, "points_per_cell": 32,
-               "outputs": ["exact", "order0", "order1", "order2"],
-               "validate_gap": True},
+               "outputs": ["exact", "order0", "order1", "order2"]},
     "converge": {"eps": [0.5, 0.375, 0.25], "eval_half_width": 10.0,
-                 "slope_bands": None, "validate_gap": True},
+                 "slope_bands": None},
 }
 _FIELD_OUTPUTS = ("exact", "branch", "order0", "order1", "order2")
 
@@ -87,8 +85,9 @@ def _check_keys(block: dict, allowed, path: str = ""):
 
 def load_config(path: str) -> dict:
     """The run config at `path`, checked before any solve: no unknown key,
-    a valid medium, a reference block for every converge eps, and known
-    field outputs."""
+    a valid medium, converge eps a non-empty list of positive numbers, a
+    valid reference block (for every converge eps when given per eps),
+    slope bands of the computed orders, and known field outputs."""
     with open(path) as fh:
         cfg = json.load(fh)
     _check_keys(cfg, {"medium", *_DEFAULTS})
@@ -100,14 +99,18 @@ def load_config(path: str) -> dict:
             per_eps = key == "reference" and _is_per_eps(cfg[key])
             for block in cfg[key].values() if per_eps else [cfg[key]]:
                 _check_keys(block, allowed, key)
-    ref = cfg.get("reference", {})
-    if _is_per_eps(ref):
-        given = {float(k) for k in ref}
-        missing = [e for e in _get(cfg, "converge", "eps")
-                   if float(e) not in given]
+    eps_list = _get(cfg, "converge", "eps")
+    if not (isinstance(eps_list, list) and eps_list
+            and all(_is_number(e) and e > 0 for e in eps_list)):
+        raise ValueError(f"converge.eps must be a non-empty list of positive "
+                         f"numbers, not {eps_list!r}")
+    ref_cfgs = _ref_configs(cfg)
+    if isinstance(ref_cfgs, dict):
+        missing = [e for e in eps_list if float(e) not in ref_cfgs]
         if missing:
             raise ValueError(f"reference has no block for converge eps "
                              f"{missing}")
+    _check_slope_bands(_get(cfg, "converge", "slope_bands"))
     unknown = [n for n in _get(cfg, "fields", "outputs")
                if n not in _FIELD_OUTPUTS]
     if unknown:
@@ -124,6 +127,28 @@ def _get(cfg: dict, *path: str):
         default = default[key]
         value = value.get(key, default)
     return value
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_slope_bands(bands):
+    """converge.slope_bands is null or maps some of the orders "0", "1",
+    "2" to a [lo, hi] number pair."""
+    if bands is None:
+        return
+    if not isinstance(bands, dict):
+        raise ValueError(f"converge.slope_bands must be null or an object "
+                         f'mapping "0", "1", "2" to [lo, hi], not {bands!r}')
+    for order, band in bands.items():
+        if order not in ("0", "1", "2"):
+            raise ValueError(f"converge.slope_bands has a band for order "
+                             f"{order!r}; the orders are 0, 1, 2")
+        if not (isinstance(band, list) and len(band) == 2
+                and all(map(_is_number, band))):
+            raise ValueError(f"converge.slope_bands[{order!r}] must be a "
+                             f"[lo, hi] number pair, not {band!r}")
 
 
 def _is_per_eps(ref) -> bool:
@@ -149,6 +174,15 @@ def _ref_config(block: dict) -> ReferenceConfig:
     return ReferenceConfig(half_width=int(ref["half_width"]),
                            points_per_cell=int(ref["points_per_cell"]),
                            decay_threshold=float(ref["decay_threshold"]))
+
+
+def _ref_configs(cfg: dict):
+    """The converge reference: one ReferenceConfig, or a dict eps ->
+    ReferenceConfig when the config gives a block per eps."""
+    ref = cfg.get("reference", {})
+    if _is_per_eps(ref):
+        return {float(k): _ref_config(v) for k, v in ref.items()}
+    return _ref_config(ref)
 
 
 def cached_gamma(cfg: dict) -> GammaPair:
@@ -177,14 +211,14 @@ def _effective(cfg: dict):
     return gamma, eff
 
 
-def _drive(cfg: dict, command: str):
+def _drive(cfg: dict):
     """What fields and converge share: the eigenpair and its effective
     tensors, the quadrature and Gaussian source, sigma, omega_hat, and the
-    path sampling that validates each drive (None when the command's
-    validate_gap is false).  Both build on the real tensors: an imaginary
-    part of mu0/mu2, or a rho1/mu1/rho2 that does not vanish, which the
-    tensors drop (diagnostics_ok False), makes the run a numerical
-    failure."""
+    path sampling (dispersion.samples_per_segment) that make_frequency
+    validates every drive on.  Both build on the real tensors: an
+    imaginary part of mu0/mu2, or a rho1/mu1/rho2 that does not vanish,
+    which the tensors drop (diagnostics_ok False), makes the run a
+    numerical failure."""
     gamma, eff = _effective(cfg)
     if not eff.diagnostics_ok:
         raise DiagnosticsFailed(
@@ -199,10 +233,9 @@ def _drive(cfg: dict, command: str):
         points_per_axis=int(_get(cfg, "quadrature", "points_per_axis")),
         rule=_get(cfg, "quadrature", "rule"))
     source = SourceSpec(envelope=GaussianEnvelope(d), k_max=quad.k_max)
-    samples = (int(_get(cfg, "dispersion", "samples_per_segment"))
-               if _get(cfg, command, "validate_gap") else None)
     return (gamma, eff, quad, source, int(_get(cfg, "sigma")),
-            float(_get(cfg, "omega_hat")), samples)
+            float(_get(cfg, "omega_hat")),
+            int(_get(cfg, "dispersion", "samples_per_segment")))
 
 
 def _diagram(cfg: dict):
@@ -323,15 +356,11 @@ def cmd_fields(cfg, out, args):
         raise ValueError("--line extracts transects of 2D fields; "
                          "the medium is 1D")
     ax = _field_axes(cfg)
-    gamma, eff, quad, source, sigma, omega_hat, samples = _drive(
-        cfg, "fields")
+    gamma, eff, quad, source, sigma, omega_hat, samples = _drive(cfg)
     eps = float(_get(cfg, "fields", "eps"))
-    if samples is None:
-        freq = drive_frequency(gamma, sigma, omega_hat, eps)
-    else:
-        freq = make_frequency(gamma, sigma, omega_hat, eps,
-                              k_window=eps * source.k_max,
-                              samples_per_segment=samples)
+    freq = make_frequency(gamma, sigma, omega_hat, eps,
+                          k_window=eps * source.k_max,
+                          samples_per_segment=samples)
     axes = (ax,) * gamma.spec.dimension
     outputs = _get(cfg, "fields", "outputs")
     orders = [int(name[-1]) for name in outputs if name.startswith("order")]
@@ -362,15 +391,11 @@ def cmd_fields(cfg, out, args):
 
 
 def cmd_converge(cfg, out, args):
-    gamma, eff, quad, source, sigma, omega_hat, samples = _drive(
-        cfg, "converge")
+    gamma, eff, quad, source, sigma, omega_hat, samples = _drive(cfg)
     eps_list = [float(e) for e in _get(cfg, "converge", "eps")]
-    ref = cfg.get("reference", {})
-    ref_cfgs = ({float(k): _ref_config(v) for k, v in ref.items()}
-                if _is_per_eps(ref) else _ref_config(ref))
     report = convergence_study(
-        gamma, eff, source, quad, sigma, omega_hat, eps_list, ref_cfgs,
-        float(_get(cfg, "converge", "eval_half_width")),
+        gamma, eff, source, quad, sigma, omega_hat, eps_list,
+        _ref_configs(cfg), float(_get(cfg, "converge", "eval_half_width")),
         samples_per_segment=samples)
 
     json_path = os.path.join(out, "converge.json")

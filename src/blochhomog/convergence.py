@@ -47,8 +47,8 @@ from .bloch import GammaPair
 from .fields import (FieldOnGrid, _grid_points, homogenized_fields,
                      uniform_axis)
 from .medium import evaluate_coefficient
-from .source import (SourceSpec, FrequencySpec, drive_frequency,
-                     make_frequency, sample_source)
+from .source import (SourceSpec, FrequencySpec, make_frequency,
+                     sample_source)
 
 
 class DecayCheckFailed(Exception):
@@ -60,6 +60,11 @@ class ReferenceConfig:
     half_width: int = 14              # domain is [-(half_width+1/2), ...]^d
     points_per_cell: int = 64
     decay_threshold: float = 1e-6
+
+    def __post_init__(self):
+        if self.points_per_cell < 1:
+            raise ValueError(f"reference points_per_cell must be >= 1, "
+                             f"not {self.points_per_cell}")
 
 
 def reference_solution(gamma: GammaPair, freq: FrequencySpec,
@@ -228,27 +233,28 @@ class ErrorReport:
 def convergence_study(gamma: GammaPair, eff, source: SourceSpec,
                       quad, sigma: int, omega_hat: float, eps_list,
                       ref_cfgs, eval_half_width: float,
-                      orders=(0, 1, 2), samples_per_segment=None
+                      orders=(0, 1, 2), samples_per_segment: int = 30
                       ) -> ErrorReport:
     """Full harness: reference vs homogenized orders over a list of eps.
 
     ref_cfgs: one ReferenceConfig or a dict eps -> ReferenceConfig.
-    samples_per_segment: the path sampling make_frequency validates each
-    drive on, within k_window = eps * k_max; None skips the validation.  At
-    each eps the reference is solved on its full grid and restricted to the
-    window relative_error reads (window), and every order comes from one
-    homogenized_fields call on the window alone: one cell synthesis and one
-    fold lattice per order (README: 21 x 65 for the 1217-point window, not
-    the 1857 to 3649 points of the reference grids).
+    Every drive comes from make_frequency, on samples_per_segment path
+    samples within k_window = eps * k_max, so a drive that a branch crosses
+    raises NotInGap before any solve at that eps (drive_frequency alone
+    checks only the inputs).  At each eps the reference is solved on its
+    full grid and restricted to the window relative_error reads (window),
+    and every order comes from one homogenized_fields call on the window
+    alone: one cell synthesis and one fold lattice per order (README: 21 x
+    65 for the 1217-point window, not the 1857 to 3649 points of the
+    reference grids).
     """
     errors = {m: [] for m in orders}
     boundary = {}
     for eps in eps_list:
         cfg = ref_cfgs[eps] if isinstance(ref_cfgs, dict) else ref_cfgs
-        freq = drive_frequency(gamma, sigma, omega_hat, eps) \
-            if samples_per_segment is None else make_frequency(
-                gamma, sigma, omega_hat, eps, k_window=eps * source.k_max,
-                samples_per_segment=samples_per_segment)
+        freq = make_frequency(gamma, sigma, omega_hat, eps,
+                              k_window=eps * source.k_max,
+                              samples_per_segment=samples_per_segment)
         ref = window(reference_solution(gamma, freq, source, cfg),
                      eval_half_width)
         boundary[eps] = ref.meta["boundary_ratio"]

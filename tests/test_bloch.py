@@ -310,6 +310,15 @@ def test_simplicity_flags(med2d):
     assert p3.simple and p3.separation > 1e-2
 
 
+def test_eigenpair_rejects_a_negative_branch(med1d):
+    """branch -1 is an error, not branch 0's pair labelled -1; the
+    available range is unchanged."""
+    with pytest.raises(ValueError, match="branch must be >= 0"):
+        eigenpair_at_gamma(med1d, -1, 8)
+    with pytest.raises(ValueError, match="not available"):
+        eigenpair_at_gamma(med1d, 17, 8)
+
+
 def test_solve_bands_validation(med1d):
     basis = PlaneWaveBasis(1, 4)
     table = fourier_table(med1d, 8)

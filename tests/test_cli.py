@@ -66,7 +66,8 @@ def _set(body, path, value):
 _REMOVED_KEYS = {"envelope.name": "gaussian", "envelope.amplitude": 0.5,
                  "output_dir": ".", "converge.orders": [0, 1, 2],
                  "converge.require_ordering": True,
-                 "effective.coarse_cutoff": 8}
+                 "effective.coarse_cutoff": 8,
+                 "fields.validate_gap": False, "converge.validate_gap": False}
 
 
 @pytest.mark.parametrize("path", sorted(_REMOVED_KEYS))
@@ -96,7 +97,7 @@ def test_readme_key_table_lists_every_key(tmp_path):
     rows = re.findall(r"^\| `([a-z_.]+)` \| `(.*?)` \|",
                       open(readme).read(), re.M)
     table = {key: json.loads(default) for key, default in rows}
-    assert len(table) == len(rows) == 22
+    assert len(table) == len(rows) == 20
     assert table == dict(_flat(cli._DEFAULTS))
     body = {"medium": MED_1D}
     for path, value in table.items():
@@ -224,7 +225,7 @@ def test_fields_2d_line_transect(tmp_path):
             "sigma": -1, "omega_hat": 1.0,
             "quadrature": {"points_per_axis": 8},
             "fields": {"eps": 0.5, "half_width": 2, "points_per_cell": 8,
-                       "outputs": ["order0"], "validate_gap": False}}
+                       "outputs": ["order0"]}}
     cfg = write_cfg(tmp_path, body)
     out = str(tmp_path / "out")
     assert main(["fields", "--config", cfg, "--out", out,
@@ -237,7 +238,7 @@ def test_fields_2d_line_transect(tmp_path):
 def test_fields_line_rejected_in_1d(tmp_path):
     body = base_cfg()
     body["fields"] = {"eps": 0.5, "half_width": 2, "points_per_cell": 8,
-                      "outputs": ["order0"], "validate_gap": False}
+                      "outputs": ["order0"]}
     out = str(tmp_path / "out")
     assert main(["fields", "--config", write_cfg(tmp_path, body),
                  "--out", out, "--line", "y0=0.0"]) == 2
@@ -277,11 +278,12 @@ _BAD_DRIVES = [{"sigma": 0}, {"omega_hat": -1.0}]
 
 
 @pytest.mark.parametrize("bad", _BAD_DRIVES)
-def test_fields_bad_drive_without_gap_check_exits_2(tmp_path, capsys, bad):
-    """validate_gap: false skips the spectrum check, not the input checks."""
+def test_fields_bad_drive_exits_2(tmp_path, capsys, bad):
+    """A sigma other than +-1 or a non-positive omega_hat fails
+    drive_frequency's input check, which make_frequency runs first."""
     body = {**base_cfg(), **bad}
     body["fields"] = {"eps": 0.5, "half_width": 2, "points_per_cell": 8,
-                      "outputs": ["order0"], "validate_gap": False}
+                      "outputs": ["order0"]}
     out = str(tmp_path / "out")
     assert main(["fields", "--config", write_cfg(tmp_path, body),
                  "--out", out]) == 2
@@ -290,10 +292,9 @@ def test_fields_bad_drive_without_gap_check_exits_2(tmp_path, capsys, bad):
 
 
 @pytest.mark.parametrize("bad", _BAD_DRIVES)
-def test_converge_bad_drive_without_gap_check_exits_2(tmp_path, capsys, bad):
+def test_converge_bad_drive_exits_2(tmp_path, capsys, bad):
     body = {**base_cfg(), **bad}
-    body["converge"] = {"eps": [0.5], "eval_half_width": 3.0,
-                        "validate_gap": False}
+    body["converge"] = {"eps": [0.5], "eval_half_width": 3.0}
     out = str(tmp_path / "out")
     assert main(["converge", "--config", write_cfg(tmp_path, body),
                  "--out", out]) == 2
@@ -308,8 +309,7 @@ def test_converge_outputs_and_slope_gate(tmp_path):
                                  "decay_threshold": 1e-3},
                          "0.25": {"half_width": 16, "points_per_cell": 32,
                                   "decay_threshold": 1e-3}}
-    body["converge"] = {"eps": [0.5, 0.25], "eval_half_width": 8.0,
-                        "validate_gap": False}
+    body["converge"] = {"eps": [0.5, 0.25], "eval_half_width": 8.0}
     cfg = write_cfg(tmp_path, body)
     out = str(tmp_path / "out")
     assert main(["converge", "--config", cfg, "--out", out]) == 0
@@ -341,12 +341,67 @@ def test_reference_without_an_eps_fails_before_any_solve(tmp_path, capsys,
     assert work_counts["pencils"] == 0
 
 
+def _fails_before_any_solve(tmp_path, capsys, work_counts, body, command,
+                            named):
+    """`command` on `body` exits 2 with an error naming `named`, before any
+    pencil is gathered and with nothing written to --out."""
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([command, "--config", write_cfg(tmp_path, body),
+                 "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+    assert work_counts["pencils"] == 0
+
+
+@pytest.mark.parametrize("bands, named", [
+    ([[0.7, 1.7]], "[[0.7, 1.7]]"),               # a list, not an object
+    ({"3": [0.7, 1.7]}, "order '3'"),              # no order 3 is computed
+    ({"0": [0.7]}, "slope_bands['0']"),            # not a pair
+    ({"1": ["0.7", 1.7]}, "slope_bands['1']")])    # not numbers
+def test_bad_slope_bands_fail_before_any_solve(tmp_path, capsys, work_counts,
+                                               bands, named):
+    body = base_cfg()
+    body["converge"] = {"eps": [0.5], "eval_half_width": 3.0,
+                        "slope_bands": bands}
+    _fails_before_any_solve(tmp_path, capsys, work_counts, body, "converge",
+                            named)
+
+
+@pytest.mark.parametrize("eps", [[], [0.5, 0.0], [0.5, -0.25]])
+def test_bad_converge_eps_fails_before_any_solve(tmp_path, capsys,
+                                                 work_counts, eps):
+    """No eps (which would fit NaN slopes) or a non-positive one."""
+    body = base_cfg()
+    body["converge"] = {"eps": eps, "eval_half_width": 3.0}
+    _fails_before_any_solve(tmp_path, capsys, work_counts, body, "converge",
+                            "converge.eps")
+
+
+@pytest.mark.parametrize("reference", [{"points_per_cell": 0},
+                                       {"0.5": {"points_per_cell": 0}}])
+def test_reference_without_points_fails_before_any_solve(
+        tmp_path, capsys, work_counts, reference):
+    """A reference block with no points per cell, shared or per eps."""
+    body = base_cfg()
+    body["reference"] = reference
+    body["converge"] = {"eps": [0.5], "eval_half_width": 3.0}
+    _fails_before_any_solve(tmp_path, capsys, work_counts, body, "converge",
+                            "points_per_cell must be >= 1")
+
+
+def test_negative_branch_exits_2(tmp_path, capsys, work_counts):
+    """branch -1 is not branch 0 relabelled: cell writes nothing."""
+    body = {**base_cfg(), "branch": -1}
+    _fails_before_any_solve(tmp_path, capsys, work_counts, body, "cell",
+                            "branch must be >= 0")
+
+
 def test_converge_decay_failure_exits_3(tmp_path):
     body = base_cfg()
     body["reference"] = {"half_width": 4, "points_per_cell": 16,
                          "decay_threshold": 1e-8}
-    body["converge"] = {"eps": [0.5], "eval_half_width": 3.0,
-                        "validate_gap": False}
+    body["converge"] = {"eps": [0.5], "eval_half_width": 3.0}
     assert main(["converge", "--config", write_cfg(tmp_path, body),
                  "--out", str(tmp_path / "out")]) == 3
 

@@ -293,6 +293,28 @@ def test_convergence_study_scalar_config(med1d, source1d):
     assert rep.errors[2][0] < rep.errors[0][0]
 
 
+def test_convergence_study_rejects_a_drive_a_branch_crosses(med1d,
+                                                            source1d):
+    """sigma = +1 drives branch 0 above omega_0^2(0) = 0, on the acoustic
+    branch: the study raises NotInGap naming the branch before any
+    reference solve, where a reference would fail its decay check."""
+    gamma = eigenpair_at_gamma(med1d, 0, 16)
+    from blochhomog import (NotInGap, effective_coefficients,
+                            solve_cell_functions)
+    eff = effective_coefficients(solve_cell_functions(gamma))
+    quad_ = wavenumber_quadrature(1, 8.0, 64)
+    with mock.patch.object(convergence, "reference_solution") as solve, \
+            pytest.raises(NotInGap, match="intersects branch 0"):
+        convergence_study(gamma, eff, source1d, quad_, +1, 1.0, [0.5],
+                          ReferenceConfig(12, 16, 1e-3), 8.0)
+    solve.assert_not_called()
+
+
+def test_reference_config_needs_a_point_per_cell():
+    with pytest.raises(ValueError, match="points_per_cell must be >= 1"):
+        ReferenceConfig(12, 0, 1e-3)
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_study_errors_equal_full_grid_errors(med1d, med2d, source1d,
                                              source2d, d):
