@@ -35,10 +35,11 @@ Cantoni & Butler, Linear Algebra Appl. 13, 275, 1976).  eigenpair_at_gamma
 solves both blocks and the cell problems solve block by block; a complex
 pencil (off-centre media) does not commute with P and is one block.  T
 commutes with P too, and the change of basis is orthogonal, so the blocks
-of E are the inverses of T's.  parity_blocks is the one code that gathers
-a table into parity blocks and inverts T's (_spd_inverse, one Cholesky
-each); bloch_pencil lifts a real table's E from them (_lift), with no M x M
-factorization, and is the one code that assembles a complex table's pencil.
+of E are the inverses of T's.  parity_blocks is the one code that reads a
+coefficient table: it chooses the rule, gathers the blocks and inverts T's
+(_spd_inverse, one Cholesky each).  Every BlochPencil is ParityBlocks.pencil:
+a complex table's one block, or a real table's E and B lifted from their
+blocks (_lift), with no M x M factorization and no second gather.
 
 _eigenvalues_below counts the pencil's eigenvalues below a shift by
 Sylvester inertia, with no eigensolve: source.make_frequency validates
@@ -179,8 +180,8 @@ class PlaneWaveBasis:
 class BlochPencil:
     """E (Laurent's rule in 2D, Li's inverse rule in 1D: module docstring),
     B[a, b] = rho_hat(j_a - j_b) and tp = 2 pi j of one coefficient table;
-    built per call that solves at many k (bloch_pencil), and once per
-    GammaPair for its k != 0 solves."""
+    built from the table's ParityBlocks (ParityBlocks.pencil) per call that
+    solves at many k, and once per GammaPair for its k != 0 solves."""
 
     basis: PlaneWaveBasis
     E: np.ndarray
@@ -203,27 +204,6 @@ class BlochPencil:
         S0 = D E D, S1_a = D_a E + E D_a and Gm = E, D_a = diag(tp_a)."""
         S1 = [self.E * (t[:, None] + t[None, :]) for t in self.tp.T]
         return self.stiffness(0.0), S1, self.E, self.B
-
-
-def _hermitian_tables(table: CoefficientTable, basis: PlaneWaveBasis):
-    """(C_hat, rho_hat, real): the stiffness table C_hat (1/G under the
-    inverse rule, G otherwise) and rho_hat, each replaced by its Hermitian
-    part (q(n) + conj q(-n)) / 2, so every matrix gathered from it is
-    Hermitian; float64 when both tables are exactly real, complex
-    otherwise."""
-    if table.dimension != basis.dimension:
-        raise ValueError("table/basis dimension mismatch")
-    if table.cutoff < 2 * basis.cutoff:
-        raise ValueError("coefficient table cutoff must be >= 2 * basis cutoff")
-    C_hat = table.G_hat if table.compliance_hat is None else \
-        table.compliance_hat
-    real = not (np.any(C_hat.imag) or np.any(table.rho_hat.imag))
-
-    def hermitian(arr):
-        h = 0.5 * (arr + arr[(slice(None, None, -1),) * arr.ndim].conj())
-        return h.real if real else h
-
-    return hermitian(C_hat), hermitian(table.rho_hat), real
 
 
 def _differences(rows: np.ndarray, cols: np.ndarray, cutoff: int):
@@ -251,85 +231,41 @@ def _spd_inverse(T: np.ndarray) -> np.ndarray:
     return E
 
 
-def _parity_gather(basis: PlaneWaveBasis, cutoff: int):
-    """(u, partner, combinations) of parity_blocks' split: u the even rows
-    (j = 0 and one j of each +-j pair), partner each position's -j, and
-    combinations(arr) the (A + Abar, A - Abar) of a table of that cutoff,
-    A and Abar its gather on rows u against the columns u and their -j."""
-    j, size = basis.indices, basis.size
-    partner = basis.reversal()
-    u = np.concatenate([[0], np.flatnonzero(np.arange(size) < partner)])
-    near, far = (_differences(j[u], j[v], cutoff) for v in (u, partner[u]))
-    root = 1.0 / math.sqrt(2.0)
-
-    def combinations(arr):
-        """(A + Abar, A - Abar) of arr, row and column 0 scaled by root
-        (the corner by 1/2 exactly: root * root is an ulp below)."""
-        plus, far_part = arr[near], arr[far]
-        minus = plus - far_part
-        plus += far_part
-        for x in (plus, minus):
-            x[0, 1:] *= root
-            x[1:, 0] *= root
-            x[0, 0] *= 0.5
-        return plus, minus
-
-    return u, partner, combinations
-
-
-def _lift(blocks: ParityBlocks) -> np.ndarray:
-    """The P-invariant symmetric E of a real table's ParityBlocks, from its
-    even block Ep and odd block Eo (rows u = index[0], their -j ubar =
-    partner[0]): an O(M^2) scatter of A = (Ep + Eo) / 2 to E[u, v] and
-    E[ubar, vbar] and of Abar = (Ep - Eo) / 2 to E[u, vbar] and E[ubar, v],
-    where row and column 0 (j = 0, Eo has none) are Ep's unscaled (A = Abar
-    = Ep / sqrt 2, the corner Ep).  Every entry and its mirror and P image
-    are the same number, so E is exactly symmetric and P-invariant."""
-    (Ep, Eo), u, ubar = blocks.E, blocks.index[0], blocks.partner[0]
-    A = 0.5 * Ep
+def _lift(pair, u: np.ndarray, ubar: np.ndarray) -> np.ndarray:
+    """The P-invariant symmetric matrix (E or B of a real table) with even
+    and odd parity blocks pair = (Ap, Ao), rows u and their -j ubar: an
+    O(M^2) scatter of A = (Ap + Ao) / 2 to [u, v] and [ubar, vbar] and of
+    Abar = (Ap - Ao) / 2 to [u, vbar] and [ubar, v]; row and column 0 (j = 0,
+    Ao has none) are Ap's unscaled (A = Abar = Ap / sqrt 2, the corner Ap).
+    Each entry equals its mirror and its P image exactly."""
+    Ap, Ao = pair
+    A = 0.5 * Ap
     A[0, 1:] *= math.sqrt(2.0)
     A[1:, 0] *= math.sqrt(2.0)
     A[0, 0] *= 2.0
     Abar = A.copy()
-    A[1:, 1:] += 0.5 * Eo
-    Abar[1:, 1:] -= 0.5 * Eo
-    size = len(u) + len(Eo)
-    E = np.empty((size, size), dtype=A.dtype)
+    A[1:, 1:] += 0.5 * Ao
+    Abar[1:, 1:] -= 0.5 * Ao
+    size = len(u) + len(Ao)
+    full = np.empty((size, size), dtype=A.dtype)
     for rows, cols, x in ((u, u, A), (u, ubar, Abar), (ubar, u, Abar),
                           (ubar, ubar, A)):
-        E[np.ix_(rows, cols)] = x
-    return E
+        full[np.ix_(rows, cols)] = x
+    return full
 
 
-def bloch_pencil(table: CoefficientTable, basis: PlaneWaveBasis,
-                 blocks: ParityBlocks | None = None) -> BlochPencil:
-    """The pencil of `table` on `basis`; float64 when both tables are
-    exactly real, complex otherwise.
-
-    Under Laurent's rule E is gathered from the table.  Under the inverse
-    rule a complex table inverts the full T, and a real table's E is lifted
-    (_lift) from the inverses of T's parity blocks: those of `blocks`, the
-    table's own ParityBlocks when the caller has them (GammaPair.pencil),
-    or else of parity_blocks(table, basis), the one code that gathers and
-    inverts them; no M x M matrix is factorized.
-    """
-    C_hat, rho_hat, real = _hermitian_tables(table, basis)
-    j = basis.indices
-    off = _differences(j, j, table.cutoff)
-    if table.compliance_hat is None:
-        E = C_hat[off]
-    elif not real:
-        E = _spd_inverse(C_hat[off])
-    else:
-        E = _lift(parity_blocks(table, basis) if blocks is None else blocks)
-    return BlochPencil(basis=basis, E=E, B=rho_hat[off], tp=2.0 * np.pi * j)
+def bloch_pencil(table: CoefficientTable,
+                 basis: PlaneWaveBasis) -> BlochPencil:
+    """The pencil of `table` on `basis`, parity_blocks(table, basis).pencil();
+    float64 when both tables are exactly real, complex otherwise."""
+    return parity_blocks(table, basis).pencil()
 
 
 @dataclass(frozen=True)
 class ParityBlocks:
     """The k = 0 pencil, S(k) = S0 + sum_a k_a S1[a] + |k|^2 E and B, in the
-    parity basis of P: j -> -j; built once per eigenpair (parity_blocks)
-    and carried by its GammaPair.
+    parity basis of P: j -> -j, on `basis`; built once per eigenpair
+    (parity_blocks), carried by its GammaPair and lifted to the full pencil.
 
     Block i has the orthonormal vectors q = scale (e_u + sign e_ubar), u in
     index[i], ubar = partner[i] its -j, scale 1/sqrt(2) for a pair and 1/2
@@ -341,6 +277,7 @@ class ParityBlocks:
     diagonal blocks; S1[a][i] is S1_a from block i to block flip(i).
     """
 
+    basis: PlaneWaveBasis
     index: tuple
     partner: tuple
     sign: tuple
@@ -375,13 +312,27 @@ class ParityBlocks:
         return sum(self.lift(contract(B, self.restrict(x, i)), i)
                    for i, B in enumerate(self.B))
 
+    def pencil(self) -> BlochPencil:
+        """The full pencil: a complex table's one block is it, and a real
+        table's E and B are lifted from their two blocks (_lift)."""
+        if len(self.index) == 1:
+            E, B = self.E[0], self.B[0]
+        else:
+            E, B = (_lift(x, self.index[0], self.partner[0])
+                    for x in (self.E, self.B))
+        return BlochPencil(basis=self.basis, E=E, B=B,
+                           tp=2.0 * np.pi * self.basis.indices)
+
 
 def parity_blocks(table: CoefficientTable, basis: PlaneWaveBasis) -> ParityBlocks:
-    """The k = 0 blocks of `table` on `basis` (ParityBlocks): for complex
-    tables one block, the full pencil's (bloch_pencil(...).blocks()); for
-    real ones, two blocks from one gather of each table on the even rows u
-    (j = 0 and one j of each +-j pair) against the columns u (A) and their
-    -j (Abar).
+    """The k = 0 blocks of `table` on `basis` (ParityBlocks), the one code
+    that reads a table for the pencil and chooses its rule.  Each table is
+    replaced by its Hermitian part (q(n) + conj q(-n)) / 2, float64 when
+    both are exactly real.  A complex table gives one block, the full
+    pencil, gathered over every j (E = [[G]], or T^{-1} under the inverse
+    rule); a real one two blocks, from one gather of each table on the even
+    rows u (j = 0 and one j of each +-j pair) against the columns u (A) and
+    their -j (Abar).
 
     A matrix that commutes (or anticommutes) with P has the block (A[u, v]
     + t A[u, vbar]) / sqrt(m_u m_v) between rows u and columns (v, vbar, t),
@@ -389,37 +340,67 @@ def parity_blocks(table: CoefficientTable, basis: PlaneWaveBasis) -> ParityBlock
     A - Abar are the even block and, from row and column 1 on, the odd block
     of B and of the stiffness table's matrix: E itself under Laurent's rule,
     T under the inverse rule, whose two blocks are then inverted
-    (_spd_inverse), giving E's blocks Ep and Em, from which bloch_pencil
-    lifts E.  As 2 pi j_ubar = -2 pi j_u, diag(tp) maps even to odd: S0's
-    even block is sum_a diag(tp_a) Em diag(tp_a), its odd block the same of
-    Ep, and S1_a (even to odd) = diag(tp_a) Ep + Em diag(tp_a).  No M x M
-    matrix is formed.
+    (_spd_inverse), giving E's blocks Ep and Em.  As 2 pi j_ubar = -2 pi
+    j_u, diag(tp) maps even to odd: S0's even block is sum_a diag(tp_a) Em
+    diag(tp_a), its odd block the same of Ep, and S1_a (even to odd) =
+    diag(tp_a) Ep + Em diag(tp_a).  No M x M matrix is formed.
     """
-    C_hat, rho_hat, real = _hermitian_tables(table, basis)
+    if table.dimension != basis.dimension:
+        raise ValueError("table/basis dimension mismatch")
+    if table.cutoff < 2 * basis.cutoff:
+        raise ValueError("coefficient table cutoff must be >= 2 * basis cutoff")
+    inverse = table.compliance_hat is not None    # the rule: Li's or Laurent's
+    C_hat = table.compliance_hat if inverse else table.G_hat
+    real = not (np.any(C_hat.imag) or np.any(table.rho_hat.imag))
+
+    def hermitian(arr):     # (q(n) + conj q(-n)) / 2: every gather Hermitian
+        h = 0.5 * (arr + arr[(slice(None, None, -1),) * arr.ndim].conj())
+        return h.real if real else h
+
+    C_hat, rho_hat = hermitian(C_hat), hermitian(table.rho_hat)
+    j = basis.indices
     if not real:            # one block, the identity change of basis
-        every = np.arange(basis.size)
-        S0, S1, E, B = bloch_pencil(table, basis).blocks()
-        return ParityBlocks(index=(every,), partner=(every,), sign=(1,),
-                            scale=(np.full(basis.size, 0.5),), S0=(S0,),
-                            S1=tuple((x,) for x in S1), E=(E,), B=(B,))
-    u, partner, combinations = _parity_gather(basis, table.cutoff)
-    pairs = u[1:]
-    tp = 2.0 * np.pi * basis.indices[u]                # tp[0] = 0
+        every, off = np.arange(basis.size), _differences(j, j, table.cutoff)
+        E = _spd_inverse(C_hat[off]) if inverse else C_hat[off]
+        S0, S1, E, B = BlochPencil(basis=basis, E=E, B=rho_hat[off],
+                                   tp=2.0 * np.pi * j).blocks()
+        return ParityBlocks(basis=basis, index=(every,), partner=(every,),
+                            sign=(1,), scale=(np.full(basis.size, 0.5),),
+                            S0=(S0,), S1=tuple((x,) for x in S1), E=(E,),
+                            B=(B,))
+    partner = basis.reversal()
+    u = np.concatenate([[0], np.flatnonzero(np.arange(basis.size) < partner)])
+    pairs, tp = u[1:], 2.0 * np.pi * j[u]              # tp[0] = 0
+    near, far = (_differences(j[u], j[v], table.cutoff)
+                 for v in (u, partner[u]))
+    root = 1.0 / math.sqrt(2.0)
+
+    def combinations(arr):
+        """(A + Abar, A - Abar) of arr, row and column 0 scaled by root
+        (the corner by 1/2 exactly: root * root is an ulp below)."""
+        plus, far_part = arr[near], arr[far]
+        minus = plus - far_part
+        plus += far_part
+        for x in (plus, minus):
+            x[0, 1:] *= root
+            x[1:, 0] *= root
+            x[0, 0] *= 0.5
+        return plus, minus
 
     def gram(x, t):                        # sum_a diag(t_a) x diag(t_a)
         return sum(t[:, a, None] * x * t[:, a] for a in range(t.shape[1]))
 
     Ep, Em = combinations(C_hat)
-    if table.compliance_hat is not None:   # inverse rule: E's blocks = T's^-1
+    if inverse:                            # E's blocks are T's inverses
         Ep = _spd_inverse(Ep)
         Em[1:, 1:] = _spd_inverse(np.ascontiguousarray(Em[1:, 1:]))
     Bp, Bm = combinations(rho_hat)
     S1 = [tp[1:, a, None] * Ep[1:] + Em[1:] * tp[:, a]
           for a in range(basis.dimension)]
-    half = np.full(len(pairs), 1.0 / math.sqrt(2.0))
+    half = np.full(len(pairs), root)
     return ParityBlocks(
-        index=(u, pairs), partner=(partner[u], partner[pairs]), sign=(1, -1),
-        scale=(np.concatenate([[0.5], half]), half),
+        basis=basis, index=(u, pairs), partner=(partner[u], partner[pairs]),
+        sign=(1, -1), scale=(np.concatenate([[0.5], half]), half),
         S0=(gram(Em, tp), gram(Ep[1:, 1:], tp[1:])),
         E=(Ep, np.ascontiguousarray(Em[1:, 1:])),
         B=(Bp, np.ascontiguousarray(Bm[1:, 1:])),
@@ -632,8 +613,8 @@ class GammaPair:
     """Phase-fixed branch-p eigenpair at k = 0, plus simplicity info.
 
     blocks are the k = 0 blocks the pair was solved from, for the cell
-    problems; pencil is the full pencil for the k != 0 solves of the exact
-    and branch fields, built on first use, once per pair.
+    problems; pencil, lifted from them for the k != 0 solves of the exact
+    and branch fields, is built on first use, once per pair.
     """
 
     spec: MediumSpec
@@ -648,7 +629,7 @@ class GammaPair:
 
     @functools.cached_property
     def pencil(self) -> BlochPencil:
-        return bloch_pencil(self.table, self.basis, self.blocks)
+        return self.blocks.pencil()
 
 
 def fix_phase(coeffs: np.ndarray) -> np.ndarray:

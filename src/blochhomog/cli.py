@@ -32,11 +32,12 @@ from .cell import (DIAGNOSTIC_TOL, CompatibilityViolation, SingularSystem,
 from .convergence import (DecayCheckFailed, ReferenceConfig,
                           convergence_study)
 from .fields import (EnvelopeSingularity, FieldOnGrid, GapViolation,
-                     branch_solution, exact_bloch_solution, export_field_csv,
-                     export_field_npz, homogenized_fields, uniform_axis,
-                     wavenumber_quadrature)
+                     branch_solution, check_quadrature, exact_bloch_solution,
+                     export_field_csv, export_field_npz, homogenized_fields,
+                     uniform_axis, wavenumber_quadrature)
 from .medium import spec_from_dict
-from .source import GaussianEnvelope, NotInGap, SourceSpec, make_frequency
+from .source import (GaussianEnvelope, NotInGap, SourceSpec, check_drive,
+                     make_frequency)
 
 
 class AcceptanceViolation(Exception):
@@ -84,21 +85,26 @@ def _check_keys(block: dict, allowed, path: str = ""):
 
 
 def load_config(path: str) -> dict:
-    """The run config at `path`, checked before any solve: no unknown key,
-    a valid medium, converge eps a non-empty list of positive numbers, a
-    valid reference block (for every converge eps when given per eps),
-    slope bands of the computed orders, and known field outputs."""
+    """The run config at `path`, checked before any solve: no unknown key;
+    a valid medium, drive, quadrature and source; converge eps a non-empty
+    list of positive numbers; a valid reference block (for every converge
+    eps when given per eps); slope bands of computed orders; field outputs."""
     with open(path) as fh:
         cfg = json.load(fh)
     _check_keys(cfg, {"medium", *_DEFAULTS})
     if "medium" not in cfg:
         raise ValueError("config requires a 'medium' block")
-    spec_from_dict(cfg["medium"])  # validate early
+    d = spec_from_dict(cfg["medium"]).dimension
     for key, allowed in _DEFAULTS.items():
         if isinstance(allowed, dict) and key in cfg:
             per_eps = key == "reference" and _is_per_eps(cfg[key])
             for block in cfg[key].values() if per_eps else [cfg[key]]:
                 _check_keys(block, allowed, key)
+    check_drive(int(_get(cfg, "sigma")), float(_get(cfg, "omega_hat")),
+                float(_get(cfg, "fields", "eps")))
+    check_quadrature(_get(cfg, "quadrature", "rule"),
+                     int(_get(cfg, "quadrature", "points_per_axis")))
+    SourceSpec(GaussianEnvelope(d), float(_get(cfg, "quadrature", "k_max")))
     eps_list = _get(cfg, "converge", "eps")
     if not (isinstance(eps_list, list) and eps_list
             and all(_is_number(e) and e > 0 for e in eps_list)):

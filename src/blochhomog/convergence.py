@@ -65,6 +65,9 @@ class ReferenceConfig:
         if self.points_per_cell < 1:
             raise ValueError(f"reference points_per_cell must be >= 1, "
                              f"not {self.points_per_cell}")
+        if self.half_width < 0 or not self.decay_threshold > 0:
+            raise ValueError(f"reference needs half_width >= 0 and "
+                             f"decay_threshold > 0, not {self}")
 
 
 def reference_solution(gamma: GammaPair, freq: FrequencySpec,

@@ -88,21 +88,28 @@ class WavenumberQuadrature:
     weights: np.ndarray
 
 
+def check_quadrature(rule: str, points_per_axis: int):
+    """A known rule, with enough nodes per axis (a trapezoid has 2 ends)."""
+    if rule not in ("gauss", "trapezoid"):
+        raise ValueError(f"unknown quadrature rule {rule!r}")
+    if points_per_axis < 1 + (rule == "trapezoid"):
+        raise ValueError(f"{rule} needs more than {points_per_axis} points")
+
+
 def wavenumber_quadrature(dimension: int, k_max: float = 8.0,
                           points_per_axis: int = 64,
                           rule: str = "gauss") -> WavenumberQuadrature:
+    check_quadrature(rule, points_per_axis)
     if rule == "gauss":
         x, w = np.polynomial.legendre.leggauss(points_per_axis)
         x = x * k_max
         w = w * k_max
-    elif rule == "trapezoid":
+    else:
         n = points_per_axis     # exactly symmetric nodes, so +-k pair up
         x = k_max * (np.arange(1 - n, n, 2) / (n - 1))
         w = np.full(points_per_axis, 2.0 * k_max / (points_per_axis - 1))
         w[0] *= 0.5
         w[-1] *= 0.5
-    else:
-        raise ValueError(f"unknown quadrature rule {rule!r}")
     nodes = _grid_points((x,) * dimension).reshape(-1, dimension)
     weights = np.prod(_grid_points((w,) * dimension), axis=-1).ravel()
     return WavenumberQuadrature(dimension=dimension, k_max=k_max, rule=rule,

@@ -81,7 +81,7 @@ class SourceSpec:
     k_max: float = 8.0
 
     def __post_init__(self):
-        if self.k_max <= 0:
+        if not self.k_max > 0:
             raise ValueError("k_max must be positive")
 
 
@@ -96,17 +96,19 @@ class FrequencySpec:
     omega2: float
 
 
-def drive_frequency(gamma: GammaPair, sigma: int, omega_hat: float,
-                    eps: float) -> FrequencySpec:
-    """omega^2 = omega_p^2(0) + eps^2 sigma Omega_hat^2.
-
-    Checks sigma = +-1 and Omega_hat, eps > 0, not the spectrum (that is
-    make_frequency's part).
-    """
+def check_drive(sigma: int, omega_hat: float, eps: float):
+    """A drive's inputs: sigma = +-1, Omega_hat > 0 and eps > 0."""
     if sigma not in (-1, 1):
         raise ValueError("sigma must be +1 or -1")
-    if omega_hat <= 0 or eps <= 0:
+    if not (omega_hat > 0 and eps > 0):
         raise ValueError("omega_hat and eps must be positive")
+
+
+def drive_frequency(gamma: GammaPair, sigma: int, omega_hat: float,
+                    eps: float) -> FrequencySpec:
+    """omega^2 = omega_p^2(0) + eps^2 sigma Omega_hat^2 from checked inputs
+    (check_drive); the spectrum is make_frequency's part."""
+    check_drive(sigma, omega_hat, eps)
     omega2 = gamma.omega2 + eps ** 2 * sigma * omega_hat ** 2
     return FrequencySpec(branch=gamma.branch, sigma=sigma,
                          omega_hat=omega_hat, eps=eps, omega2=omega2)

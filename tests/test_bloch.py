@@ -9,7 +9,7 @@ from blochhomog import (DispersionDiagram, Inclusion, MediumSpec,
                         dispersion_diagram, effective_coefficients,
                         eigenpair_at_gamma, export_diagram_csv,
                         find_band_gaps, fix_phase, fourier_table,
-                        parity_blocks, pencil_blocks, solve_bands,
+                        parity_blocks, solve_bands,
                         solve_cell_functions, two_phase_1d, disk_2d,
                         wavenumber_quadrature)
 from blochhomog import bloch as bloch_module
@@ -54,20 +54,26 @@ def test_b_orthonormal_eigenvectors(med1d):
     assert np.max(np.abs(gram - np.eye(6))) < 1e-10
 
 
-def _shifted_bands(table, basis, k, shift, count):
-    """Lowest `count` eigenvalues of the pencil at k built by hand on the
-    index set {j + shift}, with the table's rule: E = [[1/G]]^-1 (1D, the
-    inverse rule) or [[G]] (2D, Laurent's rule), both Toeplitz."""
-    jj = basis.indices + shift
+def _toeplitz_pencil(table, jj):
+    """(E, B) gathered by hand on the index set jj (M, d) with the table's
+    rule, both Toeplitz: E = [[1/G]]^-1 (1D, the inverse rule) or [[G]] (2D,
+    Laurent's rule), and B = [[rho]]."""
     diff = tuple((jj[:, a, None] - jj[None, :, a]) + table.cutoff
-                 for a in range(basis.dimension))
+                 for a in range(jj.shape[1]))
     if table.compliance_hat is None:
         E = table.G_hat[diff]
     else:
         E = np.linalg.inv(table.compliance_hat[diff])
+    return E, table.rho_hat[diff]
+
+
+def _shifted_bands(table, basis, k, shift, count):
+    """Lowest `count` eigenvalues of the pencil at k built by hand on the
+    index set {j + shift} (_toeplitz_pencil)."""
+    jj = basis.indices + shift
+    E, B = _toeplitz_pencil(table, jj)
     kpg = 2 * np.pi * jj + k
-    return scipy.linalg.eigh(E * (kpg @ kpg.T), table.rho_hat[diff],
-                             eigvals_only=True,
+    return scipy.linalg.eigh(E * (kpg @ kpg.T), B, eigvals_only=True,
                              subset_by_index=(0, count - 1))
 
 
@@ -255,19 +261,47 @@ def _parity_cases():
              PlaneWaveBasis(2, 2))]
 
 
+def _pencil_cases():
+    return _parity_cases() + [(two_phase_1d(smoothing=0.05),
+                               PlaneWaveBasis(1, 16))]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_pencil_is_the_toeplitz_gather(case):
+    """bloch_pencil's E and B, lifted from the parity blocks for a real
+    table, are the Toeplitz gathers built by hand (_toeplitz_pencil); for a
+    real table both are exactly symmetric and P-invariant."""
+    spec, basis = _pencil_cases()[case]
+    table = fourier_table(spec, 2 * basis.cutoff)
+    pencil = bloch_pencil(table, basis)
+    for got, want in zip((pencil.E, pencil.B),
+                         _toeplitz_pencil(table, basis.indices)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    if np.isrealobj(pencil.B):
+        P = basis.reversal()
+        for A in (pencil.E, pencil.B):
+            assert np.array_equal(A, A.T)
+            assert np.array_equal(A, A[np.ix_(P, P)])
+
+
 @pytest.mark.parametrize("case", range(4))
 def test_parity_blocks_are_the_pencil_in_the_parity_basis(case):
     """The lifted block coordinates are an orthonormal basis Q; Q_r^T A Q_c
-    is block (r, c) of S0, G, B and each S1_a, and zero off the structure;
+    is block (r, c) of S0, G, B and each S1_a, with G and B the Toeplitz
+    gathers built by hand (_toeplitz_pencil), and zero off the structure;
     a real table gives an even and an odd block, a complex one a single
-    block, which is the full pencil.  The even block's e_0 corner is the
-    pencil's (0, 0) entry exactly, as (e_0 A e_0) is."""
+    block, which is the full pencil.  The even block's e_0 corner is B's
+    (0, 0) entry exactly, as (e_0 B e_0) is, and under Laurent's rule G's."""
     spec, basis = _parity_cases()[case]
     table = fourier_table(spec, 2 * basis.cutoff)
     z = parity_blocks(table, basis)
-    S0, S1, G, B = pencil_blocks(table, basis)
+    G, B = _toeplitz_pencil(table, basis.indices)
+    tp = 2.0 * np.pi * basis.indices
+    S0 = G * (tp @ tp.T)
+    S1 = [G * (t[:, None] + t[None, :]) for t in tp.T]
     n = len(z.index)
-    assert n == (2 if np.isrealobj(G) else 1)
+    assert n == (2 if np.isrealobj(z.B[0]) else 1)
     Q = [z.lift(np.eye(len(u)), i) for i, u in enumerate(z.index)]
     full = np.concatenate(Q, axis=1)
     assert full.shape == (basis.size,) * 2
@@ -279,8 +313,7 @@ def test_parity_blocks_are_the_pencil_in_the_parity_basis(case):
 
     for r in range(n):
         for c in range(n):
-            for A, blocks, diagonal in ((S0, z.S0, True), (G, z.E, True),
-                                        (B, z.B, True)):
+            for A, blocks in ((S0, z.S0), (G, z.E), (B, z.B)):
                 want = blocks[r] if r == c else 0.0
                 assert np.allclose(block(A, r, c), want, atol=1e-13 * scale)
             for a, A in enumerate(S1):
@@ -289,10 +322,13 @@ def test_parity_blocks_are_the_pencil_in_the_parity_basis(case):
     x = np.random.default_rng(case).standard_normal(basis.size)
     assert np.allclose(z.mass(x), B @ x, atol=1e-13)
     if n == 1:                     # the identity change of basis, exactly
-        assert np.array_equal(z.S0[0], S0) and np.array_equal(z.B[0], B)
+        pencil = z.pencil()
+        assert pencil.E is z.E[0] and pencil.B is z.B[0]
+        assert np.array_equal(pencil.stiffness(0.0), z.S0[0])
         assert np.array_equal(z.restrict(x, 0), x)
     else:
-        assert z.E[0][0, 0] == G[0, 0] and z.B[0][0, 0] == B[0, 0]
+        assert z.B[0][0, 0] == B[0, 0]
+        assert table.compliance_hat is not None or z.E[0][0, 0] == G[0, 0]
 
 
 def test_gamma_pair_normalization(gamma1d_32):

@@ -263,9 +263,14 @@ def test_pencil_built_once_per_eigenpair(med1d, source1d, quad1d,
                                         monkeypatch):
     """An eigenpair gathers its k = 0 parity blocks once, in
     eigenpair_at_gamma; the cell solve and effective_coefficients reuse
-    them.  Its full pencil (bloch_pencil) is built once, on the first k != 0
-    solve, and the exact and branch fields share it."""
+    them.  Its full pencil is lifted from those blocks (ParityBlocks.pencil)
+    once, on the first k != 0 solve, and the exact and branch fields share
+    it: nothing gathers from the table again (bloch_pencil)."""
     builds = {"bloch_pencil": 0, "parity_blocks": 0}
+    lifts = []
+    lift = bloch_module.ParityBlocks.pencil
+    monkeypatch.setattr(bloch_module.ParityBlocks, "pencil",
+                        lambda self: lifts.append(1) or lift(self))
     for name in builds:
         build = getattr(bloch_module, name)
 
@@ -282,7 +287,8 @@ def test_pencil_built_once_per_eigenpair(med1d, source1d, quad1d,
     axes = (np.linspace(-1.0, 1.0, 5),)
     exact_bloch_solution(gamma, freq, source1d, quad1d, axes)
     branch_solution(gamma, freq, source1d, quad1d, axes)
-    assert builds == {"bloch_pencil": 1, "parity_blocks": 1}
+    assert builds == {"bloch_pencil": 0, "parity_blocks": 1}
+    assert len(lifts) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -274,32 +274,45 @@ def test_fields_not_in_gap_exits_3(tmp_path):
                  "--out", str(tmp_path / "out")]) == 3
 
 
-_BAD_DRIVES = [{"sigma": 0}, {"omega_hat": -1.0}]
+# (values, named): every value _drive reads, each bad one rejected in
+# load_config by the check the solve runs (source.check_drive,
+# fields.check_quadrature, SourceSpec)
+_BAD_DRIVES = [({"sigma": 0}, "sigma must be +1 or -1"),
+               ({"omega_hat": -1.0}, "omega_hat and eps must be positive"),
+               ({"fields": {"eps": 0.0}}, "omega_hat and eps must be"),
+               ({"quadrature": {"rule": "simpson"}}, "unknown quadrature"),
+               ({"quadrature": {"points_per_axis": 0}}, "more than 0 points"),
+               ({"quadrature": {"rule": "trapezoid", "points_per_axis": 1}},
+                "more than 1 points"),
+               ({"quadrature": {"k_max": 0.0}}, "k_max must be positive"),
+               ({"quadrature": {"k_max": float("nan")}}, "k_max must be")]
+
+
+def _merged(body, values):
+    """body with each block of `values` merged into body's block."""
+    for key, value in values.items():
+        body[key] = ({**body.get(key, {}), **value}
+                     if isinstance(value, dict) else value)
+    return body
 
 
 @pytest.mark.parametrize("bad", _BAD_DRIVES)
-def test_fields_bad_drive_exits_2(tmp_path, capsys, bad):
-    """A sigma other than +-1 or a non-positive omega_hat fails
-    drive_frequency's input check, which make_frequency runs first."""
-    body = {**base_cfg(), **bad}
+def test_fields_bad_drive_exits_2(tmp_path, capsys, work_counts, bad):
+    """A sigma other than +-1, a non-positive omega_hat or fields.eps, or a
+    quadrature the solve could not build exits 2 before any solve."""
+    body = base_cfg()
     body["fields"] = {"eps": 0.5, "half_width": 2, "points_per_cell": 8,
                       "outputs": ["order0"]}
-    out = str(tmp_path / "out")
-    assert main(["fields", "--config", write_cfg(tmp_path, body),
-                 "--out", out]) == 2
-    assert "validation error" in capsys.readouterr().err
-    assert not os.path.exists(os.path.join(out, "field_order0.csv"))
+    _fails_before_any_solve(tmp_path, capsys, work_counts,
+                            _merged(body, bad[0]), "fields", bad[1])
 
 
 @pytest.mark.parametrize("bad", _BAD_DRIVES)
-def test_converge_bad_drive_exits_2(tmp_path, capsys, bad):
-    body = {**base_cfg(), **bad}
+def test_converge_bad_drive_exits_2(tmp_path, capsys, work_counts, bad):
+    body = base_cfg()
     body["converge"] = {"eps": [0.5], "eval_half_width": 3.0}
-    out = str(tmp_path / "out")
-    assert main(["converge", "--config", write_cfg(tmp_path, body),
-                 "--out", out]) == 2
-    assert "validation error" in capsys.readouterr().err
-    assert not os.path.exists(os.path.join(out, "converge.json"))
+    _fails_before_any_solve(tmp_path, capsys, work_counts,
+                            _merged(body, bad[0]), "converge", bad[1])
 
 
 def test_converge_outputs_and_slope_gate(tmp_path):
@@ -390,6 +403,21 @@ def test_reference_without_points_fails_before_any_solve(
                             "points_per_cell must be >= 1")
 
 
+@pytest.mark.parametrize("reference", [{"half_width": -1},
+                                       {"decay_threshold": 0},
+                                       {"0.5": {"decay_threshold": -1.0}}])
+def test_bad_reference_fails_before_any_solve(tmp_path, capsys, work_counts,
+                                              reference):
+    """A negative half width or a non-positive decay threshold is a config
+    error, not an array-size error or a failed decay check after the
+    solves."""
+    body = base_cfg()
+    body["reference"] = reference
+    body["converge"] = {"eps": [0.5], "eval_half_width": 3.0}
+    _fails_before_any_solve(tmp_path, capsys, work_counts, body, "converge",
+                            "reference needs half_width >= 0")
+
+
 def test_negative_branch_exits_2(tmp_path, capsys, work_counts):
     """branch -1 is not branch 0 relabelled: cell writes nothing."""
     body = {**base_cfg(), "branch": -1}
@@ -453,7 +481,7 @@ def _readme_config():
 @pytest.fixture
 def work_counts(monkeypatch):
     """Count dispersion diagrams built by the CLI, pencils gathered from a
-    coefficient table (bloch_pencil or parity_blocks, wherever called), and
+    coefficient table (parity_blocks, the one code that reads one), and
     periodic syntheses on a grid (fields._periodic_blocks passes): those of
     the source's phi_p (fields.synthesize_periodic, one pass each) apart
     from the rest, which here are cell stacks.  lattices lists the shape of
@@ -465,15 +493,12 @@ def work_counts(monkeypatch):
     periodic_blocks = fields._periodic_blocks
     synthesize = fields.synthesize_periodic
     lattice = fields._lattice
-    for name in ("bloch_pencil", "parity_blocks"):
-        build = getattr(bloch, name)
+    gather = bloch.parity_blocks
 
-        def counted_pencil(*args, _build=build):
-            counts["pencils"] += 1
-            return _build(*args)
-        for module in (bloch, cell, cli):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted_pencil)
+    def counted_pencil(*args):
+        counts["pencils"] += 1
+        return gather(*args)
+    monkeypatch.setattr(bloch, "parity_blocks", counted_pencil)
 
     def counted_diagram(*args, **kwargs):
         counts["diagrams"] += 1
@@ -594,8 +619,8 @@ def test_readme_nonperiodic_phases_fold_onto_one_cell(tmp_path, monkeypatch):
 def test_converge_above_acoustic_branch_builds_no_diagram(tmp_path, capsys,
                                                           work_counts):
     """sigma = +1 puts omega^2 on the acoustic branch: the inertia scan on
-    the eigenpair's own pencil (its one full pencil) rejects the drive
-    (exit 3), and no dispersion diagram is built."""
+    the eigenpair's own pencil (lifted from its blocks, no second gather)
+    rejects the drive (exit 3), and no dispersion diagram is built."""
     body = _readme_config()
     body["sigma"] = +1
     body["cutoff"] = 32          # the rejection does not depend on the size
@@ -603,7 +628,7 @@ def test_converge_above_acoustic_branch_builds_no_diagram(tmp_path, capsys,
     assert main(["converge", "--config", cfg,
                  "--out", str(tmp_path / "out")]) == 3
     assert "intersects branch 0" in capsys.readouterr().err
-    assert work_counts == {"diagrams": 0, "pencils": 3, "cell_stacks": 0,
+    assert work_counts == {"diagrams": 0, "pencils": 2, "cell_stacks": 0,
                            "sources": 0, "lattices": []}
 
 

@@ -315,6 +315,16 @@ def test_reference_config_needs_a_point_per_cell():
         ReferenceConfig(12, 0, 1e-3)
 
 
+@pytest.mark.parametrize("half_width, threshold",
+                         [(-1, 1e-3), (12, 0.0), (12, -1e-3),
+                          (12, float("nan"))])
+def test_reference_config_needs_a_domain_and_a_threshold(half_width,
+                                                         threshold):
+    with pytest.raises(ValueError, match="reference needs half_width >= 0"):
+        ReferenceConfig(half_width, 16, threshold)
+    ReferenceConfig(0, 16, 1e-3)                     # the least domain
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_study_errors_equal_full_grid_errors(med1d, med2d, source1d,
                                              source2d, d):
