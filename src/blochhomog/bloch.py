@@ -128,8 +128,13 @@ def norm(x) -> float:
 class PlaneWaveBasis:
     """Truncated Fourier basis exp(i 2 pi j.x), |j|_inf <= cutoff.
 
-    The index array puts j = 0 first; the remaining indices keep their
-    lexicographic order.
+    The order is the (2N+1)^d cube of j in C order with its centre j = 0
+    moved to the front.  With M = size and h = M // 2, position 0 is j = 0,
+    positions 1..h the first half of the cube (one j of each +-j pair) and
+    h+1..M-1 its second half, where the -j of position p >= 1 is M - p.
+    j = 0 comes first so that the zero row and column of S(0) lead every
+    elimination: eigh then returns the acoustic omega^2(0) as exactly 0.0,
+    where the cube's own order leaves a roundoff of 1e-13 to 1e-10.
     """
 
     dimension: int
@@ -141,39 +146,29 @@ class PlaneWaveBasis:
             raise ValueError("dimension must be 1 or 2")
         if self.cutoff < 1:
             raise ValueError("cutoff must be >= 1")
-        ax = np.arange(-self.cutoff, self.cutoff + 1)
-        grids = np.meshgrid(*(ax,) * self.dimension, indexing="ij")
-        idx = np.stack([g.ravel() for g in grids], axis=-1)
-        zero = np.flatnonzero(np.all(idx == 0, axis=1))[0]
-        order = np.concatenate([[zero], np.delete(np.arange(len(idx)), zero)])
-        object.__setattr__(self, "indices", idx[order])
+        n, d = 2 * self.cutoff + 1, self.dimension
+        cube = np.indices((n,) * d).reshape(d, -1).T - self.cutoff
+        h = len(cube) // 2                      # the centre, j = 0
+        object.__setattr__(self, "indices", cube[np.r_[h, :h, h + 1:n ** d]])
 
     @property
     def size(self) -> int:
         return self.indices.shape[0]
 
-    def cube_scatter(self):
-        """Per-basis-function flat position in the (2N+1)^d coefficient cube."""
-        return np.ravel_multi_index(tuple((self.indices + self.cutoff).T),
-                                    (2 * self.cutoff + 1,) * self.dimension)
-
     def reversal(self) -> np.ndarray:
         """Basis position of -j for every basis function j (P: j -> -j as an
-        index array: (P x)[a] = x[reversal[a]]); reversing every axis of the
-        cube maps flat position f to n^d - 1 - f."""
-        scatter = self.cube_scatter()
-        position = np.empty_like(scatter)      # cube position -> basis index
-        position[scatter] = np.arange(self.size)
-        return position[(2 * self.cutoff + 1) ** self.dimension - 1 - scatter]
+        index array: (P x)[a] = x[reversal[a]]): 0, then M - p for p >= 1."""
+        return np.r_[0, self.size - 1:0:-1]
 
     def coeff_cube(self, vec: np.ndarray) -> np.ndarray:
-        """Rearrange coefficients (M, *extra) into a dense (2N+1)^d cube
-        with the trailing `extra` axes kept: shape (2N+1,)*d + extra."""
+        """Rearrange coefficients (M, *extra) into a dense complex (2N+1)^d
+        cube with the trailing `extra` axes kept: shape (2N+1,)*d + extra;
+        j = 0 goes back to the centre."""
         vec = np.asarray(vec)
-        n = 2 * self.cutoff + 1
-        cube = np.zeros((n ** self.dimension,) + vec.shape[1:], dtype=complex)
-        cube[self.cube_scatter()] = vec
-        return cube.reshape((n,) * self.dimension + vec.shape[1:])
+        h = self.size // 2
+        shape = (2 * self.cutoff + 1,) * self.dimension + vec.shape[1:]
+        return np.concatenate([vec[1:h + 1], vec[:1], vec[h + 1:]],
+                              dtype=complex).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -231,13 +226,14 @@ def _spd_inverse(T: np.ndarray) -> np.ndarray:
     return E
 
 
-def _lift(pair, u: np.ndarray, ubar: np.ndarray) -> np.ndarray:
+def _lift(pair) -> np.ndarray:
     """The P-invariant symmetric matrix (E or B of a real table) with even
-    and odd parity blocks pair = (Ap, Ao), rows u and their -j ubar: an
-    O(M^2) scatter of A = (Ap + Ao) / 2 to [u, v] and [ubar, vbar] and of
-    Abar = (Ap - Ao) / 2 to [u, vbar] and [ubar, v]; row and column 0 (j = 0,
-    Ao has none) are Ap's unscaled (A = Abar = Ap / sqrt 2, the corner Ap).
-    Each entry equals its mirror and its P image exactly."""
+    and odd parity blocks pair = (Ap, Ao): A = (Ap + Ao) / 2 between j and
+    j, Abar = (Ap - Ao) / 2 between j and -j; row and column 0 (j = 0, Ao
+    has none) are Ap's unscaled (A = Abar = Ap / sqrt 2, the corner Ap).
+    The even rows are positions 0..h and positions h+1..M-1 their -j in
+    reverse (PlaneWaveBasis), so each quarter of the matrix is one slice
+    copy.  Each entry equals its mirror and its P image exactly."""
     Ap, Ao = pair
     A = 0.5 * Ap
     A[0, 1:] *= math.sqrt(2.0)
@@ -246,11 +242,12 @@ def _lift(pair, u: np.ndarray, ubar: np.ndarray) -> np.ndarray:
     Abar = A.copy()
     A[1:, 1:] += 0.5 * Ao
     Abar[1:, 1:] -= 0.5 * Ao
-    size = len(u) + len(Ao)
-    full = np.empty((size, size), dtype=A.dtype)
-    for rows, cols, x in ((u, u, A), (u, ubar, Abar), (ubar, u, Abar),
-                          (ubar, ubar, A)):
-        full[np.ix_(rows, cols)] = x
+    h = len(Ao)
+    full = np.empty((2 * h + 1,) * 2, dtype=A.dtype)
+    full[:h + 1, :h + 1] = A
+    full[:h + 1, h + 1:] = Abar[:, :0:-1]
+    full[h + 1:, :h + 1] = Abar[:0:-1]
+    full[h + 1:, h + 1:] = A[:0:-1, :0:-1]
     return full
 
 
@@ -318,8 +315,7 @@ class ParityBlocks:
         if len(self.index) == 1:
             E, B = self.E[0], self.B[0]
         else:
-            E, B = (_lift(x, self.index[0], self.partner[0])
-                    for x in (self.E, self.B))
+            E, B = _lift(self.E), _lift(self.B)
         return BlochPencil(basis=self.basis, E=E, B=B,
                            tp=2.0 * np.pi * self.basis.indices)
 
@@ -331,8 +327,9 @@ def parity_blocks(table: CoefficientTable, basis: PlaneWaveBasis) -> ParityBlock
     both are exactly real.  A complex table gives one block, the full
     pencil, gathered over every j (E = [[G]], or T^{-1} under the inverse
     rule); a real one two blocks, from one gather of each table on the even
-    rows u (j = 0 and one j of each +-j pair) against the columns u (A) and
-    their -j (Abar).
+    rows u, the positions 0..h (j = 0 and one j of each +-j pair, in the
+    order of PlaneWaveBasis), against the columns u (A) and their -j, 0 and
+    M - p (Abar).
 
     A matrix that commutes (or anticommutes) with P has the block (A[u, v]
     + t A[u, vbar]) / sqrt(m_u m_v) between rows u and columns (v, vbar, t),
@@ -369,7 +366,7 @@ def parity_blocks(table: CoefficientTable, basis: PlaneWaveBasis) -> ParityBlock
                             S0=(S0,), S1=tuple((x,) for x in S1), E=(E,),
                             B=(B,))
     partner = basis.reversal()
-    u = np.concatenate([[0], np.flatnonzero(np.arange(basis.size) < partner)])
+    u = np.arange(basis.size // 2 + 1)     # j = 0, one j of each pair
     pairs, tp = u[1:], 2.0 * np.pi * j[u]              # tp[0] = 0
     near, far = (_differences(j[u], j[v], table.cutoff)
                  for v in (u, partner[u]))
@@ -516,9 +513,11 @@ def brillouin_path(dimension: int, samples_per_segment: int = 30) -> np.ndarray:
 
     1D: uniform samples pi i / n, i = -n..n, exactly symmetric under k -> -k.
     2D: Gamma -> X -> M -> Gamma on the square lattice, n samples per
-    segment and the closing Gamma.
+    segment and the closing Gamma.  n < 1 is a ValueError.
     """
     n = samples_per_segment
+    if n < 1:
+        raise ValueError(f"samples_per_segment must be >= 1, not {n}")
     if dimension == 1:
         return (np.pi * (np.arange(-n, n + 1) / n))[:, None]
     corners = np.pi * np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.0]])

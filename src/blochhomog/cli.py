@@ -87,8 +87,10 @@ def _check_keys(block: dict, allowed, path: str = ""):
 def load_config(path: str) -> dict:
     """The run config at `path`, checked before any solve: no unknown key;
     a valid medium, drive, quadrature and source; converge eps a non-empty
-    list of positive numbers; a valid reference block (for every converge
-    eps when given per eps); slope bands of computed orders; field outputs."""
+    list of positive numbers and eval_half_width > 1/2; a valid reference
+    block (for every converge eps when given per eps); slope bands of
+    computed orders; field outputs; samples_per_segment >= 1, a cutoff >= 1
+    and a count within its basis; a boolean effective.extrapolate."""
     with open(path) as fh:
         cfg = json.load(fh)
     _check_keys(cfg, {"medium", *_DEFAULTS})
@@ -116,12 +118,26 @@ def load_config(path: str) -> dict:
         if missing:
             raise ValueError(f"reference has no block for converge eps "
                              f"{missing}")
+    if not float(_get(cfg, "converge", "eval_half_width")) > 0.5:
+        raise ValueError("converge.eval_half_width must exceed 1/2: the "
+                         "error window is |x| <= eval_half_width - 1/2")
     _check_slope_bands(_get(cfg, "converge", "slope_bands"))
     unknown = [n for n in _get(cfg, "fields", "outputs")
                if n not in _FIELD_OUTPUTS]
     if unknown:
         raise ValueError(f"unknown field outputs {unknown}; choose from "
                          f"{list(_FIELD_OUTPUTS)}")
+    if int(_get(cfg, "dispersion", "samples_per_segment")) < 1:
+        raise ValueError("dispersion.samples_per_segment must be >= 1")
+    cutoff = int(_get(cfg, "cutoff"))
+    if cutoff < 1:
+        raise ValueError("cutoff must be >= 1")
+    size = (2 * cutoff + 1) ** d
+    if not 1 <= int(_get(cfg, "dispersion", "count")) <= size:
+        raise ValueError(f"dispersion.count must be in [1, (2 cutoff + 1)^d]"
+                         f" = [1, {size}]")
+    if not isinstance(_get(cfg, "effective", "extrapolate"), bool):
+        raise ValueError("effective.extrapolate must be true or false")
     return cfg
 
 
@@ -443,6 +459,8 @@ def cmd_converge(cfg, out, args):
 _COMMANDS = {"dispersion": cmd_dispersion, "gaps": cmd_gaps, "cell": cmd_cell,
              "effective": cmd_effective, "fields": cmd_fields,
              "converge": cmd_converge}
+# the flags only one subcommand reads, each with that subcommand
+_FLAG_COMMANDS = {"line": "fields", "normalized": "dispersion"}
 
 
 def _parse_line(value: str) -> float:
@@ -469,11 +487,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.line is not None and args.command != "fields":
-        print(f"validation error: --line applies to the fields subcommand "
-              f"only, not {args.command}", file=sys.stderr)
-        return 2
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for flag, command in _FLAG_COMMANDS.items():
+        used = getattr(args, flag) != parser.get_default(flag)
+        if used and args.command != command:
+            print(f"validation error: --{flag} applies to the {command} "
+                  f"subcommand only, not {args.command}", file=sys.stderr)
+            return 2
     try:
         cfg = load_config(args.config)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:

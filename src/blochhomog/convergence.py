@@ -175,7 +175,8 @@ def window(field: FieldOnGrid, eval_half_width: float) -> FieldOnGrid:
 def relative_error(reference: FieldOnGrid, approx: FieldOnGrid,
                    eval_half_width: float) -> float:
     """||u_approx - u_ref|| / ||u_ref|| in L2 over the window, trapezoid
-    rule on the common grid."""
+    rule on the common grid; a ValueError when ||u_ref|| is 0 there (a
+    window of at most one point, eval_half_width <= 1/2)."""
     if reference.values.shape != approx.values.shape:
         raise ValueError("fields must share a grid")
     ref, app = (window(f, eval_half_width) for f in (reference, approx))
@@ -183,6 +184,10 @@ def relative_error(reference: FieldOnGrid, approx: FieldOnGrid,
     den = np.abs(ref.values) ** 2
     for x in reversed(ref.axes):
         num, den = _trapezoid(num, x), _trapezoid(den, x)
+    if not den > 0.0:
+        raise ValueError(f"the reference has zero norm on the window "
+                         f"|x| <= eval_half_width - 1/2 = "
+                         f"{eval_half_width - 0.5:g}")
     return float(np.sqrt(num / den))
 
 

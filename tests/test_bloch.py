@@ -97,6 +97,42 @@ def test_time_reversal(med1d):
     assert np.max(np.abs(a - b)) < 1e-10
 
 
+@pytest.mark.parametrize("dimension, cutoff",
+                         [(1, 1), (1, 2), (1, 7), (2, 1), (2, 2), (2, 5)])
+def test_basis_order_read_from_the_indices(dimension, cutoff):
+    """coeff_cube puts entry a at the cube point j_a + N, and reversal
+    takes each position to the one of -j, both checked against the index
+    array alone; j = 0 is first."""
+    basis = PlaneWaveBasis(dimension, cutoff)
+    j = basis.indices
+    position = {tuple(x): a for a, x in enumerate(j)}
+    assert position[(0,) * dimension] == 0
+    v = np.random.default_rng(cutoff).standard_normal((basis.size, 2)) + 1j
+    cube = basis.coeff_cube(v)
+    assert cube.shape == (2 * cutoff + 1,) * dimension + (2,)
+    for a, x in enumerate(j):
+        assert np.array_equal(cube[tuple(x + cutoff)], v[a])
+    reversed_v = v[basis.reversal()]
+    for a, x in enumerate(j):
+        assert np.array_equal(reversed_v[a], v[position[tuple(-x)]])
+
+
+@pytest.mark.parametrize("spec, cutoff", [
+    (two_phase_1d(), 32), (two_phase_1d(), 128), (two_phase_1d(), 256),
+    (disk_2d(), 8),
+    (MediumSpec(dimension=1, background_G=1.0, background_rho=1.0,
+                inclusions=(Inclusion((0.1,), 0.25, 6.0, 20.0),)), 64)])
+def test_acoustic_frequency_is_exactly_zero(spec, cutoff):
+    """omega_0^2(0) is exactly 0.0 from the parity blocks and from the full
+    pencil: j = 0 leads the basis, so the zero row and column of S(0) lead
+    the elimination (in the cube's own order it is a roundoff instead)."""
+    assert eigenpair_at_gamma(spec, 0, cutoff).omega2 == 0.0
+    basis = PlaneWaveBasis(spec.dimension, cutoff)
+    table = fourier_table(spec, 2 * cutoff)
+    k = np.zeros(spec.dimension)
+    assert solve_bands(table, basis, k, 1).omega2[0] == 0.0
+
+
 def test_variational_monotonicity(med2d):
     """Galerkin eigenvalues decrease monotonically as the basis grows: in
     2D, Laurent's rule makes each pencil a principal submatrix of the next
@@ -415,6 +451,13 @@ def test_brillouin_path_1d_exactly_symmetric():
     pts = brillouin_path(1, samples_per_segment=30)
     assert np.array_equal(pts[::-1, 0], -pts[:, 0])
     assert pts[0, 0] == -np.pi and pts[-1, 0] == np.pi and pts[30, 0] == 0.0
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("samples", [0, -2])
+def test_brillouin_path_needs_a_sample_per_segment(dimension, samples):
+    with pytest.raises(ValueError, match="samples_per_segment must be >= 1"):
+        brillouin_path(dimension, samples_per_segment=samples)
 
 
 def test_reversal_classes_symmetric_1d_path():

@@ -418,6 +418,48 @@ def test_bad_reference_fails_before_any_solve(tmp_path, capsys, work_counts,
                             "reference needs half_width >= 0")
 
 
+@pytest.mark.parametrize("eval_half_width", [0.5, 0.25])
+def test_eval_half_width_at_most_half_fails_before_any_solve(
+        tmp_path, capsys, work_counts, eval_half_width):
+    """A window |x| <= eval_half_width - 1/2 of at most one point would
+    give 0/0 errors, NaN slopes and a blamed homogenization."""
+    body = base_cfg()
+    body["converge"] = {"eps": [0.5], "eval_half_width": eval_half_width,
+                        "slope_bands": {"0": [0.7, 1.7]}}
+    _fails_before_any_solve(tmp_path, capsys, work_counts, body, "converge",
+                            "converge.eval_half_width must exceed 1/2")
+
+
+@pytest.mark.parametrize("command", ["gaps", "fields"])
+@pytest.mark.parametrize("values, named", [
+    ({"dispersion": {"samples_per_segment": 0}},
+     "samples_per_segment must be >= 1"),
+    ({"dispersion": {"samples_per_segment": -2}},
+     "samples_per_segment must be >= 1"),
+    ({"dispersion": {"count": 0}}, "dispersion.count must be in"),
+    ({"dispersion": {"count": 34}}, "= [1, 33]"),  # 2 * 16 + 1 plane waves
+    ({"cutoff": 0}, "cutoff must be >= 1")],
+    ids=["samples-0", "samples-negative", "count-0", "count-above-basis",
+         "cutoff-0"])
+def test_bad_dispersion_block_fails_before_any_solve(
+        tmp_path, capsys, work_counts, command, values, named):
+    """A path with no sample per segment (which samples Gamma alone, or
+    divides by zero in 1D) or a branch count outside the basis, which a
+    cutoff below 1 leaves empty."""
+    body = _merged(base_cfg(), values)
+    _fails_before_any_solve(tmp_path, capsys, work_counts, body, command,
+                            named)
+
+
+@pytest.mark.parametrize("extrapolate", ["false", 1, None])
+def test_extrapolate_must_be_a_boolean(tmp_path, capsys, work_counts,
+                                       extrapolate):
+    """The string "false" is truthy: it would extrapolate."""
+    body = {**base_cfg(), "effective": {"extrapolate": extrapolate}}
+    _fails_before_any_solve(tmp_path, capsys, work_counts, body, "effective",
+                            "effective.extrapolate must be true or false")
+
+
 def test_negative_branch_exits_2(tmp_path, capsys, work_counts):
     """branch -1 is not branch 0 relabelled: cell writes nothing."""
     body = {**base_cfg(), "branch": -1}
@@ -434,12 +476,19 @@ def test_converge_decay_failure_exits_3(tmp_path):
                  "--out", str(tmp_path / "out")]) == 3
 
 
-def test_line_rejected_outside_fields(tmp_path, capsys):
-    out = str(tmp_path / "out")
-    assert main(["gaps", "--config", write_cfg(tmp_path, base_cfg()),
-                 "--out", out, "--line", "y0=0.0"]) == 2
-    assert "--line" in capsys.readouterr().err
-    assert not os.path.exists(os.path.join(out, "gaps.json"))
+@pytest.mark.parametrize("command, flag", [
+    ("gaps", ["--line", "y0=0.0"]), ("gaps", ["--normalized"]),
+    ("cell", ["--normalized"])], ids=["line-gaps", "normalized-gaps",
+                                      "normalized-cell"])
+def test_flag_rejected_outside_its_subcommand(tmp_path, capsys, command,
+                                              flag):
+    """--line is read by fields only and --normalized by dispersion only:
+    either on another subcommand exits 2 and writes nothing."""
+    out = tmp_path / "out"
+    assert main([command, "--config", write_cfg(tmp_path, base_cfg()),
+                 "--out", str(out), *flag]) == 2
+    assert flag[0] in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["cell", "effective"])

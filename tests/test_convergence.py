@@ -58,6 +58,16 @@ def test_relative_error_window_restricts_support():
     assert relative_error(_field(ax, v), _field(ax, w), 5.0) < 1e-14
 
 
+@pytest.mark.parametrize("eval_half_width", [0.5, 0.25])
+def test_relative_error_of_an_empty_window_raises(eval_half_width):
+    """A window of one point (x = 0) or none has a zero reference norm:
+    a ValueError, not the NaN of 0/0."""
+    ax = np.linspace(-4, 4, 33)
+    v = np.exp(-ax ** 2) + 0j
+    with pytest.raises(ValueError, match="zero norm"):
+        relative_error(_field(ax, v), _field(ax, 2 * v), eval_half_width)
+
+
 @pytest.mark.parametrize("shape", [(37,), (23, 31)])
 def test_trapezoid_bitwise_equals_scipy(shape):
     """relative_error's trapezoid sum is scipy.integrate.trapezoid's own
