@@ -18,7 +18,8 @@ converges only as O(1/N), and under the inverse rule the band edges
 converge as N^-3 and the zone-centre mu0 is exact at every N.  T is the
 Toeplitz matrix of a positive symbol, so T and E are positive definite, and
 S(k) is positive semidefinite under both rules: every omega_m^2(k) >= 0,
-which source.make_frequency and the exact solver's Cholesky branch rely on.
+which source.make_frequency and the exact solver's Cholesky factorizations
+below the spectrum rely on.
 
 A BlochPencil holds the k-independent parts, E and B (Hermitian) and 2 pi j,
 and is built once per call that solves at many k.  It is float64 when both
@@ -46,12 +47,12 @@ Sylvester inertia, with no eigensolve: source.make_frequency validates
 drives with it, and the exact solver checks its gap condition.
 
 Every dense product of the package goes through contract, on scipy's BLAS
-?gemm: scipy also does all of the LAPACK work (eigh, ?potrf/?potri, ?posv,
-?hesv, LU).  numpy and scipy may each bundle their own OpenBLAS, each with
-its own thread pool; after a call a pool's workers keep spinning for a
-while, and the other pool's work runs at about half speed meanwhile.  With
-one library, one pool is busy at a time.  stiffness makes no BLAS call at
-all.
+?gemm, and the exact solver's Schur complements are one ?syrk each: scipy
+also does all of the LAPACK work (eigh, ?potrf/?potri/?potrs, ?hesv, LU).
+numpy and scipy may each bundle their own OpenBLAS, each with its own
+thread pool; after a call a pool's workers keep spinning for a while, and
+the other pool's work runs at about half speed meanwhile.  With one
+library, one pool is busy at a time.  stiffness makes no BLAS call at all.
 """
 
 from __future__ import annotations
@@ -612,8 +613,9 @@ class GammaPair:
     """Phase-fixed branch-p eigenpair at k = 0, plus simplicity info.
 
     blocks are the k = 0 blocks the pair was solved from, for the cell
-    problems; pencil, lifted from them for the k != 0 solves of the exact
-    and branch fields, is built on first use, once per pair.
+    problems and the exact field below the spectrum; pencil, lifted from
+    them for the k != 0 solves of the exact and branch fields in and above
+    the spectrum, is built on first use, once per pair.
     """
 
     spec: MediumSpec

@@ -9,10 +9,13 @@ source mass they carried.  Envelope derivatives are taken spectrally
 (multiplication by i khat under the integral), never by grid differencing.
 
 The exact solution sums every Galerkin mode at each node through the
-resolvent (S(k) - omega^2 B)^{-1} B c0 on one BlochPencil, with no mode
-truncation (_resolvent_term: Cholesky ?posv below the spectrum, otherwise
-Bunch-Kaufman ?hesv after an exact Sylvester-inertia gap check, the count
-make_frequency's gap test uses; ?sy* for real pencils).  Time reversal of
+resolvent (S(k) - omega^2 B)^{-1} B c0, with no mode truncation.  Below
+the spectrum it is solved in the eigenpair's parity blocks
+(_block_resolvent: the odd block eliminated through one eigendecomposition
+per call, then one Cholesky factorization of a half-size Schur complement
+per node); otherwise on one BlochPencil by Bunch-Kaufman ?hesv after an
+exact Sylvester-inertia gap check, the count make_frequency's gap test uses
+(_resolvent_term; ?sy* for real pencils).  Time reversal of
 the real medium pairs the nodes, x(-k) = e^{-i theta} P conj(x(k)) with
 P: j -> -j, so only the first node of each +-k class is solved
 (bloch.reversal_classes; _time_reversal, guarded by PAIR_TOL).
@@ -36,8 +39,9 @@ nodes in one GEMM per slab, the weighted cell phases w_q exp(i k_q.m) (C x
 Q) times the row side phi_q(r) exp(i k_q.r); each envelope axis is one
 GEMM too (_lattice_synth).  The phase tables take C + R exponentials per
 node and axis, accurate to the rounding of f m.  Every product is
-bloch.contract on scipy's BLAS, the library of the node solves.  The
-homogenized orders share one cell-stack synthesis (homogenized_fields).
+bloch.contract (or, for a Schur complement, ?syrk) on scipy's BLAS, the
+library of the node solves.  The homogenized orders share one cell-stack
+synthesis (homogenized_fields).
 """
 
 from __future__ import annotations
@@ -46,9 +50,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-from .bloch import (BlochPencil, GammaPair, PlaneWaveBasis, _eigenvalues_below,
-                    _lapack, contract, reversal_classes, solve_bands)
+from .bloch import (BlochPencil, GammaPair, ParityBlocks, PlaneWaveBasis,
+                    _eigenvalues_below, _eigh, _lapack, contract,
+                    reversal_classes)
 from .cell import EffectiveCoefficients
 from .source import FrequencySpec, SourceSpec
 
@@ -320,18 +326,17 @@ def _resolvent_term(pencil: BlochPencil, omega2: float, k: np.ndarray,
     """The sum over all M Galerkin modes,
         sum_m phi_m(k) phi_m(k)^H rhs / (omega_m^2(k) - omega^2)
             = (S(k) - omega^2 B)^{-1} rhs,
-    since the B-orthonormal eigenvectors diagonalize the pencil.
+    since the B-orthonormal eigenvectors diagonalize the pencil, for a drive
+    in or above the spectrum (_factorization "ldl"; _block_resolvent solves
+    below it).
 
-    Below the spectrum (_factorization) this is one Cholesky ?posv: S(k) is
-    positive semidefinite, so a failed factorization raises GapViolation.
-    Otherwise it is one Bunch-Kaufman ?hesv, after an inertia check that
-    raises GapViolation when an eigenvalue lies within DENOM_TOL of omega^2,
-    if check_gap (a node whose -k was checked has the same spectrum).  A
-    complex rhs on a real pencil is two real columns.  S - omega^2 B is
-    formed in work[0], with work = (stiffness buffer, omega^2 B) shared by
-    one call's nodes; LAPACK gets its F-contiguous transpose, conj(S -
-    omega^2 B) (exactly Hermitian), with no copy, so a complex pencil
-    solves conj(rhs).
+    One Bunch-Kaufman ?hesv, after an inertia check that raises GapViolation
+    when an eigenvalue lies within DENOM_TOL of omega^2, if check_gap (a
+    node whose -k was checked has the same spectrum).  A complex rhs on a
+    real pencil is two real columns.  S - omega^2 B is formed in work[0],
+    with work = (stiffness buffer, omega^2 B) shared by one call's nodes;
+    LAPACK gets its F-contiguous transpose, conj(S - omega^2 B) (exactly
+    Hermitian), with no copy, so a complex pencil solves conj(rhs).
     """
     S, shift = work
     pencil.stiffness(k, out=S)
@@ -339,44 +344,133 @@ def _resolvent_term(pencil: BlochPencil, omega2: float, k: np.ndarray,
     split = np.iscomplexobj(rhs) and not conj
     cols = np.stack([rhs.real, rhs.imag], axis=1) if split else \
         (rhs.conj() if conj else rhs)
-    cholesky = _factorization(omega2) == "cholesky"
-    if cholesky:
-        solver, options = _lapack("posv", S.dtype, len(S))[0], {}
-    else:
-        if check_gap:
-            lo, hi = (_eigenvalues_below(S, pencil.B, omega2 + t)
-                      for t in (-DENOM_TOL, DENOM_TOL))
-            if lo != hi:
-                raise GapViolation(
-                    f"{hi - lo} eigenvalue(s) within {DENOM_TOL:.0e} of "
-                    f"omega^2 = {omega2:.12g} at k = {k}")
-        solver, lwork = _lapack("hesv", S.dtype, len(S))
-        options = {"lwork": lwork}
+    if check_gap:
+        lo, hi = (_eigenvalues_below(S, pencil.B, omega2 + t)
+                  for t in (-DENOM_TOL, DENOM_TOL))
+        if lo != hi:
+            raise GapViolation(
+                f"{hi - lo} eigenvalue(s) within {DENOM_TOL:.0e} of "
+                f"omega^2 = {omega2:.12g} at k = {k}")
+    solver, lwork = _lapack("hesv", S.dtype, len(S))
     S -= shift
-    *_, x, info = solver(S.T, cols, lower=1, overwrite_a=True, **options)
+    *_, x, info = solver(S.T, cols, lower=1, overwrite_a=True, lwork=lwork)
     if info > 0:
-        raise GapViolation(
-            f"S - omega^2 B not positive definite at k = {k}: an eigenvalue "
-            f"lies at or below omega^2 = {omega2:.12g}" if cholesky else
-            f"singular resolvent at k = {k}")
+        raise GapViolation(f"singular resolvent at k = {k}")
     return x[:, 0] + 1j * x[:, 1] if split else (x.conj() if conj else x)
 
 
-def _branch_term(gamma: GammaPair, pencil: BlochPencil, omega2: float,
+def _not_definite(omega2: float, where: str) -> GapViolation:
+    return GapViolation(
+        f"S - omega^2 B not positive definite {where}: an eigenvalue lies at "
+        f"or below omega^2 = {omega2:.12g}")
+
+
+def _block_resolvent(blocks: ParityBlocks, omega2: float, c0: np.ndarray):
+    """solve(k, check_gap) = (S(k) - omega^2 B)^{-1} B c0 below the spectrum
+    (_factorization "cholesky", where S(k) - omega^2 B is positive
+    definite), from the parity blocks of the pencil (bloch.ParityBlocks);
+    check_gap is ignored, since a failed Cholesky factorization is the
+    check.
+
+    In P's parity basis S(k) - omega^2 B = [[A_e(k), K(k)^H], [K(k),
+    A_o(k)]], with A_i(k) = (S0_i - omega^2 B_i) + |k|^2 E_i and K(k) =
+    sum_a k_a S1_a (even to odd).  The odd block depends on k only through
+    |k|^2 E_o, so one generalized eigendecomposition per call inverts it at
+    every node: with s = 1/|2 pi j| on the odd rows, eigh(s E_o s, s (S0_o -
+    omega^2 B_o) s) gives mu >= 0 and W, and with V = s W, A_o(k)^{-1} = V
+    diag(d) V^H, d = 1/(1 + |k|^2 mu) in (0, 1].  (Unscaled, the pencil's
+    condition, and the error, grow as N^2.)  V^H S1_a and V^H b_o are formed
+    once.  Each node then factors the even block's Schur complement
+
+        A_e(k) - H^H H,  H = diag(sqrt d) sum_a k_a V^H S1_a,
+
+    (one ?syrk, ?herk for a complex dtype) by ?potrf at order ~M/2, and
+    with z = sqrt(d) V^H b_o recovers x_e = Schur^{-1} (b_e - H^H z) and x_o
+    = V sqrt(d) (z - H x_e): about M^3/6 flops per node, half of a Cholesky
+    factorization of the full matrix.  A complex table (off-centre media)
+    is one block, with no odd block to eliminate: its A_0(k) + K(k) is
+    factored whole.
+
+    A failed Cholesky factorization, of s (S0_o - omega^2 B_o) s here or of
+    a node's Schur complement, and a node with 1 + |k|^2 mu <= 0 (possible
+    only when E is not positive definite) raise GapViolation.  A complex c0
+    on real blocks is two real columns; LAPACK gets the F-contiguous
+    transpose of the C-contiguous Schur complement, its conjugate, so a
+    complex dtype solves for conj(x) (as _resolvent_term).
+    """
+    real = not np.iscomplexobj(blocks.E[0])
+    split = real and np.iscomplexobj(c0)
+    rhs = []
+    for i, B in enumerate(blocks.B):
+        b = contract(B, blocks.restrict(c0, i))
+        rhs.append(np.stack([b.real, b.imag], axis=1) if split else b[:, None])
+    A = blocks.S0[0] - omega2 * blocks.B[0]
+    E = blocks.E[0]
+    S1 = [pair[0] for pair in blocks.S1]
+    potrf, potrs = (_lapack(name, A.dtype, len(A))[0]
+                    for name in ("potrf", "potrs"))
+    work = np.empty_like(A)
+    if len(blocks.index) == 2:
+        tp = 2.0 * np.pi * blocks.basis.indices[blocks.index[1]]
+        s = 1.0 / np.sqrt(np.sum(tp * tp, axis=1))[:, None]
+        try:
+            mu, W = scipy.linalg.eigh(s * blocks.E[1] * s.T, s * (
+                blocks.S0[1] - omega2 * blocks.B[1]) * s.T)
+        except scipy.linalg.LinAlgError:
+            raise _not_definite(omega2, "in its odd block at k = 0") from None
+        V = s * W
+        G = [contract(V.conj().T, x) for x in S1]
+        y = contract(V.conj().T, rhs[1])
+        rank_update = scipy.linalg.get_blas_funcs(
+            "syrk" if real else "herk", dtype=A.dtype)
+
+    def solve(k, check_gap=None):
+        kk = float(np.sum(k * k))
+        S = np.multiply(kk, E, out=work)
+        S += A
+        if len(blocks.index) == 1:
+            for ka, x in zip(k, S1):
+                S += ka * x
+            b = rhs[0]
+        else:
+            denom = 1.0 + kk * mu
+            if np.min(denom) <= 0.0:
+                raise _not_definite(omega2, f"in its odd block at k = {k}")
+            root = 1.0 / np.sqrt(denom)
+            H = sum((ka * root)[:, None] * x for ka, x in zip(k, G))
+            rank_update(-1.0, H.T, beta=1.0, c=S.T, lower=1, overwrite_c=1)
+            z = root[:, None] * y
+            b = rhs[0] - contract(H.conj().T, z)
+        factor, info = potrf(S.T, lower=1, clean=0, overwrite_a=1)
+        if info != 0:
+            raise _not_definite(omega2, f"at k = {k}")
+        xe = potrs(factor, b if real else b.conj(), lower=1)[0]
+        xe = xe if real else xe.conj()
+        x = blocks.lift(xe, 0)
+        if len(blocks.index) == 2:
+            xo = contract(V, root[:, None] * (z - contract(H, xe)))
+            x += blocks.lift(xo, 1)
+        return x[:, 0] + 1j * x[:, 1] if split else x[:, 0]
+
+    return solve
+
+
+def _branch_term(pencil: BlochPencil, branch: int, omega2: float,
                  k: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """The m = p term phi_p(k) phi_p(k)^H rhs / (omega_p^2(k) - omega^2)."""
-    sol = solve_bands(gamma.table, gamma.basis, k, gamma.branch + 1, pencil)
-    denom = sol.omega2 - omega2
+    omega2_k, vectors = _eigh(pencil.stiffness(k), pencil.B, branch + 1,
+                              overwrite_a=True)
+    denom = omega2_k - omega2
     if np.min(np.abs(denom)) < DENOM_TOL:
         raise GapViolation(
             f"denominator {np.min(np.abs(denom)):.3e} at k = {k}")
-    v = sol.vectors[:, gamma.branch]
-    return v * (contract(v.conj(), rhs) / denom[gamma.branch])
+    v = vectors[:, branch]
+    return v * (contract(v.conj(), rhs) / denom[branch])
 
 
-def _time_reversal(basis: PlaneWaveBasis, B: np.ndarray, c0: np.ndarray):
+def _time_reversal(basis: PlaneWaveBasis, mass, c0: np.ndarray):
     """(P, e^{i theta}, residual) for the pairing x(-k) = e^{-i theta} P
-    conj(x(k)) of solutions with right-hand side B c0.
+    conj(x(k)) of solutions with right-hand side B c0; mass(x) = B x.
 
     P: j -> -j is an index array (P x = x[P]); e^{i theta} = c0^H B P
     conj(c0); residual = ||P conj(c0) - e^{i theta} c0||_B.  A real medium
@@ -387,9 +481,9 @@ def _time_reversal(basis: PlaneWaveBasis, B: np.ndarray, c0: np.ndarray):
     """
     P = basis.reversal()
     mirrored = c0[P].conj()
-    phase = contract(c0.conj(), contract(B, mirrored))
+    phase = contract(c0.conj(), mass(mirrored))
     r = mirrored - phase * c0
-    return P, phase, float(np.sqrt(abs(contract(r.conj(), contract(B, r)))))
+    return P, phase, float(np.sqrt(abs(contract(r.conj(), mass(r)))))
 
 
 def _paired_solves(ks: np.ndarray, size: int, solve, pairing) -> tuple:
@@ -423,14 +517,18 @@ def exact_bloch_solution(gamma: GammaPair, freq: FrequencySpec,
     u(x) = (2 pi)^{-d/2} int_Y sum_m  eps^2 <rho phi_p(0) conj(phi_m(eps khat))>
            F(khat) / (omega_m^2 - omega^2) e^{i eps khat.x} phi_m(x) dkhat
 
-    The mode sum at each node is one resolvent solve (_resolvent_term), so
-    there is no mode truncation; GapViolation is raised when any Galerkin
-    eigenvalue at a node lies within DENOM_TOL of omega^2.  With
-    branch_only=True the sum keeps only m = p (one eigenpair per node, and
-    the check covers branches 0..p).  By time reversal only the first node
-    of each +-k class is solved (_paired_solves); when its guard fails (a
-    degenerate omega_p^2(0)) every node is solved, and the inertia check
-    still runs once per class.
+    The mode sum at each node is one resolvent solve, so there is no mode
+    truncation: below the spectrum in the parity blocks (_block_resolvent,
+    whose failed Cholesky factorization raises GapViolation), otherwise on
+    the full pencil (_resolvent_term), where GapViolation is raised when
+    any Galerkin eigenvalue at a node lies within DENOM_TOL of omega^2; B c0
+    and the pairing's products with B use the same blocks
+    (ParityBlocks.mass) or pencil.  With branch_only=True the sum keeps
+    only m = p (one eigenpair per node, and the check covers branches
+    0..p).  By time reversal only the first node of each +-k class is
+    solved (_paired_solves); when its guard fails (a degenerate
+    omega_p^2(0)) every node is solved, and the inertia check still runs
+    once per class.
 
     Nodes with eps |khat|_inf > pi lie outside the Brillouin zone and are
     skipped.  meta reports their number (dropped_nodes) and their share of
@@ -441,8 +539,6 @@ def exact_bloch_solution(gamma: GammaPair, freq: FrequencySpec,
     basis = gamma.basis
     d = basis.dimension
     eps = freq.eps
-    pencil = gamma.pencil
-    bc0 = contract(pencil.B, gamma.coeffs)
 
     # (eps^d from dk = eps^d dkhat cancels the eps^{-d} in the projection)
     pref = (2.0 * np.pi) ** (-d / 2.0) * eps ** 2
@@ -451,15 +547,22 @@ def exact_bloch_solution(gamma: GammaPair, freq: FrequencySpec,
     inside = np.max(np.abs(ks), axis=1) <= np.pi
     ks = ks[inside]
 
-    P, phase, residual = _time_reversal(basis, pencil.B, gamma.coeffs)
-    if branch_only:
-        factorization = None
-        solve = lambda k, _: _branch_term(gamma, pencil, freq.omega2, k, bc0)
+    factorization = None if branch_only else _factorization(freq.omega2)
+    if factorization == "cholesky":
+        mass = gamma.blocks.mass
+        solve = _block_resolvent(gamma.blocks, freq.omega2, gamma.coeffs)
     else:
-        factorization = _factorization(freq.omega2)
+        pencil = gamma.pencil
+        mass = lambda x: contract(pencil.B, x)
+        bc0 = mass(gamma.coeffs)
+    if branch_only:
+        solve = lambda k, _: _branch_term(pencil, gamma.branch, freq.omega2,
+                                          k, bc0)
+    elif factorization == "ldl":
         work = (np.empty_like(pencil.E), freq.omega2 * pencil.B)
         solve = lambda k, check_gap: _resolvent_term(
             pencil, freq.omega2, k, bc0, check_gap, work)
+    P, phase, residual = _time_reversal(basis, mass, gamma.coeffs)
     coeffs, solves = _paired_solves(
         ks, basis.size, solve, (P, phase) if residual <= PAIR_TOL else None)
 

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import j1
 
 _BOUNDARY_TOL = 1e-12
 
@@ -92,6 +91,7 @@ def _indicator_hat(dimension: int, center, radius: float, n_grid):
     if dimension == 1:
         out = 2.0 * radius * np.sinc(2.0 * radius * norm)
     else:
+        from scipy.special import j1   # 2D alone: a 1D run never imports it
         out = np.full_like(norm, np.pi * radius ** 2)      # n = 0
         nz = norm > 0
         out[nz] = radius * j1(2.0 * np.pi * norm[nz] * radius) / norm[nz]

@@ -18,6 +18,7 @@ from blochhomog import (BlochPencil, EnvelopeSingularity, FieldOnGrid,
                         disk_2d,
                         effective_coefficients, effective_envelope,
                         eigenpair_at_gamma,
+                        parity_blocks,
                         exact_bloch_solution, export_field_csv,
                         export_field_npz, fourier_table, homogenized_field,
                         homogenized_fields, solve_bands,
@@ -291,40 +292,100 @@ def _resolve(pencil, omega2, k, rhs):
                            (np.empty_like(pencil.E), omega2 * pencil.B))
 
 
+def _block_solve(blocks, omega2, k, c0):
+    """One node of the below-spectrum route, (S(k) - omega^2 B)^{-1} B c0
+    from the parity blocks."""
+    return fields._block_resolvent(blocks, omega2, c0)(np.asarray(k), True)
+
+
+def _as_complex(blocks):
+    """The same parity blocks in complex128."""
+    return dataclasses.replace(
+        blocks, S0=tuple(x.astype(complex) for x in blocks.S0),
+        E=tuple(x.astype(complex) for x in blocks.E),
+        B=tuple(x.astype(complex) for x in blocks.B),
+        S1=tuple(tuple(x.astype(complex) for x in pair)
+                 for pair in blocks.S1))
+
+
 def test_complex_rhs_on_real_pencil(gamma1d_32):
-    """A complex right-hand side on a real pencil (two real columns of one
-    ?sysv factorization) matches the complex ?hesv solve."""
-    real = bloch_pencil(gamma1d_32.table, gamma1d_32.basis)
-    assert real.E.dtype == np.float64
-    cplx = dataclasses.replace(real, E=real.E.astype(complex),
-                               B=real.B.astype(complex))
+    """A complex c0 on the real parity blocks of a real pencil (two real
+    columns of one factorization per node) matches the same blocks solved
+    in complex arithmetic (?herk, ?zpotrf)."""
+    real = gamma1d_32.blocks
+    assert real.E[0].dtype == np.float64
     rng = np.random.default_rng(5)
-    rhs = rng.standard_normal(real.B.shape[0]) \
-        + 1j * rng.standard_normal(real.B.shape[0])
+    M = gamma1d_32.basis.size
+    c0 = rng.standard_normal(M) + 1j * rng.standard_normal(M)
     k = np.array([0.3])
-    x = _resolve(real, -0.5, k, rhs)
-    y = _resolve(cplx, -0.5, k, rhs)
+    x = _block_solve(real, -0.5, k, c0)
+    y = _block_solve(_as_complex(real), -0.5, k, c0)
     assert np.iscomplexobj(x)
     assert _rel(x, y) < 1e-12
 
 
 def test_resolvent_on_complex_pencil_matches_dense_solve():
     """On a complex Hermitian pencil LAPACK gets the F-contiguous transpose
-    conj(S - omega^2 B) and solves for conj(x): the Cholesky and the
+    conj(S - omega^2 B) and solves for conj(x): below the spectrum the block
+    route (one block, the full matrix, by Cholesky) and in a gap the
     Bunch-Kaufman path both match a dense solve of S - omega^2 B."""
     spec = MediumSpec(dimension=2, background_G=1.0, background_rho=1.0,
                       inclusions=(Inclusion((0.1, -0.2), 0.25, 8.0, 3.0),))
     basis = PlaneWaveBasis(2, 3)
-    pencil = bloch_pencil(fourier_table(spec, 6), basis)
-    assert pencil.E.dtype == np.complex128
+    blocks = parity_blocks(fourier_table(spec, 6), basis)
+    pencil = blocks.pencil()
+    assert pencil.E.dtype == np.complex128 and len(blocks.index) == 1
     k = np.array([0.4, -0.9])
     S = pencil.stiffness(k)
     vals = scipy.linalg.eigvalsh(S, pencil.B)
     rng = np.random.default_rng(9)
-    rhs = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
-    for omega2 in (-0.5, 0.5 * (vals[2] + vals[3])):
-        x = _resolve(pencil, omega2, k, rhs)
-        assert _rel(x, scipy.linalg.solve(S - omega2 * pencil.B, rhs)) < 1e-12
+    c0 = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
+    rhs = pencil.B @ c0
+    x = _block_solve(blocks, -0.5, k, c0)
+    assert _rel(x, scipy.linalg.solve(S + 0.5 * pencil.B, rhs)) < 1e-12
+    omega2 = 0.5 * (vals[2] + vals[3])
+    x = _resolve(pencil, omega2, k, rhs)
+    assert _rel(x, scipy.linalg.solve(S - omega2 * pencil.B, rhs)) < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim=st.integers(1, 2), G2=st.floats(0.2, 20.0),
+       rho2=st.floats(0.2, 30.0), radius=st.floats(0.05, 0.45),
+       centre=st.just(0.0), cutoff=st.integers(1, 16),
+       omega2=st.floats(-8.0, -1e-6), kfrac=st.lists(
+           st.floats(-1.0, 1.0), min_size=2, max_size=2))
+@example(dim=1, G2=6.0, rho2=20.0, radius=0.25, centre=0.15, cutoff=12,
+         omega2=-0.0625, kfrac=[0.4, -0.7])
+@example(dim=2, G2=8.0, rho2=3.0, radius=0.25, centre=0.15, cutoff=3,
+         omega2=-0.5, kfrac=[0.4, -0.7])
+def test_block_route_equals_dense_solve(dim, G2, rho2, radius, centre,
+                                        cutoff, omega2, kfrac):
+    """Below the spectrum the block route at a node k in the Brillouin zone
+    equals a dense Cholesky solve of S(k) - omega^2 B for B c0, on centred
+    media (two parity blocks, the odd one eliminated) and an off-centre one
+    (one complex block), 1D and 2D.
+
+    Both are backward stable: each solution is the exact one of a matrix
+    within a few M u of A = S(k) - omega^2 B, relative to A's diagonal.  So
+    in the norm weighted by sqrt(diag A) each is within about M u kappa of
+    the exact x, kappa the 2-norm condition number of A equilibrated to a
+    unit diagonal (van der Sluis: for Cholesky that scaling is within a
+    factor M of the best); the bound on their difference is 8 M u kappa."""
+    spec = MediumSpec(dimension=dim, background_G=1.0, background_rho=1.0,
+                      inclusions=(Inclusion((centre,) * dim, radius,
+                                            G2, rho2),))
+    cutoff = min(cutoff, 6) if dim == 2 else cutoff
+    gamma = eigenpair_at_gamma(spec, 0, cutoff)
+    assert len(gamma.blocks.index) == (1 if centre else 2)
+    k = np.pi * np.array(kfrac[:dim])
+    x = _block_solve(gamma.blocks, omega2, k, gamma.coeffs)
+    A = gamma.pencil.stiffness(k) - omega2 * gamma.pencil.B
+    ref = scipy.linalg.solve(A, gamma.pencil.B @ gamma.coeffs, assume_a="pos")
+    weight = np.sqrt(A.diagonal().real)
+    scaled = A / np.outer(weight, weight)
+    kappa = np.linalg.cond(scaled)
+    M = gamma.basis.size
+    assert _rel(weight * x, weight * ref) <= 8 * M * 2.0 ** -53 * kappa
 
 
 @settings(max_examples=20, deadline=None)
@@ -445,6 +506,14 @@ _NEAR_RESONANT_CASE = {"background_G": 0.25, "background_rho": 0.5,
                        "rho": 7.0, "cutoff": {1: 6, 2: 3}, "branch": 1,
                        "theta": 0.0}
 
+# A 1D medium whose time-reversal average of c0 read a pair residual of
+# 1.22e-14 (LDL path), over a fixed bound of 1e-14 that was not a roundoff
+# bound (_symmetrized_residual_bound).
+_AVERAGE_CASE = {"background_G": 1.0, "background_rho": 0.21875,
+                 "center": (0.0, 0.0), "radius": 0.11328125, "G": 3.0,
+                 "rho": 20.0, "cutoff": {1: 7, 2: 3}, "branch": 2,
+                 "theta": 0.0}
+
 
 def _paired_and_per_node(gamma, freq, quad_, axes):
     """The exact field as solved (paired when the guard allows) and with
@@ -462,6 +531,7 @@ def _paired_and_per_node(gamma, freq, quad_, axes):
 @given(case=_pairing_case())
 @example(case=_AMPLIFIED_CASE)
 @example(case=_NEAR_RESONANT_CASE)
+@example(case=_AVERAGE_CASE)
 def test_paired_solves_equal_per_node_solves(dim, case):
     """x(-k) = e^{-i theta} P conj(x(k)): one solve per +-k pair gives the
     field solved at every node, on the Cholesky (branch 0) and the
@@ -507,12 +577,56 @@ def test_paired_solves_equal_per_node_solves(dim, case):
         return
     assert u.meta["solves"] == len(quad_.nodes) // 2
     assert _rel(u.values, ref.values) <= roundoff + amplification * residual
-    P, phase, _ = fields._time_reversal(gamma.basis, pencil.B, gamma.coeffs)
-    gamma = dataclasses.replace(gamma, coeffs=0.5 * (
-        gamma.coeffs + np.conj(phase) * gamma.coeffs[P].conj()))
-    u, ref = _paired_and_per_node(gamma, freq, quad_, axes)
-    assert u.meta["pair_residual"] <= 1e-14
+    mass = gamma.blocks.mass
+    P, phase, _ = fields._time_reversal(gamma.basis, mass, gamma.coeffs)
+    symmetric = 0.5 * (gamma.coeffs + np.conj(phase) * gamma.coeffs[P].conj())
+    bound = _symmetrized_residual_bound(pencil.B, gamma.coeffs, symmetric,
+                                        phase, P)
+    u, ref = _paired_and_per_node(
+        dataclasses.replace(gamma, coeffs=symmetric), freq, quad_, axes)
+    assert u.meta["pair_residual"] <= bound
     assert _rel(u.values, ref.values) <= roundoff
+    # and the bound tells a c0 moved by 1e-12 per entry from a symmetric one
+    rng = np.random.default_rng(0)
+    moved = symmetric + 1e-12 * np.exp(2j * np.pi * rng.random(len(symmetric)))
+    assert fields._time_reversal(gamma.basis, mass, moved)[2] > bound
+
+
+def _symmetrized_residual_bound(B, c0, c, phase, P):
+    """A bound, to first order in u = 2^-53, on the residual _time_reversal
+    computes for the time-reversal average c = (c0 + conj(e^{i theta}) P
+    conj(c0)) / 2 as the test forms it, e^{i theta} the phase of c0.
+
+    Write n = M + 2, gamma = n u / (1 - n u), w = |c0| + P|c0| (entrywise),
+    N = sqrt(w^T |B| w), a = |1 - |e^{i theta}|^2| and nu = |c^H B c - 1|
+    as computed; ||v||_B <= sqrt(|v|^T |B| |v|), P conj is a B-isometry,
+    ||c0||_B = 1 to first order and |c| <= w / 2.
+    - The exact average s has P conj(s) - e^{i theta} s = (1 - |e^{i
+      theta}|^2) P conj(c0) / 2.  The product and the sum forming c add e,
+      |e| <= 2 u w, so t = P conj(c) - e^{i theta} c has ||t||_B <= a / 2 +
+      4 u N.
+    - The phase recomputed from c is c^H B P conj(c) = e^{i theta}
+      ||c||_B^2 + c^H B t, within nu + ||t||_B of e^{i theta}.  Its two
+      products round by at most gamma N^2 / 4 each through contract, twice
+      that through ParityBlocks.mass (each block row mixes j and -j), and
+      nu's own by gamma N^2 / 2: 1.5 gamma N^2 in all, 2 gamma N^2 here.
+    - Forming r = P conj(c) - phase c rounds by at most 1.5 u w, 1.5 u N
+      in the B-norm, and ||r||_B is then computed to a relative
+      sqrt(gamma) of an O(u) vector: second order.
+    So ||r||_B <= 2 ||t||_B + nu + 2 gamma N^2 + 1.5 u N <= a + nu + 12 u N
+    + 2 gamma N^2.  On the 1D medium whose average read 1.22e-14, over the
+    fixed 1e-14 this bound replaces (background G 1, rho 0.21875, centred r
+    0.11328125, G 3, rho 20, cutoff 7, branch 2, theta 0), N = 13.9 and the
+    bound is 7.7e-13; that average moved by 1e-12 per entry reads 1.6e-11.
+    """
+    u = np.finfo(float).eps / 2
+    n = len(c0) + 2
+    gamma = n * u / (1 - n * u)
+    w = np.abs(c0) + np.abs(c0[P])
+    N = math.sqrt(w @ np.abs(B) @ w)
+    nu = abs((c.conj() @ B @ c).real - 1.0)
+    a = abs(1.0 - abs(phase) ** 2)
+    return a + nu + 12 * u * N + 2 * gamma * N ** 2
 
 
 @pytest.mark.parametrize("points, solves", [(64, 32), (65, 33)])
@@ -600,18 +714,28 @@ def test_cholesky_path_starts_strictly_below_minus_denom_tol():
 
 def test_indefinite_pencil_below_spectrum_raises(gamma1d_32, source1d,
                                                  quad1d):
-    """A failed Cholesky factorization is a GapViolation, for a hand-built
-    pencil and for the exact solver given one (S negated): no field."""
-    k = np.array([0.5])
-    with pytest.raises(GapViolation, match="not positive definite"):
-        _resolve(_diagonal_pencil(-1.0, k), -0.5, k, np.ones(3))
-    gamma = dataclasses.replace(gamma1d_32)      # its own pencil
-    gamma.pencil = dataclasses.replace(gamma.pencil, E=-gamma.pencil.E)
+    """A failed Cholesky factorization on the block route is a GapViolation,
+    whichever fails: the odd block's at k = 0 (S0, S1 and E negated), a
+    node's Schur complement (the even block of E negated), or the odd block
+    at a node, 1 + |k|^2 mu <= 0 (its block of E negated and scaled by
+    100): no field."""
+    blocks = gamma1d_32.blocks
+    negated = dataclasses.replace(
+        blocks, S0=tuple(-x for x in blocks.S0), E=tuple(-x for x in blocks.E),
+        S1=tuple(tuple(-x for x in pair) for pair in blocks.S1))
     freq = FrequencySpec(branch=0, sigma=-1, omega_hat=1.0, eps=0.25,
                          omega2=-0.0625)
-    with pytest.raises(GapViolation, match="not positive definite"):
-        exact_bloch_solution(gamma, freq, source1d, quad1d,
-                             (np.linspace(-1.0, 1.0, 5),))
+    cases = {"in its odd block at k = 0": negated,
+             "at k = ": dataclasses.replace(
+                 blocks, E=(-blocks.E[0], blocks.E[1])),
+             r"in its odd block at k = \[": dataclasses.replace(
+                 blocks, E=(blocks.E[0], -100.0 * blocks.E[1]))}
+    for where, broken in cases.items():
+        gamma = dataclasses.replace(gamma1d_32, blocks=broken)
+        with pytest.raises(GapViolation,
+                           match="not positive definite " + where):
+            exact_bloch_solution(gamma, freq, source1d, quad1d,
+                                 (np.linspace(-1.0, 1.0, 5),))
 
 
 # ---------------------------------------------------------------------------
